@@ -12,12 +12,10 @@ finitely many terms and holds up to roundoff on a large enough truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
-from typing import Sequence
 
 import numpy as np
 
-from .fock import TruncatedFockBasis, TruncatedOperator, word_operator
+from .fock import TruncatedOperator, cp_map_apply, truncated_model, word_operator
 from .weights import DomainSpec, WeightTable
 from .words import Word, enumerate_words
 
@@ -52,14 +50,6 @@ class OperatorTuple:
         return word_operator(self.matrices, alpha)
 
 
-def _cp_apply(spec: DomainSpec, X: Sequence[np.ndarray], Y: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(Y, dtype=complex)
-    for alpha, a in spec.coefficients.items():
-        Xa = word_operator(X, alpha)
-        out += float(a) * (Xa @ Y @ Xa.conj().T)
-    return out
-
-
 @dataclass
 class MembershipReport:
     in_domain: bool
@@ -79,12 +69,12 @@ def domain_membership(spec: DomainSpec, X: OperatorTuple, tol: float = 1e-10,
     Y = np.eye(k, dtype=complex)
     mins = []
     for _ in range(spec.m):
-        Y = Y - _cp_apply(spec, mats, Y)
+        Y = Y - cp_map_apply(spec, mats, Y)
         Y = (Y + Y.conj().T) / 2
         mins.append(float(np.min(np.linalg.eigvalsh(Y))))
     in_domain = all(v >= -tol for v in mins)
 
-    phi_I = _cp_apply(spec, mats, np.eye(k, dtype=complex))
+    phi_I = cp_map_apply(spec, mats, np.eye(k, dtype=complex))
     first_ok = float(np.max(np.linalg.eigvalsh((phi_I + phi_I.conj().T) / 2))) <= 1 + tol
     two_cond = first_ok and mins[-1] >= -tol
     agrees = two_cond == in_domain
@@ -107,7 +97,7 @@ def purity_check(spec: DomainSpec, X: OperatorTuple, p_max: int = 50,
     Y = np.eye(X.dim, dtype=complex)
     decay = []
     for _ in range(p_max):
-        Y = _cp_apply(spec, mats, Y)
+        Y = cp_map_apply(spec, mats, Y)
         nrm = float(np.linalg.norm(Y, 2))
         decay.append(nrm)
         if nrm == 0.0:
@@ -128,7 +118,7 @@ def defect_sqrt(spec: DomainSpec, X: OperatorTuple, tol: float = 1e-10) -> np.nd
     """Principal square root of (id-Phi)^m(I); eigenvalues in [-tol, 0) clip to 0."""
     Y = np.eye(X.dim, dtype=complex)
     for _ in range(spec.m):
-        Y = Y - _cp_apply(spec, X.matrices, Y)
+        Y = Y - cp_map_apply(spec, X.matrices, Y)
     Y = (Y + Y.conj().T) / 2
     vals, vecs = np.linalg.eigh(Y)
     if np.min(vals) < -tol:
@@ -144,11 +134,10 @@ def berezin_kernel(spec: DomainSpec, X: OperatorTuple, table: WeightTable,
     as a (D*k) x k matrix with word-major rows."""
     delta = defect_sqrt(spec, X, tol)
     k = X.dim
-    words = enumerate_words(spec.n, N)
-    K = np.zeros((len(words) * k, k), dtype=complex)
-    for idx, alpha in enumerate(words):
-        K[idx * k:(idx + 1) * k, :] = sqrt(float(table.b[alpha])) * (
-            delta @ X.word(alpha).conj().T)
+    model = truncated_model(table, N)
+    K = np.zeros((model.basis.dimension * k, k), dtype=complex)
+    for idx, (alpha, w) in enumerate(zip(model.basis.words, model.sqrt_b)):
+        K[idx * k:(idx + 1) * k, :] = w * (delta @ X.word(alpha).conj().T)
     return K
 
 
@@ -164,19 +153,14 @@ def berezin_transform(spec: DomainSpec, X: OperatorTuple, g: TruncatedOperator,
     K = berezin_kernel(spec, X, table, g.basis.N, tol)
     k = X.dim
     d = g.aux_dim
-    D = g.basis.dimension
     out = np.zeros((d * k, d * k), dtype=complex)
     Ik = np.eye(k, dtype=complex)
     for i in range(d):
         for j in range(d):
-            gij = _aux_block(g.matrix, D, d, i, j)
+            # scalar Fock operator g_ij from the word-major layout (word*d + aux)
+            gij = g.matrix[i::d, j::d]
             out[i * k:(i + 1) * k, j * k:(j + 1) * k] = K.conj().T @ np.kron(gij, Ik) @ K
     return out
-
-
-def _aux_block(M: np.ndarray, D: int, d: int, i: int, j: int) -> np.ndarray:
-    # scalar Fock operator g_ij from the word-major layout (word*d + aux)
-    return M[i::d, j::d] if d > 1 else M
 
 
 def intertwining_residual(spec: DomainSpec, X: OperatorTuple, table: WeightTable,

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Sequence
 
 import numpy as np
 
 from .berezin import OperatorTuple
-from .fock import TruncatedFockBasis, TruncatedOperator, creation_tuple, word_operator
-from .toeplitz import MultiToeplitzSymbol
+from .fock import TruncatedOperator, cp_map_apply, truncated_model
+from .toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from .weights import DomainSpec, WeightTable
-from .words import EMPTY, Word, enumerate_words, reverse
+from .words import EMPTY, Word, reverse
 
 GATE_MARGIN = 1e-6
 
@@ -65,9 +64,8 @@ def joint_spectral_radius(spec: DomainSpec, X: OperatorTuple,
     r_exact = sqrt(rho)
     seq = []
     Y = np.eye(X.dim, dtype=complex)
-    from .berezin import _cp_apply
     for k in range(1, k_max + 1):
-        Y = _cp_apply(spec, X.matrices, Y)
+        Y = cp_map_apply(spec, X.matrices, Y)
         nrm = float(np.linalg.norm(Y, 2))
         seq.append(nrm ** (1.0 / (2 * k)) if nrm > 0 else 0.0)
         if nrm == 0.0:
@@ -79,14 +77,15 @@ def reconstruction_operator(spec: DomainSpec, X: OperatorTuple, N: int,
                             table: WeightTable) -> TruncatedOperator:
     """R = sum over supp(q) of a_beta Lambda_{reverse(beta)} (x) X_beta^*,
     strictly degree-raising on the truncation."""
-    Lam = creation_tuple(table, N, left=False)
-    basis = Lam[0].basis
+    model = truncated_model(table, N)
     k = X.dim
-    M = np.zeros((basis.dimension * k, basis.dimension * k), dtype=complex)
+    D = model.basis.dimension
+    M = np.zeros((D, k, D, k), dtype=complex)
     for beta, a in spec.coefficients.items():
-        La = word_operator(Lam, reverse(beta)).matrix
-        M += float(a) * np.kron(La, X.word(beta).conj().T)
-    return TruncatedOperator(basis, M, aux_dim=k)
+        # Lambda_{reverse(beta)} appends beta on the right
+        dst, src, w = model.shift(reverse(beta), left=False)
+        M[dst, :, src, :] += float(a) * w[:, None, None] * X.word(beta).conj().T
+    return TruncatedOperator(model.basis, M.reshape(D * k, D * k), aux_dim=k)
 
 
 def cauchy_kernel(spec: DomainSpec, X: OperatorTuple, N: int,
@@ -112,10 +111,11 @@ def cauchy_kernel_fourier_residual(C: TruncatedOperator, X: OperatorTuple,
                                    table: WeightTable) -> float:
     """Check the expansion C = sum Lambda_beta (x) b_{rev(beta)} X_{rev(beta)}^*
     through the vacuum column: block (omega, ()) must be sqrt(b_omega) X_omega^*."""
+    sqrt_b = truncated_model(table, C.basis.N).sqrt_b
     worst = 0.0
-    for omega in C.basis.words:
+    for omega, w in zip(C.basis.words, sqrt_b):
         blk = C.block(omega, EMPTY)
-        expected = sqrt(float(table.b[omega])) * X.word(omega).conj().T
+        expected = w * X.word(omega).conj().T
         worst = max(worst, float(np.max(np.abs(blk - expected))))
     return worst
 
@@ -164,12 +164,7 @@ def analytic_functional_calculus(spec: DomainSpec, X: OperatorTuple,
     for alpha, c in coeffs.items():
         direct += c * X.word(alpha)
 
-    W = creation_tuple(table, N, left=True)
-    basis = W[0].basis
-    F_op = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for alpha, c in coeffs.items():
-        F_op += c * (t ** (-len(alpha))) * word_operator(W, alpha).matrix
-    F_trunc = TruncatedOperator(basis, F_op)
+    F_trunc = symbol_to_operator(MultiToeplitzSymbol.scalar(A=coeffs), table, 1.0 / t, N)
     C = cauchy_kernel(spec, X.scaled(t), N, table, check_gate=False)
     via_cauchy = cauchy_transform(spec, X.scaled(t), F_trunc, N, table, C=C)
     residual = float(np.linalg.norm(direct - via_cauchy, 2))
@@ -216,8 +211,6 @@ def radius_inequality_check(spec: DomainSpec, X: OperatorTuple, N: int,
                             ) -> RadiusInequalityReport:
     """||R_N^k|| <= ||Phi^k_{q,X}(I)||^(1/2) for k = 1..N; valid because the
     compression norm lower-bounds the full norm and ||Phi^k_{rev q,Lambda}(I)|| <= 1."""
-    from .berezin import _cp_apply
-
     R = reconstruction_operator(spec, X, N, table)
     margins = []
     violations = 0
@@ -225,7 +218,7 @@ def radius_inequality_check(spec: DomainSpec, X: OperatorTuple, N: int,
     Y = np.eye(X.dim, dtype=complex)
     for _ in range(N):
         P = P @ R.matrix
-        Y = _cp_apply(spec, X.matrices, Y)
+        Y = cp_map_apply(spec, X.matrices, Y)
         lhs = float(np.linalg.norm(P, 2))
         rhs = sqrt(float(np.linalg.norm(Y, 2)))
         margins.append(rhs - lhs)

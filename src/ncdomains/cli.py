@@ -22,7 +22,7 @@ from .serialization import (dump_json, load_json, operator_from_json,
 from .toeplitz import (MultiToeplitzSymbol, fourier_coefficients,
                        is_multi_toeplitz, max_block_difference,
                        symbol_to_operator)
-from .weights import DomainSpec, weights_by_convolution, weights_by_factorization
+from .weights import DomainSpec
 
 
 def resolve_spec(name_or_path: str) -> DomainSpec:
@@ -32,22 +32,21 @@ def resolve_spec(name_or_path: str) -> DomainSpec:
     return DomainSpec.from_json(load_json(name_or_path))
 
 
-def add_common(p: argparse.ArgumentParser, spec_required: bool = True) -> None:
-    p.add_argument("--spec", required=spec_required,
-                   help="builtin spec name or path to a spec JSON file")
-    p.add_argument("--max-len", type=int, default=4, metavar="N",
-                   help="truncation depth (default 4)")
-    p.add_argument("--aux-dim", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--radii", default="0.3,0.5,0.7,0.9",
-                   help="comma-separated radius grid")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="report/output path")
-    p.add_argument("--format", choices=("json", "csv"), default=None)
+OPTIONS = {
+    "spec": ("--spec", {"required": True,
+                        "help": "builtin spec name or path to a spec JSON file"}),
+    "max_len": ("--max-len", {"type": int, "default": 4, "metavar": "N",
+                              "help": "truncation depth (default 4)"}),
+    "tol": ("--tol", {"type": float, "default": 1e-10}),
+    "seed": ("--seed", {"type": int, "default": 0}),
+    "out": ("--out", {"default": None, "help": "report/output path"}),
+}
 
 
-def parse_radii(s: str) -> list[float]:
-    return [float(x) for x in s.split(",") if x.strip()]
+def add_options(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        flag, kwargs = OPTIONS[name]
+        p.add_argument(flag, **kwargs)
 
 
 def finish(report: VerificationReport, out: str | None) -> int:
@@ -69,7 +68,7 @@ def cmd_weights(args) -> int:
                                  "N": args.max_len})
     table = verify.weights_suite(spec, args.max_len, report)
     if args.out:
-        if (args.format or "csv") == "csv":
+        if args.format == "csv":
             table.to_csv(args.out)
         else:
             dump_json({"spec": spec.to_json(), "N": table.N,
@@ -162,8 +161,7 @@ def cmd_pluriharmonic(args) -> int:
     table = verify.build_table(spec, N)
     report = VerificationReport({"command": "pluriharmonic",
                                  "spec": spec.to_json(), "N": N,
-                                 "seed": args.seed,
-                                 "radii": parse_radii(args.radii)})
+                                 "seed": args.seed})
     verify.pluriharmonic_suite(spec, table, N, report, seed=args.seed)
     return finish(report, args.out)
 
@@ -202,7 +200,8 @@ def cmd_verify_all(args) -> int:
     return finish(report, args.out)
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="ncdomains",
         description="verification harness for truncated universal models on "
@@ -210,38 +209,43 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("weights", help="weight tables and oracle checks")
-    add_common(p)
+    add_options(p, "spec", "max_len", "out")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_weights)
 
     p = sub.add_parser("model", help="universal model identities")
-    add_common(p)
+    add_options(p, "spec", "max_len", "tol", "out")
     p.set_defaults(fn=cmd_model)
 
     p = sub.add_parser("toeplitz", help="multi-Toeplitz structure and symbols")
-    add_common(p)
+    add_options(p, "spec", "max_len", "tol", "seed", "out")
     p.add_argument("--op", default=None, help="operator JSON to check")
     p.add_argument("--symbol", default=None, help="symbol JSON to assemble")
     p.add_argument("--radius", type=float, default=1.0)
     p.set_defaults(fn=cmd_toeplitz)
 
     p = sub.add_parser("berezin", help="membership, purity, Berezin identities")
-    add_common(p)
+    add_options(p, "spec", "max_len", "tol", "seed", "out")
     p.add_argument("--tuple", default=None, help="operator tuple JSON")
     p.set_defaults(fn=cmd_berezin)
 
     p = sub.add_parser("pluriharmonic", help="Gamma kernel, metric, limits")
-    add_common(p)
+    add_options(p, "spec", "max_len", "seed", "out")
     p.set_defaults(fn=cmd_pluriharmonic)
 
     p = sub.add_parser("cauchy", help="spectral radii and functional calculus")
-    add_common(p)
+    add_options(p, "spec", "max_len", "seed", "out")
     p.add_argument("--tuple", default=None, help="operator tuple JSON")
     p.set_defaults(fn=cmd_cauchy)
 
     p = sub.add_parser("verify-all", help="full suite over the builtin corpus")
-    add_common(p, spec_required=False)
+    add_options(p, "max_len", "seed", "out")
     p.set_defaults(fn=cmd_verify_all)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -7,19 +7,24 @@ flat index = word_index * d + aux_index, so the (omega, gamma) block of a
 matrix is the d x d coefficient C_{omega,gamma} with
 <T(x (x) e_gamma), y (x) e_omega> = <C_{omega,gamma} x, y>.
 
+A TruncatedModel, built once per (table, N) and kept on the table, holds the
+basis and sqrt(b_alpha) in basis order.  Each word operator is a weighted
+partial permutation, W_alpha e_gamma = sqrt(b_gamma / b_{alpha gamma})
+e_{alpha gamma} (Lambda_alpha appends reverse(alpha) on the right), so
+operators are assembled from these word-shift index maps.
+
 Reported operator norms of compressions are monotone-nondecreasing lower
 bounds of the infinite-dimensional norms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .weights import DomainSpec, WeightTable
-from .words import EMPTY, Word, concat, enumerate_words, reverse
+from .words import EMPTY, Word, enumerate_words, fock_dimension
 
 
 @dataclass(frozen=True)
@@ -101,42 +106,66 @@ def identity_operator(basis: TruncatedFockBasis, aux_dim: int = 1) -> TruncatedO
     return TruncatedOperator(basis, np.eye(d, dtype=complex), aux_dim)
 
 
-def weighted_left_creation(table: WeightTable, i: int, N: int,
-                           basis: TruncatedFockBasis | None = None) -> TruncatedOperator:
+class TruncatedModel:
+    """Weighted Fock space of one weight table at depth N: the basis and
+    sqrt_b, the array of sqrt(b_alpha) in basis order."""
+
+    def __init__(self, table: WeightTable, N: int):
+        if N > table.N:
+            raise ValueError(f"truncation {N} exceeds table depth {table.N}")
+        n = table.spec.n
+        self.basis = TruncatedFockBasis.build(n, N)
+        self.sqrt_b = np.sqrt([float(table.b[w]) for w in self.basis.words])
+        # _next[left][i - 1][j]: index of g_i gamma (left) or gamma g_i (right)
+        # for the word gamma at index j, defined for |gamma| < N
+        inner = self.basis.words[:fock_dimension(n, N - 1)]
+        self._next = {left: [np.array([self.basis.index[(i,) + g if left else g + (i,)]
+                                       for g in inner], dtype=np.intp)
+                             for i in range(1, n + 1)]
+                      for left in (True, False)}
+
+    def shift(self, alpha: Word, left: bool = True
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """W_alpha (left) or Lambda_alpha (right) as arrays (dst, src, weight):
+        e_src maps to weight * e_dst, with weight = sqrt_b[src] / sqrt_b[dst].
+        The sources are the words of length <= N - |alpha|."""
+        n, N = self.basis.n, self.basis.N
+        src = np.arange(fock_dimension(n, N - len(alpha)) if len(alpha) <= N else 0)
+        dst = src
+        for letter in reversed(alpha):
+            dst = self._next[left][letter - 1][dst]
+        return dst, src, self.sqrt_b[src] / self.sqrt_b[dst]
+
+
+def truncated_model(table: WeightTable, N: int) -> TruncatedModel:
+    """The model of `table` at depth N, built on first use and kept on the table."""
+    if N not in table._models:
+        table._models[N] = TruncatedModel(table, N)
+    return table._models[N]
+
+
+def weighted_left_creation(table: WeightTable, i: int, N: int) -> TruncatedOperator:
     """W_i e_gamma = sqrt(b_gamma / b_{g_i gamma}) e_{g_i gamma}, zero at depth N."""
-    return _creation(table, i, N, basis, left=True)
+    return _creation(table, i, N, left=True)
 
 
-def weighted_right_creation(table: WeightTable, i: int, N: int,
-                            basis: TruncatedFockBasis | None = None) -> TruncatedOperator:
+def weighted_right_creation(table: WeightTable, i: int, N: int) -> TruncatedOperator:
     """Lambda_i e_gamma = sqrt(b_gamma / b_{gamma g_i}) e_{gamma g_i}."""
-    return _creation(table, i, N, basis, left=False)
+    return _creation(table, i, N, left=False)
 
 
-def _creation(table: WeightTable, i: int, N: int,
-              basis: TruncatedFockBasis | None, left: bool) -> TruncatedOperator:
-    n = table.spec.n
-    if not 1 <= i <= n:
-        raise ValueError(f"letter {i} outside 1..{n}")
-    if N > table.N:
-        raise ValueError(f"truncation {N} exceeds table depth {table.N}")
-    if basis is None:
-        basis = TruncatedFockBasis.build(n, N)
-    D = basis.dimension
-    M = np.zeros((D, D), dtype=complex)
-    for gamma in basis.words:
-        if len(gamma) >= N:
-            continue
-        target = (i,) + gamma if left else gamma + (i,)
-        w = sqrt(float(table.b[gamma] / table.b[target]))
-        M[basis.index[target], basis.index[gamma]] = w
-    return TruncatedOperator(basis, M)
+def _creation(table: WeightTable, i: int, N: int, left: bool) -> TruncatedOperator:
+    if not 1 <= i <= table.spec.n:
+        raise ValueError(f"letter {i} outside 1..{table.spec.n}")
+    model = truncated_model(table, N)
+    M = np.zeros((model.basis.dimension,) * 2, dtype=complex)
+    dst, src, w = model.shift((i,), left)
+    M[dst, src] = w
+    return TruncatedOperator(model.basis, M)
 
 
 def creation_tuple(table: WeightTable, N: int, left: bool = True) -> list[TruncatedOperator]:
-    basis = TruncatedFockBasis.build(table.spec.n, N)
-    make = weighted_left_creation if left else weighted_right_creation
-    return [make(table, i, N, basis) for i in range(1, table.spec.n + 1)]
+    return [_creation(table, i, N, left) for i in range(1, table.spec.n + 1)]
 
 
 def word_operator(ops: Sequence, alpha: Word):
@@ -181,12 +210,6 @@ def defect_operator(spec: DomainSpec, X: Sequence[np.ndarray], k: int) -> np.nda
     return (Y + Y.conj().T) / 2
 
 
-def _vacuum_projection(basis: TruncatedFockBasis) -> np.ndarray:
-    P = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    P[basis.index[EMPTY], basis.index[EMPTY]] = 1.0
-    return P
-
-
 @dataclass
 class ModelIdentityReport:
     defect_residual_left: float        # ||(id-Phi_{q,W})^m(I) - P_C||_max
@@ -210,7 +233,8 @@ def verify_model_identities(spec: DomainSpec, table: WeightTable, N: int,
     W = creation_tuple(table, N, left=True)
     L = creation_tuple(table, N, left=False)
     basis = W[0].basis
-    P = _vacuum_projection(basis)
+    P = np.zeros((basis.dimension,) * 2, dtype=complex)
+    P[basis.index[EMPTY], basis.index[EMPTY]] = 1.0
 
     Wm = [op.matrix for op in W]
     Lm = [op.matrix for op in L]
@@ -227,14 +251,13 @@ def verify_model_identities(spec: DomainSpec, table: WeightTable, N: int,
     norm_right = float(np.max(np.linalg.eigvalsh((phi_right + phi_right.conj().T) / 2)))
 
     # both products raise word length by 2; deeper words are truncation artifacts
+    interior = fock_dimension(spec.n, N - 2) if N >= 2 else 0
     comm = 0.0
     for i in range(spec.n):
         for j in range(spec.n):
             Dm = Wm[i] @ Lm[j] - Lm[j] @ Wm[i]
-            for gamma in basis.words:
-                if len(gamma) > N - 2:
-                    continue
-                comm = max(comm, float(np.linalg.norm(Dm[:, basis.index[gamma]])))
+            cols = np.linalg.norm(Dm[:, :interior], axis=0)
+            comm = max(comm, float(cols.max(initial=0.0)))
 
     return ModelIdentityReport(res_left, norm_left, res_right, norm_right, comm, tol)
 
@@ -252,22 +275,18 @@ class ConjugationReport:
 def weighted_space_conjugation(table: WeightTable, N: int) -> ConjugationReport:
     """Diagonal U e_alpha = sqrt(b_alpha) e_alpha conjugating each W_i to the
     unweighted multiplication shift of the weighted Fock space picture."""
-    basis = TruncatedFockBasis.build(table.spec.n, N)
-    D = basis.dimension
-    diag = np.array([sqrt(float(table.b[w])) for w in basis.words])
-    U = TruncatedOperator(basis, np.diag(diag).astype(complex))
-    Uinv = np.diag(1.0 / diag).astype(complex)
+    model = truncated_model(table, N)
+    D = model.basis.dimension
+    U = TruncatedOperator(model.basis, np.diag(model.sqrt_b).astype(complex))
+    Uinv = np.diag(1.0 / model.sqrt_b).astype(complex)
 
     worst = 0.0
     for i in range(1, table.spec.n + 1):
-        W = weighted_left_creation(table, i, N, basis).matrix
+        W = weighted_left_creation(table, i, N).matrix
         conj = U.matrix @ W @ Uinv
+        dst, src, _ = model.shift((i,))
         shift = np.zeros((D, D), dtype=complex)
-        for gamma in basis.words:
-            if len(gamma) < N:
-                shift[basis.index[(i,) + gamma], basis.index[gamma]] = 1.0
-        for gamma in basis.words:
-            if len(gamma) < N:
-                col = basis.index[gamma]
-                worst = max(worst, float(np.linalg.norm(conj[:, col] - shift[:, col])))
+        shift[dst, src] = 1.0
+        cols = np.linalg.norm((conj - shift)[:, src], axis=0)
+        worst = max(worst, float(cols.max(initial=0.0)))
     return ConjugationReport(U, worst)

@@ -12,14 +12,14 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .toeplitz import MultiToeplitzSymbol, max_block_difference, symbol_to_operator
+from .fock import TruncatedFockBasis, truncated_model
+from .toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from .weights import WeightTable, omega_beta
-from .words import EMPTY, GEQ, LT, Word, compare_right, enumerate_words
+from .words import EMPTY, GEQ, Word, compare_right
 
 RHO_RADII_KMAX = 8
 
@@ -112,16 +112,19 @@ def holomorphic_radius_test(F: PluriharmonicFunction, table: WeightTable,
 class GammaKernel:
     """Block matrix [Gamma_rF(omega, gamma)] over words of length <= order."""
 
-    words: list[Word]
+    basis: TruncatedFockBasis  # the words of length <= order
     aux_dim: int
     radius: float
-    order: int
     matrix: np.ndarray
+
+    @property
+    def words(self) -> list[Word]:
+        return list(self.basis.words)
 
     def block(self, omega: Word, gamma: Word) -> np.ndarray:
         d = self.aux_dim
-        i = self.words.index(omega) * d
-        j = self.words.index(gamma) * d
+        i = self.basis.index[omega] * d
+        j = self.basis.index[gamma] * d
         return self.matrix[i:i + d, j:j + d]
 
     def min_eigenvalue(self) -> float:
@@ -142,7 +145,8 @@ def gamma_kernel(F: PluriharmonicFunction, table: WeightTable, r: float,
     d = F.aux_dim
     A = F.symbol.A
     A0 = F.symbol.constant
-    words = enumerate_words(table.spec.n, order)
+    model = truncated_model(table, order)
+    words, sqrt_b = model.basis.words, model.sqrt_b
     zero = np.zeros((d, d), dtype=complex)
     M = np.zeros((len(words) * d, len(words) * d), dtype=complex)
     for i, omega in enumerate(words):
@@ -154,14 +158,14 @@ def gamma_kernel(F: PluriharmonicFunction, table: WeightTable, r: float,
                 blk = A0 + A0.conj().T
             elif cmp.relation == GEQ:
                 alpha = cmp.quotient
-                w = sqrt(float(table.b[gamma] / table.b[omega]))
+                w = sqrt_b[j] / sqrt_b[i]
                 blk = w * (r ** len(alpha)) * A.get(alpha, zero)
             else:
                 alpha = cmp.quotient
-                w = sqrt(float(table.b[omega] / table.b[gamma]))
+                w = sqrt_b[i] / sqrt_b[j]
                 blk = w * (r ** len(alpha)) * A.get(alpha, zero).conj().T
             M[i * d:(i + 1) * d, j * d:(j + 1) * d] = blk
-    return GammaKernel(words, d, r, order, M)
+    return GammaKernel(model.basis, d, r, M)
 
 
 @dataclass

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field, asdict
 
 PASS = "pass"
 FAIL = "fail"
-APPROX = "approx"  # limit-surrogate checks: value reported, no exact target
 
 
 @dataclass
@@ -40,43 +39,34 @@ class VerificationReport:
                 "total": len(self.checks),
                 "pass": sum(c.status == PASS for c in self.checks),
                 "fail": len(self.failures),
-                "approx": sum(c.status == APPROX for c in self.checks),
             },
             "checks": [asdict(c) for c in self.checks],
         }
 
 
 class CheckTimer:
-    """Collects timed check records: with CheckTimer(report) as t: t.check(...)"""
+    """Appends check records to a report.  Each record's elapsed time is the
+    time since the timer's previous record, or since the timer was created."""
 
     def __init__(self, report: VerificationReport):
         self.report = report
+        self._last = time.perf_counter()
+
+    def _record(self, check_id: str, identity: str, ok: bool,
+                residual: float | None, tolerance: float | None,
+                detail: dict | None) -> CheckRecord:
+        now = time.perf_counter()
+        rec = CheckRecord(check_id, identity, PASS if ok else FAIL, residual,
+                          tolerance, now - self._last, detail or {})
+        self._last = now
+        self.report.checks.append(rec)
+        return rec
 
     def check(self, check_id: str, identity: str, residual: float,
               tolerance: float, detail: dict | None = None) -> CheckRecord:
-        rec = CheckRecord(check_id, identity,
-                          PASS if residual <= tolerance else FAIL,
-                          float(residual), float(tolerance),
-                          0.0, detail or {})
-        self.report.checks.append(rec)
-        return rec
+        return self._record(check_id, identity, residual <= tolerance,
+                            float(residual), float(tolerance), detail)
 
     def flag(self, check_id: str, identity: str, ok: bool,
              detail: dict | None = None) -> CheckRecord:
-        rec = CheckRecord(check_id, identity, PASS if ok else FAIL,
-                          None, None, 0.0, detail or {})
-        self.report.checks.append(rec)
-        return rec
-
-    def approx(self, check_id: str, identity: str, value: float,
-               detail: dict | None = None) -> CheckRecord:
-        rec = CheckRecord(check_id, identity, APPROX, float(value), None,
-                          0.0, detail or {})
-        self.report.checks.append(rec)
-        return rec
-
-
-def timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0
+        return self._record(check_id, identity, ok, None, None, detail)

@@ -14,14 +14,12 @@ negatives from compression and are skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
 
 import numpy as np
 
-from .fock import (TruncatedFockBasis, TruncatedOperator, creation_tuple,
-                   identity_operator, word_operator)
+from .fock import TruncatedOperator, truncated_model
 from .weights import TruncationExceededError, WeightTable
-from .words import EMPTY, GEQ, LT, Word, compare_right
+from .words import EMPTY, GEQ, Word, compare_right
 
 
 class NotToeplitzError(ValueError):
@@ -115,12 +113,6 @@ class ToeplitzReport:
     incomparable_witness: tuple[Word, Word] | None = None
 
 
-def _lambda_weight(table: WeightTable, omega: Word, gamma: Word, relation: str) -> float:
-    if relation == GEQ:
-        return sqrt(float(table.b[omega] / table.b[gamma]))
-    return sqrt(float(table.b[gamma] / table.b[omega]))
-
-
 def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
                       tol: float = 1e-10) -> ToeplitzReport:
     """Check the weighted shift-invariance relations of the operator matrix.
@@ -134,6 +126,8 @@ def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
     n = basis.n
     interior = basis.N - 1
     scale = max(float(np.max(np.abs(T.matrix))), 1.0)
+    sqrt_b = truncated_model(table, basis.N).sqrt_b
+    index = basis.index
 
     worst_structure = 0.0
     worst_incomp = 0.0
@@ -150,12 +144,13 @@ def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
                 continue
             if len(omega) > interior or len(gamma) > interior:
                 continue
-            lam = _lambda_weight(table, omega, gamma, cmp.relation)
-            base = lam * T.block(omega, gamma)
+            # weight sqrt(b_long / b_short) of the comparable pair
+            long, short = (omega, gamma) if cmp.relation == GEQ else (gamma, omega)
+            base = sqrt_b[index[long]] / sqrt_b[index[short]] * T.block(omega, gamma)
             for i in range(1, n + 1):
-                oe, ge = omega + (i,), gamma + (i,)
-                lam_e = _lambda_weight(table, oe, ge, cmp.relation)
-                res = float(np.max(np.abs(lam_e * T.block(oe, ge) - base)))
+                lam_e = sqrt_b[index[long + (i,)]] / sqrt_b[index[short + (i,)]]
+                res = float(np.max(np.abs(lam_e * T.block(omega + (i,), gamma + (i,))
+                                          - base)))
                 if res > worst_structure:
                     worst_structure = res
                     structure_witness = (omega, gamma, i)
@@ -170,12 +165,12 @@ def fourier_coefficients(T: TruncatedOperator, table: WeightTable,
     basis = T.basis
     if max_order > basis.N:
         raise ValueError(f"max_order {max_order} exceeds truncation {basis.N}")
+    sqrt_b = truncated_model(table, basis.N).sqrt_b
     A: dict[Word, np.ndarray] = {}
     B: dict[Word, np.ndarray] = {}
-    for alpha in basis.words:
+    for alpha, w in zip(basis.words, sqrt_b):
         if len(alpha) > max_order:
             continue
-        w = sqrt(float(table.b[alpha]))
         A[alpha] = w * T.block(alpha, EMPTY)
         if alpha != EMPTY:
             B[alpha] = w * T.block(EMPTY, alpha)
@@ -189,18 +184,18 @@ def symbol_to_operator(sym: MultiToeplitzSymbol, table: WeightTable,
     if sym.max_order > N:
         raise TruncationExceededError(
             f"symbol support {sym.max_order} exceeds truncation {N}")
-    W = creation_tuple(table, N, left=True)
-    basis = W[0].basis
+    model = truncated_model(table, N)
     d = sym.aux_dim
-    D = basis.dimension
-    M = np.zeros((D * d, D * d), dtype=complex)
+    D = model.basis.dimension
+    # (row word, row aux, column word, column aux): the word-major layout
+    M = np.zeros((D, d, D, d), dtype=complex)
     for alpha, blk in sym.A.items():
-        Wa = word_operator(W, alpha).matrix
-        M += np.kron(Wa, blk) * (r ** len(alpha))
+        dst, src, w = model.shift(alpha)
+        M[dst, :, src, :] += (r ** len(alpha)) * w[:, None, None] * blk
     for alpha, blk in sym.B.items():
-        Wa = word_operator(W, alpha).matrix
-        M += np.kron(Wa.conj().T, blk) * (r ** len(alpha))
-    return TruncatedOperator(basis, M, d)
+        dst, src, w = model.shift(alpha)
+        M[src, :, dst, :] += (r ** len(alpha)) * w[:, None, None] * blk
+    return TruncatedOperator(model.basis, M.reshape(D * d, D * d), d)
 
 
 def norm_profile(sym: MultiToeplitzSymbol, table: WeightTable,

@@ -35,7 +35,7 @@ from .words import EMPTY, Word, enumerate_words
 
 
 def build_table(spec: DomainSpec, N: int) -> WeightTable:
-    return weights_by_factorization(spec, N)
+    return weights_by_convolution(spec, N)
 
 
 def weights_suite(spec: DomainSpec, N: int, report: VerificationReport,
@@ -174,7 +174,7 @@ def berezin_suite(spec: DomainSpec, table: WeightTable, N: int,
 
         sym = random_symbol(rng, spec.n, max_len=2)
         for r in (0.5, 0.9):
-            inner = scale_for_radius(X, r)
+            inner = X.scaled(r)
             worst_mean = max(worst_mean, mean_value_check(
                 sym, spec, inner, r, table, N))
 
@@ -193,11 +193,6 @@ def berezin_suite(spec: DomainSpec, table: WeightTable, N: int,
     t.check(f"berezin.mean_value{label}",
             "F(X) equals the extended Berezin transform of F(r W_N) at (1/r) X",
             worst_mean, 1e-8)
-
-
-def scale_for_radius(X: OperatorTuple, r: float) -> OperatorTuple:
-    """A tuple lying in r times the domain: r * X for X in the domain."""
-    return X.scaled(r)
 
 
 def pluriharmonic_suite(spec: DomainSpec, table: WeightTable, N: int,

@@ -83,11 +83,24 @@ class DomainSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "DomainSpec":
+        """Parse the to_json() form; malformed fields raise ValueError."""
         coeffs = {}
         for entry in obj["coefficients"]:
-            coeffs[tuple(entry["word"])] = Fraction(entry["numerator"],
-                                                    entry.get("denominator", 1))
-        return DomainSpec(obj["n"], obj["m"], coeffs)
+            w = entry["word"]
+            if not isinstance(w, list):
+                raise ValueError(f"coefficient word must be a list of letters, got {w!r}")
+            denominator = _integer(entry.get("denominator", 1), "denominator")
+            if denominator == 0:
+                raise ValueError(f"zero denominator at word {w}")
+            coeffs[tuple(_integer(letter, "letter") for letter in w)] = Fraction(
+                _integer(entry["numerator"], "numerator"), denominator)
+        return DomainSpec(_integer(obj["n"], "n"), _integer(obj["m"], "m"), coeffs)
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def hyperball_spec(n: int, m: int) -> DomainSpec:
@@ -100,6 +113,8 @@ class WeightTable:
     spec: DomainSpec
     N: int
     b: dict[Word, Fraction] = field(repr=False)
+    # truncated models by depth, filled by fock.truncated_model; b stays fixed
+    _models: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def weight(self, w: Word) -> Fraction:
         try:
@@ -107,9 +122,6 @@ class WeightTable:
         except KeyError:
             raise TruncationExceededError(
                 f"word {w} of length {len(w)} exceeds table depth {self.N}") from None
-
-    def weight_float(self, w: Word) -> float:
-        return float(self.weight(w))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

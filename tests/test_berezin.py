@@ -58,9 +58,9 @@ def test_defect_sqrt_squares_back(ball2_table):
     X = random_nilpotent_tuple(rng, spec, dim=3)
     delta = defect_sqrt(spec, X)
     Y = np.eye(X.dim, dtype=complex)
-    from ncdomains.berezin import _cp_apply
+    from ncdomains.fock import cp_map_apply
     for _ in range(spec.m):
-        Y = Y - _cp_apply(spec, X.matrices, Y)
+        Y = Y - cp_map_apply(spec, X.matrices, Y)
     assert np.linalg.norm(delta @ delta - Y, 2) < 1e-12
 
 

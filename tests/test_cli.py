@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import numpy as np
+import pytest
 
-from ncdomains.cli import main
+from ncdomains.cli import build_parser, main
 from ncdomains.corpus import mixed_spec
 from ncdomains.serialization import dump_json, operator_to_json
 from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
@@ -85,3 +87,44 @@ def test_verify_all_small(tmp_path):
     report = json.loads(out.read_text())
     assert report["summary"]["fail"] == 0
     assert report["config"]["seed"] == 0
+
+
+def test_subcommand_options():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {flag for a in p._actions for flag in a.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    common = {"--spec", "--max-len", "--out"}
+    assert got == {
+        "weights": common | {"--format"},
+        "model": common | {"--tol"},
+        "toeplitz": common | {"--tol", "--seed", "--op", "--symbol", "--radius"},
+        "berezin": common | {"--tol", "--seed", "--tuple"},
+        "pluriharmonic": common | {"--seed"},
+        "cauchy": common | {"--seed", "--tuple"},
+        "verify-all": {"--max-len", "--seed", "--out"},
+    }
+
+
+@pytest.mark.parametrize("field, value", [("word", 1), ("word", ["1"]), ("n", 2.0)])
+def test_malformed_spec_exit_code(tmp_path, capsys, field, value):
+    spec = mixed_spec(1).to_json()
+    if field == "n":
+        spec["n"] = value
+    else:
+        spec["coefficients"][0][field] = value
+    path = tmp_path / "bad.json"
+    dump_json(spec, path)
+    rc = main(["model", "--spec", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_check_elapsed_times(tmp_path):
+    out = tmp_path / "report.json"
+    main(["verify-all", "--max-len", "2", "--out", str(out)])
+    report = json.loads(out.read_text())
+    elapsed = [c["elapsed"] for c in report["checks"]]
+    assert all(e > 0 for e in elapsed)
+    assert sum(elapsed) <= report["config"]["elapsed_seconds"]

@@ -3,14 +3,18 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from ncdomains.berezin import OperatorTuple
+from ncdomains.cauchy import reconstruction_operator
 from ncdomains.fock import (BasisMismatchError, TruncatedFockBasis,
                             TruncatedOperator, cp_map_apply, creation_tuple,
                             defect_operator, identity_operator,
-                            verify_model_identities, weighted_left_creation,
-                            weighted_space_conjugation, word_operator)
+                            truncated_model, verify_model_identities,
+                            weighted_left_creation, weighted_space_conjugation,
+                            word_operator)
 from ncdomains.corpus import builtin_corpus
+from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from ncdomains.weights import hyperball_spec, weights_by_factorization
-from ncdomains.words import EMPTY
+from ncdomains.words import EMPTY, enumerate_words, reverse
 
 
 def test_creation_matrix_entries(ball2_table):
@@ -96,3 +100,57 @@ def test_creation_rejects_bad_letter(ball2_table):
         weighted_left_creation(ball2_table, 3, 3)
     with pytest.raises(ValueError):
         weighted_left_creation(ball2_table, 1, 9)
+
+
+def _dense_creation(table, N, left):
+    """Reference creation matrices built entry by entry from exact weights."""
+    basis = TruncatedFockBasis.build(table.spec.n, N)
+    out = []
+    for i in range(1, table.spec.n + 1):
+        M = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+        for gamma in basis.words:
+            if len(gamma) < N:
+                target = (i,) + gamma if left else gamma + (i,)
+                M[basis.index[target], basis.index[gamma]] = sqrt(
+                    float(table.b[gamma] / table.b[target]))
+        out.append(M)
+    return out
+
+
+def test_index_maps_match_dense_products():
+    rng = np.random.default_rng(11)
+    for name, spec in builtin_corpus().items():
+        table = weights_by_factorization(spec, 4)
+        for N in range(5):
+            W = _dense_creation(table, N, left=True)
+            L = _dense_creation(table, N, left=False)
+            for left, ref in ((True, W), (False, L)):
+                got = [op.matrix for op in creation_tuple(table, N, left=left)]
+                assert np.max(np.abs(np.array(got) - np.array(ref))) <= 1e-15, name
+            for d in (1, 2):
+                blk = lambda: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                words = enumerate_words(spec.n, N)
+                sym = MultiToeplitzSymbol(d, {w: blk() for w in words},
+                                          {w: blk() for w in words if w})
+                for r in (1.0, 0.6):
+                    want = sum(np.kron(word_operator(W, a) * r ** len(a), c)
+                               for a, c in sym.A.items())
+                    want = want + sum(np.kron(word_operator(W, a).conj().T * r ** len(a), c)
+                                      for a, c in sym.B.items())
+                    got = symbol_to_operator(sym, table, r, N).matrix
+                    assert np.max(np.abs(got - want)) <= 1e-13, (name, N, d, r)
+                X = OperatorTuple(spec, [blk() for _ in range(spec.n)])
+                want = sum(float(a) * np.kron(word_operator(L, reverse(beta)),
+                                              X.word(beta).conj().T)
+                           for beta, a in spec.coefficients.items())
+                got = reconstruction_operator(spec, X, N, table).matrix
+                assert np.max(np.abs(got - want)) <= 1e-13, (name, N, d)
+
+
+def test_truncated_model_kept_per_depth(ball2_table):
+    model = truncated_model(ball2_table, 3)
+    assert truncated_model(ball2_table, 3) is model
+    assert truncated_model(ball2_table, 4) is not model
+    assert creation_tuple(ball2_table, 3)[0].basis is model.basis
+    with pytest.raises(ValueError):
+        truncated_model(ball2_table, 6)
