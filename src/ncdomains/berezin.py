@@ -1,10 +1,10 @@
 """Domain membership, purity, and the noncommutative Berezin machinery.
 
 An operator tuple is n complex k x k matrices.  The Berezin kernel at a
-domain element X maps C^k into (truncated Fock) (x) C^k with word-major
-flat index word_index * k + p; the extended transform acts blockwise on
-aux_dim-tensored operators, with output on (aux space) (x) C^k,
-aux-major (flat index i * k + p).
+domain element X is a (D*k) x k block column with word-major rows (flat
+index word_index * k + p), like the Cauchy kernel's vacuum column; the
+extended transform contracts its k x k blocks against aux_dim-tensored
+operators, with output on (aux space) (x) C^k, aux-major (flat index i * k + p).
 
 Nilpotent tuples are the workhorse: every kernel identity then involves
 finitely many terms and holds up to roundoff on a large enough truncation.
@@ -143,24 +143,19 @@ def berezin_kernel(spec: DomainSpec, X: OperatorTuple, table: WeightTable,
 
 def berezin_transform(spec: DomainSpec, X: OperatorTuple, g: TruncatedOperator,
                       table: WeightTable, tol: float = 1e-10) -> np.ndarray:
-    """Extended transform K^*(g (x) I)K, blockwise over g's aux space.
+    """Extended transform K^*(g (x) I)K, blockwise over g's aux space:
+    block (i, j) is sum_{omega, gamma} K_omega^* g[omega i, gamma j] K_gamma.
 
     Output is (aux_dim*k) x (aux_dim*k), aux-major; for aux_dim = 1 this is
     the plain transform on C^k.
     """
     if g.basis.n != spec.n:
         raise ValueError("operator alphabet mismatch")
-    K = berezin_kernel(spec, X, table, g.basis.N, tol)
-    k = X.dim
-    d = g.aux_dim
-    out = np.zeros((d * k, d * k), dtype=complex)
-    Ik = np.eye(k, dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            # scalar Fock operator g_ij from the word-major layout (word*d + aux)
-            gij = g.matrix[i::d, j::d]
-            out[i * k:(i + 1) * k, j * k:(j + 1) * k] = K.conj().T @ np.kron(gij, Ik) @ K
-    return out
+    D, k, d = g.basis.dimension, X.dim, g.aux_dim
+    Kb = berezin_kernel(spec, X, table, g.basis.N, tol).reshape(D, k, k)
+    out = np.einsum("wpa,wiuj,upb->iajb", Kb.conj(), g.matrix.reshape(D, d, D, d), Kb,
+                    optimize=True)
+    return out.reshape(d * k, d * k)
 
 
 def intertwining_residual(spec: DomainSpec, X: OperatorTuple, table: WeightTable,
@@ -168,10 +163,11 @@ def intertwining_residual(spec: DomainSpec, X: OperatorTuple, table: WeightTable
     """max_i || K X_i^* - (W_i^* (x) I) K ||."""
     K = berezin_kernel(spec, X, table, N)
     k = X.dim
+    Kb = K.reshape(-1, k, k)
     worst = 0.0
     for i, Wi in enumerate(W):
         lhs = K @ X.matrices[i].conj().T
-        rhs = np.kron(Wi.matrix.conj().T, np.eye(k, dtype=complex)) @ K
+        rhs = np.einsum("uw,wpq->upq", Wi.matrix.conj().T, Kb).reshape(K.shape)
         worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
     return worst
 

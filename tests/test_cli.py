@@ -20,6 +20,18 @@ def test_weights_csv_row_count(tmp_path):
     assert len(lines) == 1 + 31
 
 
+def test_weights_out_prints_checks(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    rc = main(["weights", "--spec", "mixed_n2_m1", "--max-len", "3",
+               "--format", "json", "--out", str(out)])
+    assert rc == 0
+    assert len(json.loads(out.read_text())["weights"]) == 15
+    lines = capsys.readouterr().out.splitlines()
+    passed = [ln for ln in lines if ln.startswith("[  pass] weights.")]
+    assert passed
+    assert f"{len(passed)} checks, 0 failed" in lines
+
+
 def test_weights_with_spec_file(tmp_path):
     spec_path = tmp_path / "spec.json"
     dump_json(mixed_spec(2).to_json(), spec_path)

@@ -3,15 +3,16 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from ncdomains.berezin import OperatorTuple
-from ncdomains.cauchy import reconstruction_operator
+from ncdomains.berezin import (OperatorTuple, berezin_kernel, berezin_transform,
+                               intertwining_residual)
+from ncdomains.cauchy import cauchy_kernel, cauchy_transform, reconstruction_operator
 from ncdomains.fock import (BasisMismatchError, TruncatedFockBasis,
                             TruncatedOperator, cp_map_apply, creation_tuple,
                             defect_operator, identity_operator,
                             truncated_model, verify_model_identities,
                             weighted_left_creation, weighted_space_conjugation,
                             word_operator)
-from ncdomains.corpus import builtin_corpus
+from ncdomains.corpus import builtin_corpus, random_gated_tuple, scale_into_domain
 from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from ncdomains.weights import hyperball_spec, weights_by_factorization
 from ncdomains.words import EMPTY, enumerate_words, reverse
@@ -145,6 +146,63 @@ def test_index_maps_match_dense_products():
                            for beta, a in spec.coefficients.items())
                 got = reconstruction_operator(spec, X, N, table).matrix
                 assert np.max(np.abs(got - want)) <= 1e-13, (name, N, d)
+
+
+def test_block_columns_match_dense_references():
+    """Kernel columns, transforms and model identities against dense (Dk)^2
+    references: kron(., I_k) operators and dense creation-matrix products."""
+    rng = np.random.default_rng(13)
+
+    def rand(d):
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    for name, spec in builtin_corpus().items():
+        table = weights_by_factorization(spec, 4)
+        for N in range(5):
+            report = verify_model_identities(spec, table, N)
+            W = creation_tuple(table, N, left=True)
+            D = W[0].basis.dimension
+            vacuum = np.zeros((D, D))
+            vacuum[0, 0] = 1.0
+            for ops, s, res, nrm in (
+                    (_dense_creation(table, N, True), spec,
+                     report.defect_residual_left, report.phi_norm_left),
+                    (_dense_creation(table, N, False), spec.reversed(),
+                     report.defect_residual_right, report.phi_norm_right)):
+                want = np.max(np.abs(defect_operator(s, ops, spec.m) - vacuum))
+                assert abs(res - want) <= 1e-13, (name, N)
+                phi = cp_map_apply(s, ops, np.eye(D, dtype=complex))
+                want = np.max(np.linalg.eigvalsh((phi + phi.conj().T) / 2))
+                assert abs(nrm - want) <= 1e-13, (name, N)
+            words = enumerate_words(spec.n, N)
+            for k in (1, 2, 3):
+                Ik = np.eye(k)
+                E = np.kron(vacuum[:, :1], Ik)
+                X = random_gated_tuple(rng, spec, dim=k, target_radius=0.6)
+                R = reconstruction_operator(spec, X, N, table).matrix
+                S = sum(np.linalg.matrix_power(R, j) for j in range(N + 1))
+                C_dense = np.linalg.matrix_power(S, spec.m)
+                C = cauchy_kernel(spec, X, N, table)
+                assert np.max(np.abs(C - C_dense @ E)) <= 1e-13, (name, N, k)
+                A = symbol_to_operator(MultiToeplitzSymbol.scalar(
+                    A={w: complex(*rng.standard_normal(2)) for w in words}), table, 1.0, N)
+                want = (C_dense @ E).conj().T @ np.kron(A.matrix, Ik) @ E
+                got = cauchy_transform(spec, X, A, N, table, C=C)
+                assert np.max(np.abs(got - want)) <= 1e-13, (name, N, k)
+
+                Y = scale_into_domain(OperatorTuple(spec, [rand(k) for _ in range(spec.n)]))
+                K = berezin_kernel(spec, Y, table, N)
+                want = max(np.linalg.norm(K @ Yi.conj().T - np.kron(Wi.matrix.conj().T, Ik) @ K, 2)
+                           for Yi, Wi in zip(Y.matrices, W))
+                assert abs(intertwining_residual(spec, Y, table, N, W) - want) <= 1e-13
+                for d in (1, 2):
+                    sym = MultiToeplitzSymbol(d, {w: rand(d) for w in words},
+                                              {w: rand(d) for w in words if w})
+                    g = symbol_to_operator(sym, table, 0.6, N)
+                    want = np.block([[K.conj().T @ np.kron(g.matrix[i::d, j::d], Ik) @ K
+                                      for j in range(d)] for i in range(d)])
+                    got = berezin_transform(spec, Y, g, table)
+                    assert np.max(np.abs(got - want)) <= 1e-13, (name, N, k, d)
 
 
 def test_truncated_model_kept_per_depth(ball2_table):
