@@ -43,6 +43,18 @@ class TruncatedFockBasis:
     def dimension(self) -> int:
         return len(self.words)
 
+    def comparable_pairs(self) -> tuple[np.ndarray, np.ndarray, list[Word]]:
+        """Right-comparable word pairs as index arrays (long, short) and
+        quotients sigma with words[long] == sigma + words[short].  Each
+        unordered pair appears once; sigma == () gives the diagonal."""
+        long, short, sigma = [], [], []
+        for j, gamma in enumerate(self.words):
+            for s in self.words[:fock_dimension(self.n, self.N - len(gamma))]:
+                long.append(self.index[s + gamma])
+                short.append(j)
+                sigma.append(s)
+        return np.array(long, dtype=np.intp), np.array(short, dtype=np.intp), sigma
+
 
 @dataclass
 class TruncatedOperator:

@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import TruncatedFockBasis, truncated_model
+from .fock import TruncatedOperator, truncated_model
 from .toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from .weights import WeightTable, omega_beta
-from .words import EMPTY, GEQ, Word, compare_right
+from .words import EMPTY, Word
 
 RHO_RADII_KMAX = 8
 
@@ -108,64 +108,28 @@ def holomorphic_radius_test(F: PluriharmonicFunction, table: WeightTable,
     return profile, passed
 
 
-@dataclass
-class GammaKernel:
-    """Block matrix [Gamma_rF(omega, gamma)] over words of length <= order."""
-
-    basis: TruncatedFockBasis  # the words of length <= order
-    aux_dim: int
-    radius: float
-    matrix: np.ndarray
-
-    @property
-    def words(self) -> list[Word]:
-        return list(self.basis.words)
-
-    def block(self, omega: Word, gamma: Word) -> np.ndarray:
-        d = self.aux_dim
-        i = self.basis.index[omega] * d
-        j = self.basis.index[gamma] * d
-        return self.matrix[i:i + d, j:j + d]
-
-    def min_eigenvalue(self) -> float:
-        H = (self.matrix + self.matrix.conj().T) / 2
-        return float(np.min(np.linalg.eigvalsh(H)))
-
-
 def gamma_kernel(F: PluriharmonicFunction, table: WeightTable, r: float,
-                 order: int) -> GammaKernel:
-    """Four-case kernel of the holomorphic part of F.
+                 order: int) -> TruncatedOperator:
+    """Block matrix [Gamma_rF(omega, gamma)] of the holomorphic part of F over
+    the words of length <= order.
 
     Gamma(omega, gamma) = sqrt(b_gamma / b_{alpha gamma}) r^|alpha| A_(alpha)
-    when omega = alpha gamma with |alpha| >= 1; A_(()) + A_(())^* on the
-    diagonal; the adjoint case when gamma = alpha omega; zero otherwise.
+    when omega = alpha gamma (A_(()) + A_(())^* on the diagonal), its adjoint
+    when gamma = alpha omega, and zero when the words are incomparable.
     """
     if order > table.N:
         raise ValueError(f"order {order} exceeds table depth {table.N}")
     d = F.aux_dim
     A = F.symbol.A
-    A0 = F.symbol.constant
     model = truncated_model(table, order)
-    words, sqrt_b = model.basis.words, model.sqrt_b
+    D, sqrt_b = model.basis.dimension, model.sqrt_b
     zero = np.zeros((d, d), dtype=complex)
-    M = np.zeros((len(words) * d, len(words) * d), dtype=complex)
-    for i, omega in enumerate(words):
-        for j, gamma in enumerate(words):
-            cmp = compare_right(omega, gamma)
-            if not cmp.comparable:
-                continue
-            if cmp.relation == GEQ and cmp.quotient == EMPTY:
-                blk = A0 + A0.conj().T
-            elif cmp.relation == GEQ:
-                alpha = cmp.quotient
-                w = sqrt_b[j] / sqrt_b[i]
-                blk = w * (r ** len(alpha)) * A.get(alpha, zero)
-            else:
-                alpha = cmp.quotient
-                w = sqrt_b[i] / sqrt_b[j]
-                blk = w * (r ** len(alpha)) * A.get(alpha, zero).conj().T
-            M[i * d:(i + 1) * d, j * d:(j + 1) * d] = blk
-    return GammaKernel(model.basis, d, r, M)
+    M = np.zeros((D, d, D, d), dtype=complex)
+    for i, j, alpha in zip(*model.basis.comparable_pairs()):
+        blk = sqrt_b[j] / sqrt_b[i] * (r ** len(alpha)) * A.get(alpha, zero)
+        M[i, :, j, :] += blk
+        M[j, :, i, :] += blk.conj().T
+    return TruncatedOperator(model.basis, M.reshape(D * d, D * d), d)
 
 
 @dataclass
@@ -189,15 +153,13 @@ def schur_positivity_test(F: PluriharmonicFunction, table: WeightTable,
     residuals = []
     mins = []
     for r in radii:
-        G = gamma_kernel(F, table, float(r), order)
+        G = gamma_kernel(F, table, float(r), order).matrix
         op = symbol_to_operator(F.symbol, table, float(r), N)
         H = op.matrix + op.matrix.conj().T
-        d = F.aux_dim
-        nw = len(G.words)
         # words <= order sit first in the graded basis of the big truncation
-        comp = H[: nw * d, : nw * d]
-        residuals.append(float(np.max(np.abs(G.matrix - comp))))
-        mins.append(G.min_eigenvalue())
+        comp = H[: len(G), : len(G)]
+        residuals.append(float(np.max(np.abs(G - comp))))
+        mins.append(float(np.min(np.linalg.eigvalsh((G + G.conj().T) / 2))))
     positive = all(v >= -tol for v in mins)
     return SchurPositivityReport([float(r) for r in radii], residuals, mins,
                                  positive, tol)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .fock import TruncatedOperator, truncated_model
 from .weights import TruncationExceededError, WeightTable
-from .words import EMPTY, GEQ, Word, compare_right
+from .words import EMPTY, Word, fock_dimension
 
 
 class NotToeplitzError(ValueError):
@@ -123,37 +123,43 @@ def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
     basis = T.basis
     if basis.n != table.spec.n or basis.N > table.N:
         raise ValueError("operator basis incompatible with weight table")
-    n = basis.n
-    interior = basis.N - 1
-    scale = max(float(np.max(np.abs(T.matrix))), 1.0)
+    n, D, d, words = basis.n, basis.dimension, T.aux_dim, basis.words
+    magnitude = np.abs(T.matrix)
+    scale = max(float(np.max(magnitude)), 1.0)
     sqrt_b = truncated_model(table, basis.N).sqrt_b
-    index = basis.index
+    M = T.matrix.reshape(D, d, D, d)
 
-    worst_structure = 0.0
-    worst_incomp = 0.0
-    structure_witness = None
+    comparable = np.zeros((D, D), dtype=bool)
+    long, short, _ = basis.comparable_pairs()
+    comparable[long, short] = comparable[short, long] = True
+
+    # witnesses are the first worst pair in row-major (omega, gamma[, i]) order
+    incomp = np.where(comparable, 0.0, magnitude.reshape(D, d, D, d).max(axis=(1, 3)))
+    worst_incomp = float(incomp.max())
     incomp_witness = None
-    for omega in basis.words:
-        for gamma in basis.words:
-            cmp = compare_right(omega, gamma)
-            if not cmp.comparable:
-                entry = float(np.max(np.abs(T.block(omega, gamma))))
-                if entry > worst_incomp:
-                    worst_incomp = entry
-                    incomp_witness = (omega, gamma)
-                continue
-            if len(omega) > interior or len(gamma) > interior:
-                continue
-            # weight sqrt(b_long / b_short) of the comparable pair
-            long, short = (omega, gamma) if cmp.relation == GEQ else (gamma, omega)
-            base = sqrt_b[index[long]] / sqrt_b[index[short]] * T.block(omega, gamma)
-            for i in range(1, n + 1):
-                lam_e = sqrt_b[index[long + (i,)]] / sqrt_b[index[short + (i,)]]
-                res = float(np.max(np.abs(lam_e * T.block(omega + (i,), gamma + (i,))
-                                          - base)))
-                if res > worst_structure:
-                    worst_structure = res
-                    structure_witness = (omega, gamma, i)
+    if worst_incomp > 0:
+        omega, gamma = np.unravel_index(np.argmax(incomp), incomp.shape)
+        incomp_witness = (words[omega], words[gamma])
+
+    # pairs (omega, gamma) whose letter extensions stay inside the truncation;
+    # the words of length < N lead the graded basis
+    interior = fock_dimension(n, basis.N - 1)
+    rows, cols = np.nonzero(comparable[:interior, :interior])
+    # comparable words of different lengths: the longer one has the larger index
+    lng, sht = np.maximum(rows, cols), np.minimum(rows, cols)
+    # weight sqrt(b_long / b_short) of each comparable pair
+    base = (sqrt_b[lng] / sqrt_b[sht])[:, None, None] * M[rows, :, cols, :]
+    residual = np.empty((len(rows), n))
+    for i in range(1, n + 1):
+        ext = np.array([basis.index[w + (i,)] for w in words[:interior]], dtype=np.intp)
+        lam_e = sqrt_b[ext[lng]] / sqrt_b[ext[sht]]
+        residual[:, i - 1] = np.abs(lam_e[:, None, None] * M[ext[rows], :, ext[cols], :]
+                                    - base).max(axis=(1, 2))
+    worst_structure = float(residual.max(initial=0.0))
+    structure_witness = None
+    if worst_structure > 0:
+        p, i = np.unravel_index(np.argmax(residual), residual.shape)
+        structure_witness = (words[rows[p]], words[cols[p]], int(i) + 1)
     ok = worst_structure <= tol * scale and worst_incomp <= tol * scale
     return ToeplitzReport(ok, worst_structure, worst_incomp, tol,
                           structure_witness, incomp_witness)

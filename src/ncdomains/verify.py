@@ -283,6 +283,7 @@ def cauchy_suite(spec: DomainSpec, table: WeightTable, N: int,
     worst_route = 0.0
     worst_mult = 0.0
     zero_radius_viol = 0
+    W = creation_tuple(table, N, left=True)
     for _ in range(n_tuples):
         X = random_gated_tuple(rng, spec, dim=3, target_radius=0.6)
         r = joint_spectral_radius(spec, X, k_max=40)
@@ -291,7 +292,6 @@ def cauchy_suite(spec: DomainSpec, table: WeightTable, N: int,
         C = cauchy_kernel(spec, X, N, table)
         worst_fourier = max(worst_fourier,
                             cauchy_kernel_fourier_residual(C, X, table))
-        W = creation_tuple(table, N, left=True)
         for alpha in enumerate_words(spec.n, min(3, N - 1)):
             got = cauchy_transform(spec, X, word_operator(W, alpha), N, table, C=C)
             worst_transform = max(worst_transform, float(np.linalg.norm(

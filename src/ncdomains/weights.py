@@ -116,13 +116,6 @@ class WeightTable:
     # truncated models by depth, filled by fock.truncated_model; b stays fixed
     _models: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def weight(self, w: Word) -> Fraction:
-        try:
-            return self.b[w]
-        except KeyError:
-            raise TruncationExceededError(
-                f"word {w} of length {len(w)} exceeds table depth {self.N}") from None
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

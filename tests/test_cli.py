@@ -64,6 +64,22 @@ def test_toeplitz_check_rejects_perturbed(tmp_path):
     assert rc == 1
 
 
+def test_toeplitz_op_symbol_at_operator_depth(tmp_path, capsys):
+    # a depth-3 operator checked under the default --max-len 4
+    from ncdomains.serialization import load_json, symbol_from_json
+    from ncdomains.toeplitz import max_block_difference
+    table = weights_by_factorization(mixed_spec(1), 3)
+    sym = MultiToeplitzSymbol.scalar(A={(): 1.0, (1,): 2.0}, B={(2,): 1j})
+    op_path = tmp_path / "op.json"
+    sym_path = tmp_path / "sym.json"
+    dump_json(operator_to_json(symbol_to_operator(sym, table, 1.0, 3)), op_path)
+    rc = main(["toeplitz", "--spec", "mixed_n2_m1", "--op", str(op_path),
+               "--out", str(sym_path)])
+    assert rc == 0
+    assert "[  pass] toeplitz.check" in capsys.readouterr().out.splitlines()
+    assert max_block_difference(symbol_from_json(load_json(sym_path)), sym) < 1e-12
+
+
 def test_toeplitz_build_from_symbol(tmp_path):
     from ncdomains.serialization import symbol_to_json
     sym = MultiToeplitzSymbol.scalar(A={(): 1.0, (1,): 2.0}, B={(2,): 1j})

@@ -58,7 +58,7 @@ def test_gamma_psd_examples(ball2_table):
 def test_gamma_kernel_constant_diagonal(ball2_table):
     F = scalar_holomorphic({EMPTY: 1.5})
     G = gamma_kernel(F, ball2_table, 0.7, 2)
-    for w in G.words:
+    for w in G.basis.words:
         assert abs(G.block(w, w)[0, 0] - 3.0) < 1e-15
     # off-diagonal comparable blocks vanish for a constant symbol
     assert abs(G.block((1,), EMPTY)[0, 0]) == 0.0

@@ -1,0 +1,29 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# small arguments per script, so each run takes about a second
+SCRIPTS = {
+    "gelfand_convergence.py": ["--dim", "2", "--tuples", "1", "--k-max", "5"],
+    "radial_norm_profile.py": ["--max-len", "2", "--symbols", "1"],
+    "weight_growth.py": ["--max-len", "2"],
+}
+
+
+def test_every_script_has_arguments():
+    assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(SCRIPTS)
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(script):
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *SCRIPTS[script]],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from ncdomains.corpus import random_symbol
+from ncdomains.corpus import builtin_corpus, random_symbol
+from ncdomains.pluriharmonic import PluriharmonicFunction, gamma_kernel
 from ncdomains.toeplitz import (MultiToeplitzSymbol, NotToeplitzError,
-                                fourier_coefficients, hermitian_part_split,
-                                is_multi_toeplitz, max_block_difference,
-                                norm_profile, symbol_to_operator)
-from ncdomains.fock import creation_tuple, identity_operator
-from ncdomains.words import EMPTY
+                                ToeplitzReport, fourier_coefficients,
+                                hermitian_part_split, is_multi_toeplitz,
+                                max_block_difference, norm_profile,
+                                symbol_to_operator)
+from ncdomains.fock import (TruncatedFockBasis, TruncatedOperator, creation_tuple,
+                            identity_operator, truncated_model)
+from ncdomains.weights import weights_by_convolution
+from ncdomains.words import EMPTY, GEQ, compare_right
 
 
 def test_identity_is_toeplitz(ball2_table):
@@ -105,3 +109,108 @@ def test_symbol_support_exceeds_truncation(ball2_table):
     sym = MultiToeplitzSymbol.scalar(A={(1,) * 5: 1.0})
     with pytest.raises(TruncationExceededError):
         symbol_to_operator(sym, ball2_table, 1.0, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_comparable_pairs_match_compare_right(n):
+    for N in range(6):
+        basis = TruncatedFockBasis.build(n, N)
+        long, short, sigma = basis.comparable_pairs()
+        got = [(basis.words[i], basis.words[j], s) for i, j, s in zip(long, short, sigma)]
+        want = set()
+        for omega in basis.words:
+            for gamma in basis.words:
+                cmp = compare_right(omega, gamma)
+                if cmp.comparable:
+                    want.add((omega, gamma, cmp.quotient) if cmp.relation == GEQ
+                             else (gamma, omega, cmp.quotient))
+        assert len(got) == len(want)
+        assert set(got) == want
+
+
+def _all_pairs_is_multi_toeplitz(T, table, tol):
+    """Reference: the scan of every word pair through compare_right."""
+    basis = T.basis
+    n = basis.n
+    interior = basis.N - 1
+    scale = max(float(np.max(np.abs(T.matrix))), 1.0)
+    sqrt_b = truncated_model(table, basis.N).sqrt_b
+    index = basis.index
+    worst_structure = 0.0
+    worst_incomp = 0.0
+    structure_witness = None
+    incomp_witness = None
+    for omega in basis.words:
+        for gamma in basis.words:
+            cmp = compare_right(omega, gamma)
+            if not cmp.comparable:
+                entry = float(np.max(np.abs(T.block(omega, gamma))))
+                if entry > worst_incomp:
+                    worst_incomp = entry
+                    incomp_witness = (omega, gamma)
+                continue
+            if len(omega) > interior or len(gamma) > interior:
+                continue
+            long, short = (omega, gamma) if cmp.relation == GEQ else (gamma, omega)
+            base = sqrt_b[index[long]] / sqrt_b[index[short]] * T.block(omega, gamma)
+            for i in range(1, n + 1):
+                lam_e = sqrt_b[index[long + (i,)]] / sqrt_b[index[short + (i,)]]
+                res = float(np.max(np.abs(lam_e * T.block(omega + (i,), gamma + (i,))
+                                          - base)))
+                if res > worst_structure:
+                    worst_structure = res
+                    structure_witness = (omega, gamma, i)
+    ok = worst_structure <= tol * scale and worst_incomp <= tol * scale
+    return ToeplitzReport(ok, worst_structure, worst_incomp, tol,
+                          structure_witness, incomp_witness)
+
+
+def _all_pairs_gamma_kernel(F, table, r, order):
+    """Reference: the four-case Gamma kernel over every word pair."""
+    d = F.aux_dim
+    A = F.symbol.A
+    A0 = F.symbol.constant
+    model = truncated_model(table, order)
+    words, sqrt_b = model.basis.words, model.sqrt_b
+    zero = np.zeros((d, d), dtype=complex)
+    M = np.zeros((len(words) * d, len(words) * d), dtype=complex)
+    for i, omega in enumerate(words):
+        for j, gamma in enumerate(words):
+            cmp = compare_right(omega, gamma)
+            if not cmp.comparable:
+                continue
+            if cmp.relation == GEQ and cmp.quotient == EMPTY:
+                blk = A0 + A0.conj().T
+            elif cmp.relation == GEQ:
+                w = sqrt_b[j] / sqrt_b[i]
+                blk = w * (r ** len(cmp.quotient)) * A.get(cmp.quotient, zero)
+            else:
+                w = sqrt_b[i] / sqrt_b[j]
+                blk = w * (r ** len(cmp.quotient)) * A.get(cmp.quotient, zero).conj().T
+            M[i * d:(i + 1) * d, j * d:(j + 1) * d] = blk
+    return M
+
+
+@pytest.mark.parametrize("name", sorted(builtin_corpus()))
+def test_pair_enumeration_matches_all_pairs_scan(name):
+    spec = builtin_corpus()[name]
+    table = weights_by_convolution(spec, 4)
+    rng = np.random.default_rng(sorted(builtin_corpus()).index(name))
+    for N in range(5):
+        for d in (1, 2):
+            T = symbol_to_operator(random_symbol(rng, spec.n, max_len=min(2, N), aux_dim=d),
+                                   table, 0.8, N)
+            size = T.matrix.shape
+            bumped = T.matrix.copy()
+            bumped[rng.integers(size[0]), rng.integers(size[1])] += 0.1
+            gaussian = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            signs = rng.choice([-1.0, 1.0], size)  # ties: the first worst pair wins
+            for M in (T.matrix, bumped, gaussian, signs, np.zeros(size)):
+                op = TruncatedOperator(T.basis, M.astype(complex), d)
+                assert (is_multi_toeplitz(op, table, 1e-12)
+                        == _all_pairs_is_multi_toeplitz(op, table, 1e-12))
+            F = PluriharmonicFunction(random_symbol(rng, spec.n, max_len=min(2, N),
+                                                    aux_dim=d, antianalytic=False))
+            for r in (1.0, 0.7):
+                assert np.array_equal(gamma_kernel(F, table, r, N).matrix,
+                                      _all_pairs_gamma_kernel(F, table, r, N))
