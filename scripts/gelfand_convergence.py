@@ -32,7 +32,7 @@ def main():
         X = OperatorTuple(spec, mats)
         report = joint_spectral_radius(spec, X, k_max=args.k_max)
         print(f"tuple {t}: exact r = {report.r_exact:.6f}")
-        for k in (1, 2, 5, 10, 20, args.k_max):
+        for k in sorted({1, 2, 5, 10, 20, args.k_max}):
             if k <= len(report.r_sequence):
                 v = report.r_sequence[k - 1]
                 print(f"  k={k:3d}: {v:.6f}  (gap {v - report.r_exact:+.2e})")

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import TruncatedOperator, cp_map_apply, truncated_model, word_operator
+from .fock import (TruncatedOperator, cp_map_apply, spectral_norm, truncated_model,
+                   word_operator)
 from .weights import DomainSpec, WeightTable
 from .words import Word, enumerate_words
 
@@ -98,7 +99,7 @@ def purity_check(spec: DomainSpec, X: OperatorTuple, p_max: int = 50,
     decay = []
     for _ in range(p_max):
         Y = cp_map_apply(spec, mats, Y)
-        nrm = float(np.linalg.norm(Y, 2))
+        nrm = spectral_norm(Y)
         decay.append(nrm)
         if nrm == 0.0:
             break
@@ -135,9 +136,15 @@ def berezin_kernel(spec: DomainSpec, X: OperatorTuple, table: WeightTable,
     delta = defect_sqrt(spec, X, tol)
     k = X.dim
     model = truncated_model(table, N)
-    K = np.zeros((model.basis.dimension * k, k), dtype=complex)
-    for idx, (alpha, w) in enumerate(zip(model.basis.words, model.sqrt_b)):
-        K[idx * k:(idx + 1) * k, :] = w * (delta @ X.word(alpha).conj().T)
+    basis = model.basis
+    K = np.zeros((basis.dimension * k, k), dtype=complex)
+    # X_alpha = X_{alpha[:-1]} X_{alpha[-1]}, the prefix coming earlier in the
+    # graded basis: one product per word, in the order of word_operator
+    Xw = [np.eye(k, dtype=complex)]
+    for idx, (alpha, w) in enumerate(zip(basis.words, model.sqrt_b)):
+        if alpha:
+            Xw.append(Xw[basis.index[alpha[:-1]]] @ X.matrices[alpha[-1] - 1])
+        K[idx * k:(idx + 1) * k, :] = w * (delta @ Xw[idx].conj().T)
     return K
 
 
@@ -168,7 +175,7 @@ def intertwining_residual(spec: DomainSpec, X: OperatorTuple, table: WeightTable
     for i, Wi in enumerate(W):
         lhs = K @ X.matrices[i].conj().T
         rhs = np.einsum("uw,wpq->upq", Wi.matrix.conj().T, Kb).reshape(K.shape)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
+        worst = max(worst, spectral_norm(lhs - rhs))
     return worst
 
 
@@ -214,4 +221,4 @@ def mean_value_check(sym, spec: DomainSpec, X: OperatorTuple, r: float,
     direct = F.evaluate(X.matrices)
     op = symbol_to_operator(F.symbol, table, r, N)
     transported = berezin_transform(spec, inner, op, table)
-    return float(np.linalg.norm(direct - transported, 2))
+    return spectral_norm(direct - transported)

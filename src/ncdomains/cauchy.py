@@ -20,10 +20,10 @@ from math import sqrt
 import numpy as np
 
 from .berezin import OperatorTuple
-from .fock import TruncatedOperator, cp_map_apply, truncated_model
+from .fock import TruncatedOperator, cp_map_apply, spectral_norm, truncated_model
 from .toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from .weights import DomainSpec, WeightTable
-from .words import EMPTY, Word, reverse
+from .words import EMPTY, Word, fock_dimension, reverse
 
 GATE_MARGIN = 1e-6
 
@@ -64,7 +64,7 @@ def joint_spectral_radius(spec: DomainSpec, X: OperatorTuple,
     Y = np.eye(X.dim, dtype=complex)
     for k in range(1, k_max + 1):
         Y = cp_map_apply(spec, X.matrices, Y)
-        nrm = float(np.linalg.norm(Y, 2))
+        nrm = spectral_norm(Y)
         seq.append(nrm ** (1.0 / (2 * k)) if nrm > 0 else 0.0)
         if nrm == 0.0:
             break
@@ -162,7 +162,7 @@ def analytic_functional_calculus(spec: DomainSpec, X: OperatorTuple,
 
     F_trunc = symbol_to_operator(MultiToeplitzSymbol.scalar(A=coeffs), table, 1.0 / t, N)
     via_cauchy = cauchy_transform(spec, X.scaled(t), F_trunc, N, table)
-    residual = float(np.linalg.norm(direct - via_cauchy, 2))
+    residual = spectral_norm(direct - via_cauchy)
     return CalculusResult(direct, residual, t)
 
 
@@ -206,16 +206,18 @@ def radius_inequality_check(spec: DomainSpec, X: OperatorTuple, N: int,
                             ) -> RadiusInequalityReport:
     """||R_N^k|| <= ||Phi^k_{q,X}(I)||^(1/2) for k = 1..N; valid because the
     compression norm lower-bounds the full norm and ||Phi^k_{rev q,Lambda}(I)|| <= 1."""
-    R = reconstruction_operator(spec, X, N, table)
+    R = reconstruction_operator(spec, X, N, table).matrix
     margins = []
     violations = 0
-    P = np.eye(R.matrix.shape[0], dtype=complex)
     Y = np.eye(X.dim, dtype=complex)
-    for _ in range(N):
-        P = P @ R.matrix
+    for k in range(1, N + 1):
+        # R raises word length by at least 1, so R^k vanishes on the words
+        # longer than N - k: Q keeps only the columns of R^k on the others
+        live = fock_dimension(spec.n, N - k) * X.dim
+        Q = R[:, :live] if k == 1 else R @ Q[:, :live]
         Y = cp_map_apply(spec, X.matrices, Y)
-        lhs = float(np.linalg.norm(P, 2))
-        rhs = sqrt(float(np.linalg.norm(Y, 2)))
+        lhs = spectral_norm(Q)
+        rhs = sqrt(spectral_norm(Y))
         margins.append(rhs - lhs)
         if lhs > rhs + tol:
             violations += 1

@@ -13,12 +13,16 @@ partial permutation, W_alpha e_gamma = sqrt(b_gamma / b_{alpha gamma})
 e_{alpha gamma} (Lambda_alpha appends reverse(alpha) on the right), so
 operators are assembled from these word-shift index maps.
 
-Reported operator norms of compressions are monotone-nondecreasing lower
-bounds of the infinite-dimensional norms.
+Operator norms are computed by spectral_norm: the square root of the
+largest eigenvalue of the Gram matrix of the nonzero block, after dropping
+the all-zero rows and columns (which carry no singular value) and scaling by
+the largest entry.  Reported norms of compressions P_N T P_N are lower bounds
+of the untruncated norms, nondecreasing in N.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import sqrt
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +86,7 @@ class TruncatedOperator:
 
     def norm(self) -> float:
         """Largest singular value; a lower bound of the untruncated norm."""
-        return float(np.linalg.norm(self.matrix, 2))
+        return spectral_norm(self.matrix)
 
     def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         _require_same_space(self, other)
@@ -100,6 +104,28 @@ class TruncatedOperator:
         return TruncatedOperator(self.basis, self.matrix * scalar, self.aux_dim)
 
     __rmul__ = __mul__
+
+
+def spectral_norm(M: np.ndarray) -> float:
+    """Largest singular value of M, the operator 2-norm.
+
+    The all-zero rows and columns are dropped, since they carry no singular
+    value; what remains is scaled by its largest entry magnitude, so entries
+    near 1e+-200 neither overflow nor underflow when squared, and the norm
+    is the square root of the largest eigenvalue of the smaller Gram matrix.
+    The zero matrix gives 0.0, a matrix with a NaN entry gives NaN, and one
+    with an infinite entry (and no NaN) gives inf.
+    """
+    mag = np.abs(M)
+    scale = float(mag.max(initial=0.0))
+    if scale == 0.0 or not np.isfinite(scale):
+        return scale
+    rows, cols = mag.any(axis=1), mag.any(axis=0)
+    if not (rows.all() and cols.all()):
+        M = M[np.ix_(rows, cols)]
+    A = M / scale
+    G = A @ A.conj().T if A.shape[0] <= A.shape[1] else A.conj().T @ A
+    return scale * sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
 
 
 class BasisMismatchError(ValueError):
@@ -266,15 +292,20 @@ def verify_model_identities(spec: DomainSpec, table: WeightTable, N: int,
         residuals.append(float(np.max(np.abs(y - vacuum))))
         norms.append(float(np.max(_diagonal_cp_map(model, s, np.ones(D), left))))
 
-    Wm = [op.matrix for op in creation_tuple(table, N, left=True)]
-    Lm = [op.matrix for op in creation_tuple(table, N, left=False)]
-    # both products raise word length by 2; deeper words are truncation artifacts
+    # W_i Lambda_j e_gamma and Lambda_j W_i e_gamma are each a weight times one
+    # basis vector; both raise word length by 2, so only the interior words
+    # |gamma| <= N - 2 are compared (deeper ones are truncation artifacts)
     interior = fock_dimension(spec.n, N - 2) if N >= 2 else 0
     comm = 0.0
-    for i in range(spec.n):
-        for j in range(spec.n):
-            Dm = Wm[i] @ Lm[j] - Lm[j] @ Wm[i]
-            cols = np.linalg.norm(Dm[:, :interior], axis=0)
+    for i in range(1, spec.n + 1):
+        dst_w, _, w_w = model.shift((i,), left=True)
+        for j in range(1, spec.n + 1):
+            dst_l, _, w_l = model.shift((j,), left=False)
+            mid_wl, mid_lw = dst_l[:interior], dst_w[:interior]
+            wl = w_w[mid_wl] * w_l[:interior]
+            lw = w_l[mid_lw] * w_w[:interior]
+            cols = np.where(dst_w[mid_wl] == dst_l[mid_lw],
+                            np.abs(wl - lw), np.hypot(wl, lw))
             comm = max(comm, float(cols.max(initial=0.0)))
 
     return ModelIdentityReport(residuals[0], norms[0], residuals[1], norms[1], comm, tol)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import TruncatedOperator, truncated_model
+from .fock import TruncatedOperator, spectral_norm, truncated_model
 from .toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from .weights import WeightTable, omega_beta
 from .words import EMPTY, Word
@@ -102,7 +102,7 @@ def holomorphic_radius_test(F: PluriharmonicFunction, table: WeightTable,
         term = float(est) * (blk.conj().T @ blk)
         k = len(beta)
         by_degree[k] = by_degree.get(k, np.zeros((d, d), dtype=complex)) + term
-    profile = {k: float(np.linalg.norm(M, 2)) ** (1.0 / (2 * k))
+    profile = {k: spectral_norm(M) ** (1.0 / (2 * k))
                for k, M in by_degree.items()}
     passed = all(v <= 1 + tol for v in profile.values()) if profile else True
     return profile, passed
@@ -259,8 +259,8 @@ def bounded_roundtrip(F: PluriharmonicFunction, table: WeightTable, N: int,
     gaps = []
     for r in radii:
         op_r = symbol_to_operator(F.symbol, table, float(r), N)
-        gaps.append(float(np.linalg.norm(op_r.matrix - psi.matrix, 2)))
+        gaps.append(spectral_norm(op_r.matrix - psi.matrix))
     direct = F.evaluate(X.matrices)
     transported = berezin_transform(X.spec, X, psi, table)
-    residual = float(np.linalg.norm(direct - transported, 2))
+    residual = spectral_norm(direct - transported)
     return BoundedRoundtripReport(gaps, residual, tol)

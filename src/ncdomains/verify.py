@@ -20,7 +20,8 @@ from .cauchy import (analytic_functional_calculus, cauchy_kernel,
                      radius_inequality_check)
 from .corpus import (random_gated_tuple, random_hereditary,
                      random_nilpotent_tuple, random_symbol)
-from .fock import creation_tuple, verify_model_identities, weighted_space_conjugation, word_operator
+from .fock import (creation_tuple, spectral_norm, verify_model_identities,
+                   weighted_space_conjugation, word_operator)
 from .pluriharmonic import (PluriharmonicFunction, distance,
                             scalar_holomorphic, schur_positivity_test,
                             weierstrass_limit)
@@ -156,8 +157,7 @@ def berezin_suite(spec: DomainSpec, table: WeightTable, N: int,
     for _ in range(n_tuples):
         X = random_nilpotent_tuple(rng, spec, dim=3)
         K = berezin_kernel(spec, X, table, N)
-        worst_iso = max(worst_iso, float(np.linalg.norm(
-            K.conj().T @ K - np.eye(X.dim), 2)))
+        worst_iso = max(worst_iso, spectral_norm(K.conj().T @ K - np.eye(X.dim)))
         worst_inter = max(worst_inter,
                           intertwining_residual(spec, X, table, N, W))
         for alpha in enumerate_words(spec.n, 2):
@@ -166,9 +166,9 @@ def berezin_suite(spec: DomainSpec, table: WeightTable, N: int,
                 got = berezin_transform(spec, X, g, table)
                 want = X.word(alpha) @ X.word(beta).conj().T
                 worst_repro = max(worst_repro,
-                                  float(np.linalg.norm(got - want, 2)))
+                                  spectral_norm(got - want))
         poly = random_hereditary(rng, spec.n, max_deg=2)
-        lhs = float(np.linalg.norm(hereditary_eval(X, poly), 2))
+        lhs = spectral_norm(hereditary_eval(X, poly))
         rhs = hereditary_model_operator(poly, W).norm()
         worst_vn = max(worst_vn, lhs - rhs)
 
@@ -294,8 +294,8 @@ def cauchy_suite(spec: DomainSpec, table: WeightTable, N: int,
                             cauchy_kernel_fourier_residual(C, X, table))
         for alpha in enumerate_words(spec.n, min(3, N - 1)):
             got = cauchy_transform(spec, X, word_operator(W, alpha), N, table, C=C)
-            worst_transform = max(worst_transform, float(np.linalg.norm(
-                got - X.word(alpha), 2)))
+            worst_transform = max(worst_transform,
+                                  spectral_norm(got - X.word(alpha)))
 
         c1 = {w: complex(rng.standard_normal(), rng.standard_normal())
               for w in enumerate_words(spec.n, 2) if rng.random() < 0.6} or {EMPTY: 1.0}
@@ -308,8 +308,8 @@ def cauchy_suite(spec: DomainSpec, table: WeightTable, N: int,
         direct_prod = np.zeros((X.dim, X.dim), dtype=complex)
         for w, c in prod.items():
             direct_prod += c * X.word(w)
-        worst_mult = max(worst_mult, float(np.linalg.norm(
-            res1.value @ res2.value - direct_prod, 2)))
+        worst_mult = max(worst_mult,
+                         spectral_norm(res1.value @ res2.value - direct_prod))
 
         ineq = radius_inequality_check(spec, X, N, table)
         zero_radius_viol += ineq.violations

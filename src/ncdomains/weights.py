@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .words import EMPTY, Word, concat, enumerate_words, factorizations, reverse
+from .words import EMPTY, Word, concat, enumerate_words, reverse
 
 RationalLike = Fraction | int | str
 
@@ -131,28 +131,29 @@ class TruncationExceededError(ValueError):
 
 
 def weights_by_factorization(spec: DomainSpec, N: int) -> WeightTable:
-    """Weight table via direct enumeration of ordered factorizations."""
+    """Weight table via direct enumeration of ordered factorizations.
+
+    A depth-first walk splits off only prefixes in supp q, so it visits
+    exactly the factorizations whose parts all carry a coefficient; nothing
+    is memoized, so each b_alpha stays the definitional sum.
+    """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     m = spec.m
-    b: dict[Word, Fraction] = {EMPTY: Fraction(1)}
+    support = list(spec.coefficients.items())
+    b: dict[Word, Fraction] = {}
     for alpha in enumerate_words(spec.n, N):
-        k = len(alpha)
-        if k == 0:
-            continue
         total = Fraction(0)
-        for j in range(1, k + 1):
-            binom = comb(j + m - 1, m - 1)
-            for parts in factorizations(alpha, j):
-                prod = Fraction(1)
-                for part in parts:
-                    a = spec.coefficient(part)
-                    if a == 0:
-                        prod = Fraction(0)
-                        break
-                    prod *= a
-                if prod:
-                    total += prod * binom
+        # (position in alpha, parts so far, product of their coefficients)
+        stack = [(0, 0, Fraction(1))]
+        while stack:
+            pos, j, prod = stack.pop()
+            if pos == len(alpha):
+                total += prod * comb(j + m - 1, m - 1)
+                continue
+            for beta, a in support:
+                if alpha[pos:pos + len(beta)] == beta:
+                    stack.append((pos + len(beta), j + 1, prod * a))
         b[alpha] = total
     _check_positive(b)
     return WeightTable(spec, N, b)

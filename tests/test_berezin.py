@@ -7,9 +7,10 @@ from ncdomains.berezin import (DomainMembershipError, OperatorTuple,
                                hereditary_model_operator,
                                intertwining_residual, mean_value_check,
                                nilpotency_order, purity_check)
-from ncdomains.corpus import random_hereditary, random_nilpotent_tuple, random_symbol
-from ncdomains.fock import creation_tuple, word_operator
-from ncdomains.weights import hyperball_spec
+from ncdomains.corpus import (builtin_corpus, random_hereditary, random_nilpotent_tuple,
+                              random_symbol, scale_into_domain)
+from ncdomains.fock import creation_tuple, truncated_model, word_operator
+from ncdomains.weights import hyperball_spec, weights_by_convolution
 from ncdomains.words import enumerate_words
 
 
@@ -126,3 +127,23 @@ def test_tuple_shape_validation(ball2_table):
         OperatorTuple(spec, [np.zeros((2, 2))])
     with pytest.raises(ValueError):
         OperatorTuple(spec, [np.zeros((2, 2)), np.zeros((3, 3))])
+
+
+def test_kernel_prefix_products_match_word_operator():
+    """One product per word gives the kernel that X.word(alpha) builds,
+    bit for bit, at nilpotent and at dense domain tuples."""
+    rng = np.random.default_rng(29)
+    for name, spec in builtin_corpus().items():
+        table = weights_by_convolution(spec, 4)
+        for k in (1, 2, 3):
+            dense = OperatorTuple(spec, [rng.standard_normal((k, k))
+                                         + 1j * rng.standard_normal((k, k))
+                                         for _ in range(spec.n)])
+            for X in (random_nilpotent_tuple(rng, spec, dim=k), scale_into_domain(dense)):
+                delta = defect_sqrt(spec, X)
+                for N in range(5):
+                    model = truncated_model(table, N)
+                    want = np.concatenate([w * (delta @ X.word(alpha).conj().T)
+                                           for alpha, w in zip(model.basis.words,
+                                                               model.sqrt_b)])
+                    assert np.array_equal(berezin_kernel(spec, X, table, N), want), (name, k, N)

@@ -10,11 +10,11 @@ from ncdomains.cauchy import (SpectralGateError,
                               joint_spectral_radius, multiply_symbols,
                               pluriharmonic_calculus, radius_inequality_check,
                               reconstruction_operator)
-from ncdomains.corpus import random_gated_tuple, random_nilpotent_tuple
-from ncdomains.fock import creation_tuple, identity_operator, word_operator
+from ncdomains.corpus import builtin_corpus, random_gated_tuple, random_nilpotent_tuple
+from ncdomains.fock import cp_map_apply, creation_tuple, identity_operator, word_operator
 from ncdomains.pluriharmonic import PluriharmonicFunction
 from ncdomains.toeplitz import MultiToeplitzSymbol
-from ncdomains.weights import hyperball_spec, weights_by_factorization
+from ncdomains.weights import hyperball_spec, weights_by_convolution, weights_by_factorization
 from ncdomains.words import EMPTY, enumerate_words
 
 
@@ -166,6 +166,28 @@ def test_radius_inequality(ball2_table):
         report = radius_inequality_check(spec, X, 4, ball2_table)
         assert report.passed
         assert all(m >= -1e-10 for m in report.margins)
+
+
+def test_radius_inequality_matches_dense_powers():
+    """Margins from the live columns of R^k against full dense powers and
+    their SVD norms."""
+    rng = np.random.default_rng(47)
+    for name, spec in builtin_corpus().items():
+        table = weights_by_convolution(spec, 4)
+        for k in (1, 2, 3):
+            X = random_gated_tuple(rng, spec, dim=k, target_radius=0.6)
+            for N in range(5):
+                R = reconstruction_operator(spec, X, N, table).matrix
+                P = np.eye(R.shape[0], dtype=complex)
+                Y = np.eye(k, dtype=complex)
+                want = []
+                for _ in range(N):
+                    P = P @ R
+                    Y = cp_map_apply(spec, X.matrices, Y)
+                    want.append(sqrt(np.linalg.norm(Y, 2)) - np.linalg.norm(P, 2))
+                got = radius_inequality_check(spec, X, N, table).margins
+                assert len(got) == N
+                assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= 1e-12, (name, k, N)
 
 
 def test_radius_inequality_zero_tuple(ball2_table):

@@ -1,4 +1,6 @@
+import ast
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from ncdomains.berezin import (OperatorTuple, berezin_kernel, berezin_transform,
 from ncdomains.cauchy import cauchy_kernel, cauchy_transform, reconstruction_operator
 from ncdomains.fock import (BasisMismatchError, TruncatedFockBasis,
                             TruncatedOperator, cp_map_apply, creation_tuple,
-                            defect_operator, identity_operator,
+                            defect_operator, identity_operator, spectral_norm,
                             truncated_model, verify_model_identities,
                             weighted_left_creation, weighted_space_conjugation,
                             word_operator)
@@ -212,3 +214,81 @@ def test_truncated_model_kept_per_depth(ball2_table):
     assert creation_tuple(ball2_table, 3)[0].basis is model.basis
     with pytest.raises(ValueError):
         truncated_model(ball2_table, 6)
+
+
+def _spectral_cases():
+    rng = np.random.default_rng(17)
+
+    def gauss(m, n, cplx):
+        M = rng.standard_normal((m, n))
+        return M + 1j * rng.standard_normal((m, n)) if cplx else M
+
+    for cplx in (False, True):
+        for shape in ((5, 5), (7, 3), (3, 7), (40, 40)):
+            yield gauss(*shape, cplx)
+        yield gauss(8, 2, cplx) @ gauss(2, 9, cplx)                # rank 2
+        yield np.triu(gauss(6, 6, cplx), k=1)                    # nilpotent
+        M = gauss(9, 7, cplx)
+        M[[0, 4, 8]] = 0
+        M[:, [1, 5]] = 0
+        yield M                                                  # zero rows and columns
+        yield gauss(1, 1, cplx)
+        for scale in (1e-200, 1e200):
+            yield scale * gauss(6, 4, cplx)
+    yield np.array([[-3.0]])
+    yield np.diag([1.0, 1.0 - 1e-15, 1e-12])                      # near-degenerate top
+
+
+def test_spectral_norm_matches_svd():
+    for M in _spectral_cases():
+        want = np.linalg.norm(M, 2)
+        assert np.isfinite(want) and want > 0
+        assert abs(spectral_norm(M) - want) <= 1e-13 * want, M.shape
+    for shape in ((1, 1), (4, 6)):
+        assert spectral_norm(np.zeros(shape)) == 0.0
+    M = np.eye(3, dtype=complex)
+    M[1, 2] = np.nan
+    assert not np.isfinite(spectral_norm(M))
+
+
+def _svd_calls(source: str) -> list[int]:
+    """Lines calling an SVD or a matrix norm of order +-2."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+        ords = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "ord"]
+        if name in ("norm", "matrix_norm"):
+            ords = [o.operand if isinstance(o, ast.UnaryOp) else o for o in ords]
+            if any(isinstance(o, ast.Constant) and o.value == 2 for o in ords):
+                lines.append(node.lineno)
+        elif name in ("svd", "svdvals"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_svd_in_library():
+    """Every operator 2-norm in the package goes through fock.spectral_norm."""
+    assert _svd_calls("np.linalg.norm(A - B, 2)\nla.svd(A)\nnorm(x, ord=-2)\n"
+                      "np.linalg.norm(v, axis=0)\n") == [1, 2, 3]
+    src = Path(__file__).resolve().parent.parent / "src" / "ncdomains"
+    found = {path.name: _svd_calls(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert not any(found.values()), found
+
+
+def test_commutation_on_index_maps_matches_dense_products():
+    for name, spec in builtin_corpus().items():
+        table = weights_by_factorization(spec, 4)
+        for N in range(5):
+            W = _dense_creation(table, N, left=True)
+            L = _dense_creation(table, N, left=False)
+            interior = len(enumerate_words(spec.n, N - 2)) if N >= 2 else 0
+            want = 0.0
+            for Wi in W:
+                for Lj in L:
+                    cols = np.linalg.norm((Wi @ Lj - Lj @ Wi)[:, :interior], axis=0)
+                    want = max(want, float(cols.max(initial=0.0)))
+            got = verify_model_identities(spec, table, N).commutation_residual
+            assert abs(got - want) <= 1e-15, (name, N, got, want)
+            assert got <= 1e-15

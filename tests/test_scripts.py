@@ -19,11 +19,22 @@ def test_every_script_has_arguments():
     assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(SCRIPTS)
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_runs(script):
+def run_script(script: str) -> str:
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *SCRIPTS[script]],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(script):
+    assert run_script(script).strip()
+
+
+def test_gelfand_prints_each_k_once():
+    # --k-max 5 is one of the fixed checkpoints 1, 2, 5, 10, 20
+    lines = [line.split(":")[0].strip() for line in
+             run_script("gelfand_convergence.py").splitlines() if "k=" in line]
+    assert lines == ["k=  1", "k=  2", "k=  5"]

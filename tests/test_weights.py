@@ -12,7 +12,7 @@ from ncdomains.weights import (DomainSpec, InvalidDomainError,
                                hyperball_weights, omega_beta,
                                ratio_bound_check, weights_by_convolution,
                                weights_by_factorization)
-from ncdomains.words import EMPTY, enumerate_words
+from ncdomains.words import EMPTY, enumerate_words, factorizations
 
 
 def test_spec_validation():
@@ -50,6 +50,31 @@ def test_oracles_agree_on_random_specs(seed, n, m):
     spec = random_spec(np.random.default_rng(seed), n, m)
     N = 4 if n < 3 else 3
     assert weights_by_factorization(spec, N).b == weights_by_convolution(spec, N).b
+
+
+def _all_splittings_weights(spec, N):
+    """b_alpha summed over every ordered splitting of alpha, unsupported
+    parts contributing zero."""
+    b = {EMPTY: Fraction(1)}
+    for alpha in enumerate_words(spec.n, N)[1:]:
+        total = Fraction(0)
+        for j in range(1, len(alpha) + 1):
+            for parts in factorizations(alpha, j):
+                prod = Fraction(1)
+                for part in parts:
+                    prod *= spec.coefficient(part)
+                total += prod * comb(j + spec.m - 1, spec.m - 1)
+        b[alpha] = total
+    return b
+
+
+def test_supported_walk_matches_all_splittings():
+    specs = dict(builtin_corpus())
+    specs["degree3"] = DomainSpec(2, 2, {(1,): Fraction(1, 2), (2,): Fraction(1, 3),
+                                         (2, 1): Fraction(1, 4), (1, 2, 2): Fraction(1, 5)})
+    for name, spec in specs.items():
+        for N in range(7):
+            assert weights_by_factorization(spec, N).b == _all_splittings_weights(spec, N), (name, N)
 
 
 def test_hyperball_closed_form():
