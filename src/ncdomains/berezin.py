@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import (TruncatedOperator, cp_map_apply, spectral_norm, truncated_model,
-                   word_operator)
+from .fock import (TruncatedOperator, cp_map_apply, defect_operator, spectral_norm,
+                   truncated_model, word_operator)
 from .weights import DomainSpec, WeightTable
 from .words import Word, enumerate_words
 
@@ -117,11 +117,7 @@ def nilpotency_order(X: OperatorTuple, max_order: int = 20) -> int | None:
 
 def defect_sqrt(spec: DomainSpec, X: OperatorTuple, tol: float = 1e-10) -> np.ndarray:
     """Principal square root of (id-Phi)^m(I); eigenvalues in [-tol, 0) clip to 0."""
-    Y = np.eye(X.dim, dtype=complex)
-    for _ in range(spec.m):
-        Y = Y - cp_map_apply(spec, X.matrices, Y)
-    Y = (Y + Y.conj().T) / 2
-    vals, vecs = np.linalg.eigh(Y)
+    vals, vecs = np.linalg.eigh(defect_operator(spec, X.matrices, spec.m))
     if np.min(vals) < -tol:
         raise DomainMembershipError(
             f"defect operator has eigenvalue {np.min(vals):.3e} < -tol")
@@ -166,16 +162,20 @@ def berezin_transform(spec: DomainSpec, X: OperatorTuple, g: TruncatedOperator,
 
 
 def intertwining_residual(spec: DomainSpec, X: OperatorTuple, table: WeightTable,
-                          N: int, W: list[TruncatedOperator]) -> float:
+                          N: int) -> float:
     """max_i || K X_i^* - (W_i^* (x) I) K ||."""
     K = berezin_kernel(spec, X, table, N)
     k = X.dim
     Kb = K.reshape(-1, k, k)
+    model = truncated_model(table, N)
     worst = 0.0
-    for i, Wi in enumerate(W):
-        lhs = K @ X.matrices[i].conj().T
-        rhs = np.einsum("uw,wpq->upq", Wi.matrix.conj().T, Kb).reshape(K.shape)
-        worst = max(worst, spectral_norm(lhs - rhs))
+    for i, Xi in enumerate(X.matrices, start=1):
+        # W_i^* e_{g_i gamma} = w e_gamma, so block gamma of (W_i^* (x) I) K is
+        # w K_{g_i gamma}; it is zero at the words of length N
+        dst, src, w = model.shift((i,))
+        rhs = np.zeros_like(Kb)
+        rhs[src] = w[:, None, None] * Kb[dst]
+        worst = max(worst, spectral_norm(K @ Xi.conj().T - rhs.reshape(K.shape)))
     return worst
 
 
@@ -191,15 +191,22 @@ def hereditary_eval(X: OperatorTuple, poly: HereditaryPolynomial) -> np.ndarray:
     return out
 
 
-def hereditary_model_operator(poly: HereditaryPolynomial,
-                              W: list[TruncatedOperator]) -> TruncatedOperator:
-    basis = W[0].basis
-    M = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+def hereditary_model_operator(poly: HereditaryPolynomial, table: WeightTable,
+                              N: int) -> TruncatedOperator:
+    """q(W, W^*) on the truncation at depth N.  W_alpha W_beta^* sends
+    e_{beta gamma} to w_alpha(gamma) w_beta(gamma) e_{alpha gamma} for the gamma
+    with |alpha gamma|, |beta gamma| <= N, and the other basis vectors to 0."""
+    model = truncated_model(table, N)
+    D = model.basis.dimension
+    M = np.zeros((D, D), dtype=complex)
     for (alpha, beta), c in poly.items():
-        Wa = word_operator(W, alpha).matrix
-        Wb = word_operator(W, beta).matrix
-        M += c * (Wa @ Wb.conj().T)
-    return TruncatedOperator(basis, M)
+        dst_a, src_a, w_a = model.shift(alpha)
+        dst_b, src_b, w_b = model.shift(beta)
+        # both sources lead the graded basis, so the common gammas are the
+        # shorter of the two
+        g = min(len(src_a), len(src_b))
+        M[dst_a[:g], dst_b[:g]] += c * w_a[:g] * w_b[:g]
+    return TruncatedOperator(model.basis, M)
 
 
 def mean_value_check(sym, spec: DomainSpec, X: OperatorTuple, r: float,

@@ -177,20 +177,6 @@ def multiply_symbols(c1: dict[Word, complex], c2: dict[Word, complex]
     return {w: v for w, v in out.items() if v != 0}
 
 
-def pluriharmonic_calculus(spec: DomainSpec, X: OperatorTuple,
-                           G, N: int, table: WeightTable) -> np.ndarray:
-    """Evaluate a pluriharmonic symbol at a gated tuple: the B part with
-    adjoints plus the A part directly."""
-    from .pluriharmonic import PluriharmonicFunction, evaluate_symbol
-
-    report = joint_spectral_radius(spec, X)
-    if not report.gate:
-        raise SpectralGateError(
-            f"joint spectral radius {report.r_exact:.6f} >= 1 - {GATE_MARGIN}")
-    sym = G.symbol if isinstance(G, PluriharmonicFunction) else G
-    return evaluate_symbol(sym, X.matrices)
-
-
 @dataclass
 class RadiusInequalityReport:
     margins: list[float]    # ||Phi^k(I)||^(1/2) - ||R_N^k|| per k

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fock import TruncatedOperator, spectral_norm, truncated_model
 from .toeplitz import MultiToeplitzSymbol, symbol_to_operator
-from .weights import WeightTable, omega_beta
+from .weights import WeightTable
 from .words import EMPTY, Word
 
 RHO_RADII_KMAX = 8
@@ -86,26 +86,6 @@ def holomorphic(A: dict[Word, np.ndarray], aux_dim: int = 1) -> PluriharmonicFun
 
 def scalar_holomorphic(coeffs: dict[Word, complex]) -> PluriharmonicFunction:
     return PluriharmonicFunction(MultiToeplitzSymbol.scalar(A=coeffs))
-
-
-def holomorphic_radius_test(F: PluriharmonicFunction, table: WeightTable,
-                            tol: float = 1e-10) -> tuple[dict[int, float], bool]:
-    """Per-degree values || sum_{|b|=k} omega_b A_(b)^* A_(b) ||^(1/2k) built
-    from depth-limited omega estimates.  Finitely supported F always passes;
-    the per-degree profile is the informative output."""
-    by_degree: dict[int, np.ndarray] = {}
-    d = F.aux_dim
-    for beta, blk in F.symbol.A.items():
-        if beta == EMPTY:
-            continue
-        est, _ = omega_beta(table, beta)
-        term = float(est) * (blk.conj().T @ blk)
-        k = len(beta)
-        by_degree[k] = by_degree.get(k, np.zeros((d, d), dtype=complex)) + term
-    profile = {k: spectral_norm(M) ** (1.0 / (2 * k))
-               for k, M in by_degree.items()}
-    passed = all(v <= 1 + tol for v in profile.values()) if profile else True
-    return profile, passed
 
 
 def gamma_kernel(F: PluriharmonicFunction, table: WeightTable, r: float,

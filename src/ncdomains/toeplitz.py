@@ -126,7 +126,8 @@ def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
     n, D, d, words = basis.n, basis.dimension, T.aux_dim, basis.words
     magnitude = np.abs(T.matrix)
     scale = max(float(np.max(magnitude)), 1.0)
-    sqrt_b = truncated_model(table, basis.N).sqrt_b
+    model = truncated_model(table, basis.N)
+    sqrt_b = model.sqrt_b
     M = T.matrix.reshape(D, d, D, d)
 
     comparable = np.zeros((D, D), dtype=bool)
@@ -151,7 +152,7 @@ def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
     base = (sqrt_b[lng] / sqrt_b[sht])[:, None, None] * M[rows, :, cols, :]
     residual = np.empty((len(rows), n))
     for i in range(1, n + 1):
-        ext = np.array([basis.index[w + (i,)] for w in words[:interior]], dtype=np.intp)
+        ext = model.shift((i,), left=False)[0]
         lam_e = sqrt_b[ext[lng]] / sqrt_b[ext[sht]]
         residual[:, i - 1] = np.abs(lam_e[:, None, None] * M[ext[rows], :, ext[cols], :]
                                     - base).max(axis=(1, 2))

@@ -124,7 +124,7 @@ def test_07_berezin_reproducing(tables):
         X = random_nilpotent_tuple(rng, spec, dim=3)  # order <= 3, N = 5 >= 3+2
         K = berezin_kernel(spec, X, table, 5)
         assert np.linalg.norm(K.conj().T @ K - np.eye(3), 2) <= 1e-10
-        assert intertwining_residual(spec, X, table, 5, W) <= 1e-10
+        assert intertwining_residual(spec, X, table, 5) <= 1e-10
         for alpha in enumerate_words(2, 2):
             for beta in enumerate_words(2, 2):
                 g = word_operator(W, alpha) @ word_operator(W, beta).adjoint()
@@ -136,12 +136,12 @@ def test_07_berezin_reproducing(tables):
 def test_08_von_neumann_inequality(tables):
     rng = np.random.default_rng(80)
     table = tables["hyperball_n2_m2"]
-    W = creation_tuple(table, 5, left=True)  # N = 5 >= (d-1) + deg q = 2 + 2
     for _ in range(20):
         X = random_nilpotent_tuple(rng, table.spec, dim=3)
         poly = random_hereditary(rng, 2, max_deg=2)
         lhs = np.linalg.norm(hereditary_eval(X, poly), 2)
-        rhs = hereditary_model_operator(poly, W).norm()
+        # N = 5 >= (d-1) + deg q = 2 + 2
+        rhs = hereditary_model_operator(poly, table, 5).norm()
         assert lhs <= rhs + 1e-8
 
 

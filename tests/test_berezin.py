@@ -9,7 +9,7 @@ from ncdomains.berezin import (DomainMembershipError, OperatorTuple,
                                nilpotency_order, purity_check)
 from ncdomains.corpus import (builtin_corpus, random_hereditary, random_nilpotent_tuple,
                               random_symbol, scale_into_domain)
-from ncdomains.fock import creation_tuple, truncated_model, word_operator
+from ncdomains.fock import cp_map_apply, creation_tuple, truncated_model, word_operator
 from ncdomains.weights import hyperball_spec, weights_by_convolution
 from ncdomains.words import enumerate_words
 
@@ -68,12 +68,11 @@ def test_defect_sqrt_squares_back(ball2_table):
 def test_kernel_isometry_and_intertwining(ball2_table):
     rng = np.random.default_rng(2)
     spec = ball2_table.spec
-    W = creation_tuple(ball2_table, 5, left=True)
     for _ in range(5):
         X = random_nilpotent_tuple(rng, spec, dim=3)
         K = berezin_kernel(spec, X, ball2_table, 5)
         assert np.linalg.norm(K.conj().T @ K - np.eye(X.dim), 2) < 1e-10
-        assert intertwining_residual(spec, X, ball2_table, 5, W) < 1e-10
+        assert intertwining_residual(spec, X, ball2_table, 5) < 1e-10
 
 
 def test_reproducing_property(ball2_table, mixed_table):
@@ -93,13 +92,27 @@ def test_reproducing_property(ball2_table, mixed_table):
 def test_von_neumann_inequality(ball2_table):
     rng = np.random.default_rng(9)
     spec = ball2_table.spec
-    W = creation_tuple(ball2_table, 5, left=True)
     for _ in range(20):
         X = random_nilpotent_tuple(rng, spec, dim=3)
         poly = random_hereditary(rng, 2, max_deg=2)
         lhs = np.linalg.norm(hereditary_eval(X, poly), 2)
-        rhs = hereditary_model_operator(poly, W).norm()
+        rhs = hereditary_model_operator(poly, ball2_table, 5).norm()
         assert lhs <= rhs + 1e-8
+
+
+def test_hereditary_model_operator_matches_dense_products():
+    """W_alpha W_beta^* scattered from two shift maps against the product of
+    dense word operators, including words longer than N."""
+    for name, spec in builtin_corpus().items():
+        table = weights_by_convolution(spec, 5)
+        for N in range(6):
+            W = creation_tuple(table, N, left=True)
+            words = enumerate_words(spec.n, min(N + 1, 3))
+            for alpha in words:
+                for beta in words:
+                    want = (word_operator(W, alpha) @ word_operator(W, beta).adjoint()).matrix
+                    got = hereditary_model_operator({(alpha, beta): 1}, table, N).matrix
+                    assert np.max(np.abs(got - want)) <= 1e-15, (name, N, alpha, beta)
 
 
 def test_mean_value_property(ball2_table):
@@ -130,8 +143,9 @@ def test_tuple_shape_validation(ball2_table):
 
 
 def test_kernel_prefix_products_match_word_operator():
-    """One product per word gives the kernel that X.word(alpha) builds,
-    bit for bit, at nilpotent and at dense domain tuples."""
+    """One product per word and the defect root from fock.defect_operator
+    give the kernel that X.word(alpha) and an inline defect loop build, bit
+    for bit, at nilpotent and at dense domain tuples."""
     rng = np.random.default_rng(29)
     for name, spec in builtin_corpus().items():
         table = weights_by_convolution(spec, 4)
@@ -140,7 +154,12 @@ def test_kernel_prefix_products_match_word_operator():
                                          + 1j * rng.standard_normal((k, k))
                                          for _ in range(spec.n)])
             for X in (random_nilpotent_tuple(rng, spec, dim=k), scale_into_domain(dense)):
-                delta = defect_sqrt(spec, X)
+                # (id - Phi)^m (I) and its square root, written out
+                Y = np.eye(k, dtype=complex)
+                for _ in range(spec.m):
+                    Y = Y - cp_map_apply(spec, X.matrices, Y)
+                vals, vecs = np.linalg.eigh((Y + Y.conj().T) / 2)
+                delta = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
                 for N in range(5):
                     model = truncated_model(table, N)
                     want = np.concatenate([w * (delta @ X.word(alpha).conj().T)

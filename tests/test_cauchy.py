@@ -8,13 +8,11 @@ from ncdomains.cauchy import (SpectralGateError,
                               analytic_functional_calculus, cauchy_kernel,
                               cauchy_kernel_fourier_residual, cauchy_transform,
                               joint_spectral_radius, multiply_symbols,
-                              pluriharmonic_calculus, radius_inequality_check,
+                              radius_inequality_check,
                               reconstruction_operator)
 from ncdomains.corpus import builtin_corpus, random_gated_tuple, random_nilpotent_tuple
 from ncdomains.fock import cp_map_apply, creation_tuple, identity_operator, word_operator
-from ncdomains.pluriharmonic import PluriharmonicFunction
-from ncdomains.toeplitz import MultiToeplitzSymbol
-from ncdomains.weights import hyperball_spec, weights_by_convolution, weights_by_factorization
+from ncdomains.weights import hyperball_spec, weights_by_convolution
 from ncdomains.words import EMPTY, enumerate_words
 
 
@@ -134,28 +132,6 @@ def test_calculus_gate_failure(ball2_table):
     X = OperatorTuple(spec, [np.eye(2), np.eye(2)])
     with pytest.raises(SpectralGateError):
         analytic_functional_calculus(spec, X, {(1,): 1.0}, 3, ball2_table)
-
-
-def test_pluriharmonic_calculus_hermitian(ball2_table):
-    spec = ball2_table.spec
-    rng = np.random.default_rng(41)
-    X = random_gated_tuple(rng, spec, dim=3, target_radius=0.5)
-    G = PluriharmonicFunction(MultiToeplitzSymbol.scalar(
-        A={EMPTY: 1.0, (1,): 1.0 - 2j}, B={(1,): 1.0 + 2j}))
-    assert G.is_self_adjoint()
-    val = pluriharmonic_calculus(spec, X, G, 4, ball2_table)
-    assert np.linalg.norm(val - val.conj().T, 2) < 1e-12
-
-
-def test_pluriharmonic_calculus_simple_example():
-    spec = hyperball_spec(2, 1)
-    table = weights_by_factorization(spec, 3)
-    E12 = np.zeros((2, 2)); E12[0, 1] = 0.3
-    X = OperatorTuple(spec, [E12, np.zeros((2, 2))])
-    G = PluriharmonicFunction(MultiToeplitzSymbol.scalar(
-        A={(1,): 1.0}, B={(1,): 1.0}))
-    val = pluriharmonic_calculus(spec, X, G, 3, table)
-    assert np.linalg.norm(val - (E12 + E12.T), 2) < 1e-14
 
 
 def test_radius_inequality(ball2_table):

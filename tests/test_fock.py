@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ncdomains import fock
 from ncdomains.berezin import (OperatorTuple, berezin_kernel, berezin_transform,
                                intertwining_residual)
 from ncdomains.cauchy import cauchy_kernel, cauchy_transform, reconstruction_operator
@@ -14,8 +15,13 @@ from ncdomains.fock import (BasisMismatchError, TruncatedFockBasis,
                             truncated_model, verify_model_identities,
                             weighted_left_creation, weighted_space_conjugation,
                             word_operator)
-from ncdomains.corpus import builtin_corpus, random_gated_tuple, scale_into_domain
+from ncdomains.cli import main
+from ncdomains.corpus import (builtin_corpus, random_gated_tuple, random_nilpotent_tuple,
+                              scale_into_domain)
+from ncdomains.report import VerificationReport
+from ncdomains.serialization import dump_json, tuple_to_json
 from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
+from ncdomains.verify import full_suite
 from ncdomains.weights import hyperball_spec, weights_by_factorization
 from ncdomains.words import EMPTY, enumerate_words, reverse
 
@@ -120,6 +126,27 @@ def _dense_creation(table, N, left):
     return out
 
 
+def test_conjugation_matches_dense_product():
+    """The residual read from the shift maps against U W_i U^{-1} formed from
+    dense creation matrices and the unweighted shift built from the words."""
+    for name, spec in builtin_corpus().items():
+        table = weights_by_factorization(spec, 4)
+        for N in range(5):
+            basis = TruncatedFockBasis.build(spec.n, N)
+            sqrt_b = np.array([sqrt(table.b[w]) for w in basis.words])
+            inner = [j for j, g in enumerate(basis.words) if len(g) < N]
+            want = 0.0
+            for i, Wi in enumerate(_dense_creation(table, N, left=True), start=1):
+                shift = np.zeros_like(Wi)
+                for j in inner:
+                    shift[basis.index[(i,) + basis.words[j]], j] = 1.0
+                conj = np.diag(sqrt_b) @ Wi @ np.diag(1.0 / sqrt_b)
+                cols = np.linalg.norm((conj - shift)[:, inner], axis=0)
+                want = max(want, float(cols.max(initial=0.0)))
+            got = weighted_space_conjugation(table, N).shift_residual
+            assert abs(got - want) <= 1e-15, (name, N, got, want)
+
+
 def test_index_maps_match_dense_products():
     rng = np.random.default_rng(11)
     for name, spec in builtin_corpus().items():
@@ -196,7 +223,7 @@ def test_block_columns_match_dense_references():
                 K = berezin_kernel(spec, Y, table, N)
                 want = max(np.linalg.norm(K @ Yi.conj().T - np.kron(Wi.matrix.conj().T, Ik) @ K, 2)
                            for Yi, Wi in zip(Y.matrices, W))
-                assert abs(intertwining_residual(spec, Y, table, N, W) - want) <= 1e-13
+                assert abs(intertwining_residual(spec, Y, table, N) - want) <= 1e-13
                 for d in (1, 2):
                     sym = MultiToeplitzSymbol(d, {w: rand(d) for w in words},
                                               {w: rand(d) for w in words if w})
@@ -292,3 +319,28 @@ def test_commutation_on_index_maps_matches_dense_products():
             got = verify_model_identities(spec, table, N).commutation_residual
             assert abs(got - want) <= 1e-15, (name, N, got, want)
             assert got <= 1e-15
+
+
+def test_production_skips_dense_creation_path(monkeypatch, tmp_path):
+    """The verification suites and the single-spec CLI commands read every
+    model operator from the shift maps; the dense creation path is left to
+    the tests as their oracle."""
+    def dense(*args, **kwargs):
+        raise AssertionError("dense creation path called")
+
+    monkeypatch.setattr(fock, "_creation", dense)
+    monkeypatch.setattr(fock, "identity_operator", dense)
+    monkeypatch.setattr(TruncatedOperator, "__matmul__", dense)
+    report = VerificationReport({})
+    for name, spec in builtin_corpus().items():
+        full_suite(spec, 4, report, label=f".{name}")
+    assert report.passed
+
+    rng = np.random.default_rng(3)
+    spec = builtin_corpus()["mixed_n2_m2"]
+    X, Xg = tmp_path / "X.json", tmp_path / "Xg.json"
+    dump_json(tuple_to_json(random_nilpotent_tuple(rng, spec, dim=2)), X)
+    dump_json(tuple_to_json(random_gated_tuple(rng, spec, dim=2, target_radius=0.6)), Xg)
+    for argv in (["model"], ["toeplitz"], ["berezin", "--tuple", str(X)],
+                 ["cauchy", "--tuple", str(Xg)]):
+        assert main([*argv, "--spec", "mixed_n2_m2", "--max-len", "4"]) == 0, argv

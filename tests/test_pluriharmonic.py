@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from ncdomains.berezin import OperatorTuple
-from ncdomains.corpus import random_nilpotent_tuple, random_symbol
+from ncdomains.corpus import random_gated_tuple, random_nilpotent_tuple, random_symbol
 from ncdomains.pluriharmonic import (PluriharmonicFunction, bounded_roundtrip,
                                      conjugate, distance, gamma_kernel,
-                                     holomorphic_completion,
-                                     holomorphic_radius_test, rho_radii,
+                                     evaluate_symbol, holomorphic_completion,
+                                     rho_radii,
                                      scalar_holomorphic, schur_positivity_test,
                                      weierstrass_limit)
 from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
@@ -81,7 +81,7 @@ def test_metric_axioms(ball2_table):
         _, hg = distance(H, G, ball2_table, 4)
         _, ff = distance(F, F, ball2_table, 4)
         assert fg >= 0 and ff == 0.0
-        assert abs(fg - gf) < 1e-14
+        assert fg == gf
         assert fg <= fh + hg + 1e-12
 
 
@@ -131,11 +131,21 @@ def test_holomorphic_completion_real_part():
     assert max_block_difference(again.symbol, G.symbol) < 1e-14
 
 
-def test_holomorphic_radius_profile(ball2_table):
-    F = scalar_holomorphic({(1,): 0.5, (1, 2): 0.25})
-    profile, passed = holomorphic_radius_test(F, ball2_table)
-    assert passed
-    assert set(profile) == {1, 2}
+def test_evaluate_symbol_self_adjoint_is_hermitian(ball2_table):
+    rng = np.random.default_rng(41)
+    X = random_gated_tuple(rng, ball2_table.spec, dim=3, target_radius=0.5)
+    G = PluriharmonicFunction(MultiToeplitzSymbol.scalar(
+        A={EMPTY: 1.0, (1,): 1.0 - 2j}, B={(1,): 1.0 + 2j}))
+    assert G.is_self_adjoint()
+    val = evaluate_symbol(G.symbol, X.matrices)
+    assert np.linalg.norm(val - val.conj().T, 2) < 1e-12
+
+
+def test_evaluate_symbol_b_part_takes_adjoints():
+    E12 = np.zeros((2, 2)); E12[0, 1] = 0.3
+    sym = MultiToeplitzSymbol.scalar(A={(1,): 1.0}, B={(1,): 1.0})
+    val = evaluate_symbol(sym, [E12, np.zeros((2, 2))])
+    assert np.linalg.norm(val - (E12 + E12.T), 2) < 1e-14
 
 
 def test_bounded_roundtrip(ball2_table):
