@@ -3,7 +3,7 @@ Cauchy transforms, and free pluriharmonic functions on noncommutative regular
 domains, with a numerical verification harness.
 """
 from .berezin import (OperatorTuple, berezin_kernel, berezin_transform,
-                      domain_membership, hereditary_eval, purity_check)
+                      domain_membership, hereditary_eval)
 from .cauchy import (analytic_functional_calculus, cauchy_kernel,
                      cauchy_transform, joint_spectral_radius,
                      reconstruction_operator)
@@ -21,7 +21,7 @@ from .words import EMPTY, Word, compare_right, enumerate_words
 
 __all__ = [
     "OperatorTuple", "berezin_kernel", "berezin_transform",
-    "domain_membership", "hereditary_eval", "purity_check",
+    "domain_membership", "hereditary_eval",
     "analytic_functional_calculus", "cauchy_kernel", "cauchy_transform",
     "joint_spectral_radius", "reconstruction_operator",
     "builtin_corpus",

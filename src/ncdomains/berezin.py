@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import (TruncatedOperator, cp_map_apply, defect_operator, spectral_norm,
-                   truncated_model, word_operator)
+from .fock import (TruncatedOperator, cp_map_apply, cp_orbit_norms, defect_operator,
+                   spectral_norm, truncated_model, word_operator)
 from .weights import DomainSpec, WeightTable
-from .words import Word, enumerate_words
+from .words import Word
 
 
 class DomainMembershipError(ValueError):
@@ -51,68 +51,41 @@ class OperatorTuple:
         return word_operator(self.matrices, alpha)
 
 
+PURITY_STEPS = 50
+
+
 @dataclass
 class MembershipReport:
     in_domain: bool
     min_eigenvalues: list[float]       # smallest eigenvalue of (id-Phi)^j(I), j=1..m
     two_condition_agrees: bool         # Phi(I) <= I and order-m defect >= 0
     pure: bool
-    purity_decay: list[float]
+    purity_decay: list[float]          # ||Phi^p(I)||, p = 1..PURITY_STEPS or the first zero
     tol: float
 
 
-def domain_membership(spec: DomainSpec, X: OperatorTuple, tol: float = 1e-10,
-                      p_max: int = 50) -> MembershipReport:
+def domain_membership(spec: DomainSpec, X: OperatorTuple, tol: float = 1e-10
+                      ) -> MembershipReport:
     """Smallest eigenvalues of the defects (id-Phi)^j(I), j = 1..m, plus the
-    equivalent two-condition form as a cross-check."""
+    equivalent two-condition form as a cross-check.  Purity is certified when
+    the decay ||Phi^p(I)|| hits an exact structural zero (joint nilpotence)
+    or falls below 1e-12 at p = PURITY_STEPS."""
     mats = X.matrices
-    k = X.dim
-    Y = np.eye(k, dtype=complex)
-    mins = []
+    Y = np.eye(X.dim, dtype=complex)
+    mins, phis = [], []
     for _ in range(spec.m):
-        Y = Y - cp_map_apply(spec, mats, Y)
+        phis.append(cp_map_apply(spec, mats, Y))
+        Y = Y - phis[-1]
         Y = (Y + Y.conj().T) / 2
         mins.append(float(np.min(np.linalg.eigvalsh(Y))))
     in_domain = all(v >= -tol for v in mins)
 
-    phi_I = cp_map_apply(spec, mats, np.eye(k, dtype=complex))
-    first_ok = float(np.max(np.linalg.eigvalsh((phi_I + phi_I.conj().T) / 2))) <= 1 + tol
+    first_ok = float(np.max(np.linalg.eigvalsh((phis[0] + phis[0].conj().T) / 2))) <= 1 + tol
     two_cond = first_ok and mins[-1] >= -tol
     agrees = two_cond == in_domain
 
-    pure, decay = purity_check(spec, X, p_max=p_max, tol=1e-12, require_membership=False)
-    return MembershipReport(in_domain, mins, agrees, pure, decay, tol)
-
-
-def purity_check(spec: DomainSpec, X: OperatorTuple, p_max: int = 50,
-                 tol: float = 1e-12, require_membership: bool = True
-                 ) -> tuple[bool, list[float]]:
-    """Decay profile ||Phi^p(I)||.  Certified pure when the profile hits an
-    exact structural zero (joint nilpotence) or falls below tol at p_max."""
-    if require_membership:
-        report = domain_membership(spec, X, p_max=1)
-        if not report.in_domain:
-            raise DomainMembershipError(
-                f"tuple outside domain: min defect eigenvalues {report.min_eigenvalues}")
-    mats = X.matrices
-    Y = np.eye(X.dim, dtype=complex)
-    decay = []
-    for _ in range(p_max):
-        Y = cp_map_apply(spec, mats, Y)
-        nrm = spectral_norm(Y)
-        decay.append(nrm)
-        if nrm == 0.0:
-            break
-    return decay[-1] <= tol, decay
-
-
-def nilpotency_order(X: OperatorTuple, max_order: int = 20) -> int | None:
-    """Smallest d with X_alpha = 0 for all |alpha| = d, or None."""
-    for d in range(1, max_order + 1):
-        if all(np.all(X.word(alpha) == 0)
-               for alpha in enumerate_words(X.spec.n, d) if len(alpha) == d):
-            return d
-    return None
+    decay = cp_orbit_norms(spec, mats, PURITY_STEPS)
+    return MembershipReport(in_domain, mins, agrees, decay[-1] <= 1e-12, decay, tol)
 
 
 def defect_sqrt(spec: DomainSpec, X: OperatorTuple, tol: float = 1e-10) -> np.ndarray:

@@ -1,12 +1,11 @@
 """Reconstruction operator, joint spectral radius, Cauchy transform, and the
 free analytic functional calculus.
 
-The gate for everything here is r_q(X) < 1.  Its authoritative value comes
-from the linearization of Phi_{q,X} on vectorized operators (Gelfand's
-formula applied to a finite matrix); the sequence ||Phi^k(I)||^(1/2k) is
-reported alongside as a slowly convergent cross-check.  The truncated
-reconstruction operator is nilpotent, so its own spectral radius carries no
-information and is never used as a gate.
+The gate for everything here is r_q(X) < 1.  spectral_gate reads it from the
+linearization of Phi_{q,X} on vectorized operators alone (Gelfand's formula
+applied to a finite matrix); only joint_spectral_radius computes the slowly
+convergent cross-check ||Phi^k(I)||^(1/2k).  The truncated reconstruction
+operator is nilpotent, so its own spectral radius is never used as a gate.
 
 The Cauchy kernel is kept as its vacuum column, the only one the transform
 reads: a (D*k) x k block column with word-major rows (flat index
@@ -20,7 +19,8 @@ from math import sqrt
 import numpy as np
 
 from .berezin import OperatorTuple
-from .fock import TruncatedOperator, cp_map_apply, spectral_norm, truncated_model
+from .fock import (TruncatedOperator, cp_map_terms, cp_orbit_norms, spectral_norm,
+                   truncated_model)
 from .toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from .weights import DomainSpec, WeightTable
 from .words import EMPTY, Word, fock_dimension, reverse
@@ -43,31 +43,34 @@ class SpectralRadiusReport:
         return self.r_sequence[-1]
 
 
-def linearized_cp_map(spec: DomainSpec, X: OperatorTuple) -> np.ndarray:
-    """k^2 x k^2 matrix of Y -> sum a_alpha X_alpha Y X_alpha^* on row-major
-    vectorized operators."""
+def linearized_radius(spec: DomainSpec, X: OperatorTuple) -> float:
+    """r_q(X): square root of the spectral radius of the k^2 x k^2 matrix of
+    Y -> sum a_alpha X_alpha Y X_alpha^* on row-major vectorized operators."""
     k = X.dim
     L = np.zeros((k, k, k, k), dtype=complex)
-    for alpha, a in spec.coefficients.items():
-        Xa = X.word(alpha)
-        L += float(a) * np.einsum("ip,jq->ijpq", Xa, Xa.conj())
-    return L.reshape(k * k, k * k)
+    for a, Xa in cp_map_terms(spec, X.matrices):
+        L += a * np.einsum("ip,jq->ijpq", Xa, Xa.conj())
+    return sqrt(float(np.max(np.abs(np.linalg.eigvals(L.reshape(k * k, k * k))))))
+
+
+def spectral_gate(spec: DomainSpec, X: OperatorTuple) -> float:
+    """r_q(X) from the linearization alone; SpectralGateError unless
+    r_q(X) < 1 - GATE_MARGIN."""
+    r = linearized_radius(spec, X)
+    if not r < 1 - GATE_MARGIN:
+        raise SpectralGateError(f"joint spectral radius {r:.6f} >= 1 - {GATE_MARGIN}")
+    return r
 
 
 def joint_spectral_radius(spec: DomainSpec, X: OperatorTuple,
                           k_max: int = 40) -> SpectralRadiusReport:
-    """r_q(X) = lim ||Phi^k(I)||^(1/2k); exact value via the linearization."""
-    L = linearized_cp_map(spec, X)
-    rho = float(np.max(np.abs(np.linalg.eigvals(L))))
-    r_exact = sqrt(rho)
-    seq = []
-    Y = np.eye(X.dim, dtype=complex)
-    for k in range(1, k_max + 1):
-        Y = cp_map_apply(spec, X.matrices, Y)
-        nrm = spectral_norm(Y)
-        seq.append(nrm ** (1.0 / (2 * k)) if nrm > 0 else 0.0)
-        if nrm == 0.0:
-            break
+    """r_q(X) = lim ||Phi^k(I)||^(1/2k); exact value via the linearization,
+    and the sequence for k = 1..k_max (shorter if Phi^k(I) hits zero)."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    r_exact = linearized_radius(spec, X)
+    seq = [nrm ** (1.0 / (2 * k)) if nrm > 0 else 0.0
+           for k, nrm in enumerate(cp_orbit_norms(spec, X.matrices, k_max), start=1)]
     return SpectralRadiusReport(r_exact, seq, r_exact < 1 - GATE_MARGIN)
 
 
@@ -91,10 +94,7 @@ def cauchy_kernel(spec: DomainSpec, X: OperatorTuple, N: int,
     """Vacuum column (sum_{j<=N} R^j)^m E of the Cauchy kernel, E embedding C^k
     at the empty word: a (D*k) x k block column with word-major rows, as
     berezin_kernel.  Exact on the truncation since R is nilpotent."""
-    report = joint_spectral_radius(spec, X)
-    if not report.gate:
-        raise SpectralGateError(
-            f"joint spectral radius {report.r_exact:.6f} >= 1 - {GATE_MARGIN}")
+    spectral_gate(spec, X)
     R = reconstruction_operator(spec, X, N, table).matrix
     k = X.dim
     V = np.zeros((R.shape[0], k), dtype=complex)
@@ -149,11 +149,7 @@ def analytic_functional_calculus(spec: DomainSpec, X: OperatorTuple,
                                  ) -> CalculusResult:
     """Direct series sum c_alpha X_alpha, cross-checked against the Cauchy
     route C_{q,tX}[F((1/t)W_N)] for a t > 1 inside the gate."""
-    report = joint_spectral_radius(spec, X)
-    if not report.gate:
-        raise SpectralGateError(
-            f"joint spectral radius {report.r_exact:.6f} >= 1 - {GATE_MARGIN}")
-    r_q = report.r_exact
+    r_q = spectral_gate(spec, X)
     t = 2.0 if r_q == 0 else min(1.05, sqrt(1.0 / r_q))
 
     direct = np.zeros((X.dim, X.dim), dtype=complex)
@@ -193,17 +189,17 @@ def radius_inequality_check(spec: DomainSpec, X: OperatorTuple, N: int,
     """||R_N^k|| <= ||Phi^k_{q,X}(I)||^(1/2) for k = 1..N; valid because the
     compression norm lower-bounds the full norm and ||Phi^k_{rev q,Lambda}(I)|| <= 1."""
     R = reconstruction_operator(spec, X, N, table).matrix
+    phi_norms = cp_orbit_norms(spec, X.matrices, N)
+    phi_norms += [0.0] * (N - len(phi_norms))  # Phi^k(I) stays zero after a zero
     margins = []
     violations = 0
-    Y = np.eye(X.dim, dtype=complex)
-    for k in range(1, N + 1):
+    for k, phi_norm in enumerate(phi_norms, start=1):
         # R raises word length by at least 1, so R^k vanishes on the words
         # longer than N - k: Q keeps only the columns of R^k on the others
         live = fock_dimension(spec.n, N - k) * X.dim
         Q = R[:, :live] if k == 1 else R @ Q[:, :live]
-        Y = cp_map_apply(spec, X.matrices, Y)
         lhs = spectral_norm(Q)
-        rhs = sqrt(spectral_norm(Y))
+        rhs = sqrt(phi_norm)
         margins.append(rhs - lhs)
         if lhs > rhs + tol:
             violations += 1

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from .berezin import OperatorTuple, domain_membership
+from .cauchy import linearized_radius
 from .toeplitz import MultiToeplitzSymbol
 from .weights import DomainSpec, hyperball_spec
 from .words import Word, enumerate_words
@@ -84,18 +85,16 @@ def scale_into_domain(X: OperatorTuple, margin: float = 0.9) -> OperatorTuple:
 def random_gated_tuple(rng: np.random.Generator, spec: DomainSpec, dim: int = 3,
                        target_radius: float = 0.6) -> OperatorTuple:
     """Random tuple rescaled so the joint spectral radius is about target_radius."""
-    from .cauchy import joint_spectral_radius
-
     mats = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             for _ in range(spec.n)]
     X = OperatorTuple(spec, mats)
-    r = joint_spectral_radius(spec, X, k_max=1).r_exact
+    r = linearized_radius(spec, X)
     if r == 0:
         return X
     # r_q is not homogeneous when q mixes degrees; iterate the rescale
     for _ in range(8):
         X = X.scaled(target_radius / r if r > 0 else 1.0)
-        r = joint_spectral_radius(spec, X, k_max=1).r_exact
+        r = linearized_radius(spec, X)
         if abs(r - target_radius) < 0.05:
             break
     return X

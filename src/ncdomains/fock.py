@@ -16,6 +16,10 @@ The dense creation path (creation_tuple, weighted_*_creation, word_operator
 on TruncatedOperators and the TruncatedOperator arithmetic) is kept as the
 tests' oracle.
 
+A tuple X has one CP map, Phi_{q,X}(Y) = sum a_alpha X_alpha Y X_alpha^*: its
+terms come from cp_map_terms and its powers from cp_map_orbit (cp_map_apply is
+the first step, cp_orbit_norms the norms ||Phi^k(I)||).
+
 Operator norms are computed by spectral_norm: the square root of the
 largest eigenvalue of the Gram matrix of the nonzero block, after dropping
 the all-zero rows and columns (which carry no singular value) and scaling by
@@ -25,8 +29,9 @@ of the untruncated norms, nondecreasing in N.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import sqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -226,19 +231,44 @@ def word_operator(ops: Sequence, alpha: Word):
     return out_m
 
 
-def cp_map_apply(spec: DomainSpec, X: Sequence[np.ndarray], Y: np.ndarray) -> np.ndarray:
-    """Phi_{q,X}(Y) = sum_{alpha in supp q} a_alpha X_alpha Y X_alpha^*."""
+def cp_map_terms(spec: DomainSpec, X: Sequence[np.ndarray]) -> list[tuple[float, np.ndarray]]:
+    """The terms (a_alpha, X_alpha), alpha in supp q, of Phi_{q,X}."""
     if len(X) != spec.n:
         raise ValueError(f"expected {spec.n} operators, got {len(X)}")
+    return [(float(a), word_operator(X, alpha)) for alpha, a in spec.coefficients.items()]
+
+
+def cp_map_orbit(spec: DomainSpec, X: Sequence[np.ndarray], Y: np.ndarray
+                 ) -> Iterator[np.ndarray]:
+    """Phi(Y), Phi^2(Y), ... for Phi = Phi_{q,X}; the words X_alpha are
+    formed once per call."""
     k = Y.shape[0]
     for Xi in X:
         if Xi.shape != (k, k):
             raise ValueError("operator tuple dimensions inconsistent with Y")
-    out = np.zeros_like(Y, dtype=complex)
-    for alpha, a in spec.coefficients.items():
-        Xa = word_operator(X, alpha)
-        out += float(a) * (Xa @ Y @ Xa.conj().T)
-    return out
+    terms = [(a, Xa, Xa.conj().T) for a, Xa in cp_map_terms(spec, X)]
+    while True:
+        out = np.zeros_like(Y, dtype=complex)
+        for a, Xa, Xa_adj in terms:
+            out += a * (Xa @ Y @ Xa_adj)
+        Y = out
+        yield Y
+
+
+def cp_map_apply(spec: DomainSpec, X: Sequence[np.ndarray], Y: np.ndarray) -> np.ndarray:
+    """Phi_{q,X}(Y) = sum_{alpha in supp q} a_alpha X_alpha Y X_alpha^*."""
+    return next(cp_map_orbit(spec, X, Y))
+
+
+def cp_orbit_norms(spec: DomainSpec, X: Sequence[np.ndarray], k_max: int) -> list[float]:
+    """||Phi^k_{q,X}(I)|| for k = 1..k_max, stopping after the first exact
+    zero: every later power is zero too."""
+    norms: list[float] = []
+    for Y in islice(cp_map_orbit(spec, X, np.eye(X[0].shape[0], dtype=complex)), k_max):
+        norms.append(spectral_norm(Y))
+        if norms[-1] == 0.0:
+            break
+    return norms
 
 
 def defect_operator(spec: DomainSpec, X: Sequence[np.ndarray], k: int) -> np.ndarray:

@@ -5,8 +5,7 @@ from ncdomains.berezin import (DomainMembershipError, OperatorTuple,
                                berezin_kernel, berezin_transform, defect_sqrt,
                                domain_membership, hereditary_eval,
                                hereditary_model_operator,
-                               intertwining_residual, mean_value_check,
-                               nilpotency_order, purity_check)
+                               intertwining_residual, mean_value_check)
 from ncdomains.corpus import (builtin_corpus, random_hereditary, random_nilpotent_tuple,
                               random_symbol, scale_into_domain)
 from ncdomains.fock import cp_map_apply, creation_tuple, truncated_model, word_operator
@@ -40,17 +39,10 @@ def test_nilpotent_tuples_are_pure(ball2_table):
     spec = ball2_table.spec
     for _ in range(5):
         X = random_nilpotent_tuple(rng, spec, dim=3)
-        assert nilpotency_order(X) is not None
-        pure, decay = purity_check(spec, X)
-        assert pure
-        assert decay[-1] == 0.0
-
-
-def test_purity_requires_membership():
-    spec = hyperball_spec(1, 1)
-    X = OperatorTuple(spec, [np.array([[2.0]])])
-    with pytest.raises(DomainMembershipError):
-        purity_check(spec, X)
+        report = domain_membership(spec, X)
+        assert report.pure
+        assert report.purity_decay[-1] == 0.0
+        assert all(v > 0.0 for v in report.purity_decay[:-1])
 
 
 def test_defect_sqrt_squares_back(ball2_table):

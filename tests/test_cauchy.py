@@ -3,15 +3,17 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from ncdomains import berezin, cauchy, corpus, fock
 from ncdomains.berezin import OperatorTuple
 from ncdomains.cauchy import (SpectralGateError,
                               analytic_functional_calculus, cauchy_kernel,
                               cauchy_kernel_fourier_residual, cauchy_transform,
-                              joint_spectral_radius, multiply_symbols,
-                              radius_inequality_check,
-                              reconstruction_operator)
+                              joint_spectral_radius, linearized_radius,
+                              multiply_symbols, radius_inequality_check,
+                              reconstruction_operator, spectral_gate)
 from ncdomains.corpus import builtin_corpus, random_gated_tuple, random_nilpotent_tuple
-from ncdomains.fock import cp_map_apply, creation_tuple, identity_operator, word_operator
+from ncdomains.fock import (cp_map_apply, cp_orbit_norms, creation_tuple,
+                            identity_operator, word_operator)
 from ncdomains.weights import hyperball_spec, weights_by_convolution
 from ncdomains.words import EMPTY, enumerate_words
 
@@ -37,6 +39,44 @@ def test_half_identity_pair_radius():
     X = OperatorTuple(spec, [0.5 * np.eye(3), 0.5 * np.eye(3)])
     report = joint_spectral_radius(spec, X)
     assert abs(report.r_exact - sqrt(0.5)) < 1e-12
+
+
+def test_gate_radius_is_the_reported_radius():
+    rng = np.random.default_rng(59)
+    for name, spec in builtin_corpus().items():
+        for X in (random_gated_tuple(rng, spec, dim=3, target_radius=0.6),
+                  random_nilpotent_tuple(rng, spec, dim=3)):
+            assert spectral_gate(spec, X) == joint_spectral_radius(spec, X).r_exact, name
+        X = OperatorTuple(spec, [np.eye(2)] * spec.n)
+        assert linearized_radius(spec, X) == joint_spectral_radius(spec, X).r_exact
+        with pytest.raises(SpectralGateError):
+            spectral_gate(spec, X)
+
+
+def test_gate_computes_no_cp_map_power(monkeypatch):
+    """The gate reads the linearization alone: with every route to Phi^k(I)
+    raising, the kernel, the calculus and the gated generator still run."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Phi^k(I) computed")
+
+    for module in (fock, berezin, cauchy, corpus):
+        for name in ("cp_map_orbit", "cp_map_apply", "cp_orbit_norms"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    rng = np.random.default_rng(61)
+    for name, spec in builtin_corpus().items():
+        table = weights_by_convolution(spec, 3)
+        X = random_gated_tuple(rng, spec, dim=3, target_radius=0.6)
+        cauchy_kernel(spec, X, 3, table)
+        res = analytic_functional_calculus(spec, X, {EMPTY: 0.5, (1,): 1.0}, 3, table)
+        assert res.cross_residual < 1e-8, name
+
+
+def test_joint_spectral_radius_rejects_empty_sequence(ball2_table):
+    X = OperatorTuple(ball2_table.spec, [np.eye(2), np.eye(2)])
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match="k_max"):
+            joint_spectral_radius(ball2_table.spec, X, k_max=k_max)
 
 
 def test_gelfand_sequence_approaches_exact(ball2_table):
@@ -146,12 +186,17 @@ def test_radius_inequality(ball2_table):
 
 def test_radius_inequality_matches_dense_powers():
     """Margins from the live columns of R^k against full dense powers and
-    their SVD norms."""
+    their SVD norms; the nilpotent tuples reach Phi^k(I) = 0 before k = N,
+    so their margins come from the zero-padded norms."""
     rng = np.random.default_rng(47)
+    padded = 0
     for name, spec in builtin_corpus().items():
         table = weights_by_convolution(spec, 4)
-        for k in (1, 2, 3):
-            X = random_gated_tuple(rng, spec, dim=k, target_radius=0.6)
+        tuples = [f(rng, spec, dim=k) for k in (1, 2, 3)
+                  for f in (random_gated_tuple, random_nilpotent_tuple)]
+        for X in tuples:
+            k = X.dim
+            padded += len(cp_orbit_norms(spec, X.matrices, 4)) < 4
             for N in range(5):
                 R = reconstruction_operator(spec, X, N, table).matrix
                 P = np.eye(R.shape[0], dtype=complex)
@@ -164,6 +209,7 @@ def test_radius_inequality_matches_dense_powers():
                 got = radius_inequality_check(spec, X, N, table).margins
                 assert len(got) == N
                 assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= 1e-12, (name, k, N)
+    assert padded  # the nilpotent tuples end their orbit early
 
 
 def test_radius_inequality_zero_tuple(ball2_table):

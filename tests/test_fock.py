@@ -10,8 +10,8 @@ from ncdomains.berezin import (OperatorTuple, berezin_kernel, berezin_transform,
                                intertwining_residual)
 from ncdomains.cauchy import cauchy_kernel, cauchy_transform, reconstruction_operator
 from ncdomains.fock import (BasisMismatchError, TruncatedFockBasis,
-                            TruncatedOperator, cp_map_apply, creation_tuple,
-                            defect_operator, identity_operator, spectral_norm,
+                            TruncatedOperator, cp_map_apply, cp_map_orbit,
+                            cp_orbit_norms, creation_tuple, defect_operator, identity_operator, spectral_norm,
                             truncated_model, verify_model_identities,
                             weighted_left_creation, weighted_space_conjugation,
                             word_operator)
@@ -85,6 +85,37 @@ def test_cp_map_positive(ball2_table):
     vals = np.linalg.eigvalsh((phi + phi.conj().T) / 2)
     assert vals.min() >= -1e-12
     assert vals.max() <= 1 + 1e-12
+
+
+def test_cp_map_orbit_matches_repeated_apply():
+    """The orbit forms the words once; each power is bitwise the one from
+    applying cp_map_apply again, and the norms stop right after the first
+    exact zero.  The mixed specs carry the word (1, 2)."""
+    rng = np.random.default_rng(53)
+    for name, spec in builtin_corpus().items():
+        for X in (random_nilpotent_tuple(rng, spec, dim=3),
+                  random_gated_tuple(rng, spec, dim=3, target_radius=0.6),
+                  OperatorTuple(spec, [np.zeros((2, 2))] * spec.n)):
+            Y = np.eye(X.dim, dtype=complex)
+            orbit = cp_map_orbit(spec, X.matrices, Y)
+            norms = []
+            for k in range(40):
+                Y = cp_map_apply(spec, X.matrices, Y)
+                assert np.array_equal(next(orbit), Y), (name, k)
+                norms.append(spectral_norm(Y))
+            if 0.0 in norms:
+                norms = norms[:norms.index(0.0) + 1]
+            for k_max in (1, 2, 5, 40):
+                assert cp_orbit_norms(spec, X.matrices, k_max) == norms[:k_max], (name, k_max)
+        assert cp_orbit_norms(spec, X.matrices, 40) == [0.0]  # the zero tuple
+
+
+def test_cp_map_apply_validates_inputs(ball2_table):
+    spec = ball2_table.spec
+    with pytest.raises(ValueError, match="expected 2 operators"):
+        cp_map_apply(spec, [np.eye(2)], np.eye(2))
+    with pytest.raises(ValueError, match="inconsistent"):
+        cp_map_apply(spec, [np.eye(2), np.eye(2)], np.eye(3))
 
 
 def test_operator_algebra_and_mismatch(ball2_table, ball1_table):

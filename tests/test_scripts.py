@@ -19,11 +19,15 @@ def test_every_script_has_arguments():
     assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(SCRIPTS)
 
 
-def run_script(script: str) -> str:
+def launch(script: str, args: list[str]) -> subprocess.CompletedProcess:
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *SCRIPTS[script]],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_script(script: str) -> str:
+    proc = launch(script, SCRIPTS[script])
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -38,3 +42,11 @@ def test_gelfand_prints_each_k_once():
     lines = [line.split(":")[0].strip() for line in
              run_script("gelfand_convergence.py").splitlines() if "k=" in line]
     assert lines == ["k=  1", "k=  2", "k=  5"]
+
+
+@pytest.mark.parametrize("bad", [["--k-max", "0"], ["--k-max", "-2"], ["--dim", "0"]])
+def test_gelfand_rejects_nonpositive_sizes(bad):
+    proc = launch("gelfand_convergence.py", ["--tuples", "1", *bad])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "must be >= 1" in proc.stderr
