@@ -52,6 +52,7 @@ class OperatorTuple:
 
 
 PURITY_STEPS = 50
+DEFECT_TOL = 1e-10  # defect eigenvalues in [-DEFECT_TOL, 0) are roundoff
 
 
 @dataclass
@@ -88,21 +89,22 @@ def domain_membership(spec: DomainSpec, X: OperatorTuple, tol: float = 1e-10
     return MembershipReport(in_domain, mins, agrees, decay[-1] <= 1e-12, decay, tol)
 
 
-def defect_sqrt(spec: DomainSpec, X: OperatorTuple, tol: float = 1e-10) -> np.ndarray:
-    """Principal square root of (id-Phi)^m(I); eigenvalues in [-tol, 0) clip to 0."""
+def defect_sqrt(spec: DomainSpec, X: OperatorTuple) -> np.ndarray:
+    """Principal square root of (id-Phi)^m(I); eigenvalues in
+    [-DEFECT_TOL, 0) clip to 0."""
     vals, vecs = np.linalg.eigh(defect_operator(spec, X.matrices, spec.m))
-    if np.min(vals) < -tol:
+    if np.min(vals) < -DEFECT_TOL:
         raise DomainMembershipError(
-            f"defect operator has eigenvalue {np.min(vals):.3e} < -tol")
+            f"defect operator has eigenvalue {np.min(vals):.3e} < -{DEFECT_TOL}")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def berezin_kernel(spec: DomainSpec, X: OperatorTuple, table: WeightTable,
-                   N: int, tol: float = 1e-10) -> np.ndarray:
+                   N: int) -> np.ndarray:
     """K h = sum_{|alpha| <= N} sqrt(b_alpha) e_alpha (x) Delta X_alpha^* h,
     as a (D*k) x k matrix with word-major rows."""
-    delta = defect_sqrt(spec, X, tol)
+    delta = defect_sqrt(spec, X)
     k = X.dim
     model = truncated_model(table, N)
     basis = model.basis
@@ -118,29 +120,32 @@ def berezin_kernel(spec: DomainSpec, X: OperatorTuple, table: WeightTable,
 
 
 def berezin_transform(spec: DomainSpec, X: OperatorTuple, g: TruncatedOperator,
-                      table: WeightTable, tol: float = 1e-10) -> np.ndarray:
+                      table: WeightTable, K: np.ndarray | None = None) -> np.ndarray:
     """Extended transform K^*(g (x) I)K, blockwise over g's aux space:
     block (i, j) is sum_{omega, gamma} K_omega^* g[omega i, gamma j] K_gamma.
+    K, the kernel at X on g's truncation, is built when not given.
 
     Output is (aux_dim*k) x (aux_dim*k), aux-major; for aux_dim = 1 this is
     the plain transform on C^k.
     """
     if g.basis.n != spec.n:
         raise ValueError("operator alphabet mismatch")
+    if K is None:
+        K = berezin_kernel(spec, X, table, g.basis.N)
     D, k, d = g.basis.dimension, X.dim, g.aux_dim
-    Kb = berezin_kernel(spec, X, table, g.basis.N, tol).reshape(D, k, k)
+    Kb = K.reshape(D, k, k)
     out = np.einsum("wpa,wiuj,upb->iajb", Kb.conj(), g.matrix.reshape(D, d, D, d), Kb,
                     optimize=True)
     return out.reshape(d * k, d * k)
 
 
-def intertwining_residual(spec: DomainSpec, X: OperatorTuple, table: WeightTable,
+def intertwining_residual(K: np.ndarray, X: OperatorTuple, table: WeightTable,
                           N: int) -> float:
-    """max_i || K X_i^* - (W_i^* (x) I) K ||."""
-    K = berezin_kernel(spec, X, table, N)
+    """max_i || K X_i^* - (W_i^* (x) I) K || for the Berezin kernel K at X on
+    the truncation at depth N."""
     k = X.dim
-    Kb = K.reshape(-1, k, k)
     model = truncated_model(table, N)
+    Kb = K.reshape(model.basis.dimension, k, k)  # a K of another depth raises here
     worst = 0.0
     for i, Xi in enumerate(X.matrices, start=1):
         # W_i^* e_{g_i gamma} = w e_gamma, so block gamma of (W_i^* (x) I) K is
@@ -166,24 +171,13 @@ def hereditary_eval(X: OperatorTuple, poly: HereditaryPolynomial) -> np.ndarray:
 
 def hereditary_model_operator(poly: HereditaryPolynomial, table: WeightTable,
                               N: int) -> TruncatedOperator:
-    """q(W, W^*) on the truncation at depth N.  W_alpha W_beta^* sends
-    e_{beta gamma} to w_alpha(gamma) w_beta(gamma) e_{alpha gamma} for the gamma
-    with |alpha gamma|, |beta gamma| <= N, and the other basis vectors to 0."""
-    model = truncated_model(table, N)
-    D = model.basis.dimension
-    M = np.zeros((D, D), dtype=complex)
-    for (alpha, beta), c in poly.items():
-        dst_a, src_a, w_a = model.shift(alpha)
-        dst_b, src_b, w_b = model.shift(beta)
-        # both sources lead the graded basis, so the common gammas are the
-        # shorter of the two
-        g = min(len(src_a), len(src_b))
-        M[dst_a[:g], dst_b[:g]] += c * w_a[:g] * w_b[:g]
-    return TruncatedOperator(model.basis, M)
+    """q(W, W^*) = sum c_{alpha,beta} W_alpha W_beta^* on the truncation at depth N."""
+    return truncated_model(table, N).operator(
+        [(alpha, beta, c, 1) for (alpha, beta), c in poly.items()])
 
 
 def mean_value_check(sym, spec: DomainSpec, X: OperatorTuple, r: float,
-                     table: WeightTable, N: int, tol: float = 1e-8) -> float:
+                     table: WeightTable, N: int) -> float:
     """Residual of F(X) = extended-Berezin_{(1/r)X}[F(r W_N)] for a symbol F.
 
     (1/r)X must lie in the domain and be pure.

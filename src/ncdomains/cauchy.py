@@ -21,6 +21,7 @@ import numpy as np
 from .berezin import OperatorTuple
 from .fock import (TruncatedOperator, cp_map_terms, cp_orbit_norms, spectral_norm,
                    truncated_model)
+from .pluriharmonic import evaluate_symbol
 from .toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from .weights import DomainSpec, WeightTable
 from .words import EMPTY, Word, fock_dimension, reverse
@@ -78,15 +79,10 @@ def reconstruction_operator(spec: DomainSpec, X: OperatorTuple, N: int,
                             table: WeightTable) -> TruncatedOperator:
     """R = sum over supp(q) of a_beta Lambda_{reverse(beta)} (x) X_beta^*,
     strictly degree-raising on the truncation."""
-    model = truncated_model(table, N)
-    k = X.dim
-    D = model.basis.dimension
-    M = np.zeros((D, k, D, k), dtype=complex)
-    for beta, a in spec.coefficients.items():
-        # Lambda_{reverse(beta)} appends beta on the right
-        dst, src, w = model.shift(reverse(beta), left=False)
-        M[dst, :, src, :] += float(a) * w[:, None, None] * X.word(beta).conj().T
-    return TruncatedOperator(model.basis, M.reshape(D * k, D * k), aux_dim=k)
+    # Lambda_{reverse(beta)} appends beta on the right
+    terms = [(reverse(beta), EMPTY, float(a), X.word(beta).conj().T)
+             for beta, a in spec.coefficients.items()]
+    return truncated_model(table, N).operator(terms, X.dim, left=False)
 
 
 def cauchy_kernel(spec: DomainSpec, X: OperatorTuple, N: int,
@@ -152,11 +148,9 @@ def analytic_functional_calculus(spec: DomainSpec, X: OperatorTuple,
     r_q = spectral_gate(spec, X)
     t = 2.0 if r_q == 0 else min(1.05, sqrt(1.0 / r_q))
 
-    direct = np.zeros((X.dim, X.dim), dtype=complex)
-    for alpha, c in coeffs.items():
-        direct += c * X.word(alpha)
-
-    F_trunc = symbol_to_operator(MultiToeplitzSymbol.scalar(A=coeffs), table, 1.0 / t, N)
+    F = MultiToeplitzSymbol.scalar(A=coeffs)
+    direct = evaluate_symbol(F, X.matrices)
+    F_trunc = symbol_to_operator(F, table, 1.0 / t, N)
     via_cauchy = cauchy_transform(spec, X.scaled(t), F_trunc, N, table)
     residual = spectral_norm(direct - via_cauchy)
     return CalculusResult(direct, residual, t)

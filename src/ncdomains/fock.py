@@ -10,8 +10,12 @@ matrix is the d x d coefficient C_{omega,gamma} with
 A TruncatedModel, built once per (table, N) and kept on the table, holds the
 basis and sqrt(b_alpha) in basis order.  Each word operator is a weighted
 partial permutation, W_alpha e_gamma = sqrt(b_gamma / b_{alpha gamma})
-e_{alpha gamma} (Lambda_alpha appends reverse(alpha) on the right), so
-every production operator is assembled from these word-shift index maps.
+e_{alpha gamma} (Lambda_alpha appends reverse(alpha) on the right); its
+word-shift index maps are memoized on the model and read-only.
+TruncatedModel.operator is the one assembly: every production operator
+(creation operators, multi-Toeplitz operators, hereditary model operators,
+the Cauchy reconstruction operator) is a sum of terms c W_alpha W_beta^* (x) B
+scattered there from these maps.
 The dense creation path (creation_tuple, weighted_*_creation, word_operator
 on TruncatedOperators and the TruncatedOperator arithmetic) is kept as the
 tests' oracle.
@@ -169,18 +173,44 @@ class TruncatedModel:
                                        for g in inner], dtype=np.intp)
                              for i in range(1, n + 1)]
                       for left in (True, False)}
+        self._shifts: dict[tuple[Word, bool], tuple[np.ndarray, ...]] = {}
 
     def shift(self, alpha: Word, left: bool = True
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """W_alpha (left) or Lambda_alpha (right) as arrays (dst, src, weight):
-        e_src maps to weight * e_dst, with weight = sqrt_b[src] / sqrt_b[dst].
+        """W_alpha (left) or Lambda_alpha (right) as read-only arrays
+        (dst, src, weight), kept per (alpha, left): e_src maps to
+        weight * e_dst, with weight = sqrt_b[src] / sqrt_b[dst].
         The sources are the words of length <= N - |alpha|."""
-        n, N = self.basis.n, self.basis.N
-        src = np.arange(fock_dimension(n, N - len(alpha)) if len(alpha) <= N else 0)
-        dst = src
-        for letter in reversed(alpha):
-            dst = self._next[left][letter - 1][dst]
-        return dst, src, self.sqrt_b[src] / self.sqrt_b[dst]
+        key = (alpha, left)
+        if key not in self._shifts:
+            n, N = self.basis.n, self.basis.N
+            src = np.arange(fock_dimension(n, N - len(alpha)) if len(alpha) <= N else 0)
+            dst = src
+            for letter in reversed(alpha):
+                dst = self._next[left][letter - 1][dst]
+            maps = dst, src, self.sqrt_b[src] / self.sqrt_b[dst]
+            for a in maps:
+                a.flags.writeable = False
+            self._shifts[key] = maps
+        return self._shifts[key]
+
+    def operator(self, terms, d: int = 1, left: bool = True) -> TruncatedOperator:
+        """sum c W_alpha W_beta^* (x) B over the terms (alpha, beta, c, B), with
+        Lambda in place of W when left is False; B is a d x d block or the
+        scalar 1.  W_alpha W_beta^* sends e_{beta gamma} to
+        w_alpha(gamma) w_beta(gamma) e_{alpha gamma} for the gamma with
+        |alpha gamma|, |beta gamma| <= N, and the other basis vectors to 0."""
+        D = self.basis.dimension
+        # (row word, row aux, column word, column aux): the word-major layout
+        M = np.zeros((D, d, D, d), dtype=complex)
+        for alpha, beta, c, B in terms:
+            dst_a, src_a, w_a = self.shift(alpha, left)
+            dst_b, src_b, w_b = self.shift(beta, left)
+            # both sources lead the graded basis, so the common gammas are the
+            # shorter of the two
+            g = min(len(src_a), len(src_b))
+            M[dst_a[:g], :, dst_b[:g], :] += (c * w_a[:g] * w_b[:g])[:, None, None] * B
+        return TruncatedOperator(self.basis, M.reshape(D * d, D * d), d)
 
 
 def truncated_model(table: WeightTable, N: int) -> TruncatedModel:
@@ -203,11 +233,7 @@ def weighted_right_creation(table: WeightTable, i: int, N: int) -> TruncatedOper
 def _creation(table: WeightTable, i: int, N: int, left: bool) -> TruncatedOperator:
     if not 1 <= i <= table.spec.n:
         raise ValueError(f"letter {i} outside 1..{table.spec.n}")
-    model = truncated_model(table, N)
-    M = np.zeros((model.basis.dimension,) * 2, dtype=complex)
-    dst, src, w = model.shift((i,), left)
-    M[dst, src] = w
-    return TruncatedOperator(model.basis, M)
+    return truncated_model(table, N).operator([((i,), EMPTY, 1, 1)], left=left)
 
 
 def creation_tuple(table: WeightTable, N: int, left: bool = True) -> list[TruncatedOperator]:

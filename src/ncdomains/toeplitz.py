@@ -22,10 +22,6 @@ from .weights import TruncationExceededError, WeightTable
 from .words import EMPTY, Word, fock_dimension
 
 
-class NotToeplitzError(ValueError):
-    pass
-
-
 @dataclass
 class MultiToeplitzSymbol:
     aux_dim: int = 1
@@ -191,18 +187,9 @@ def symbol_to_operator(sym: MultiToeplitzSymbol, table: WeightTable,
     if sym.max_order > N:
         raise TruncationExceededError(
             f"symbol support {sym.max_order} exceeds truncation {N}")
-    model = truncated_model(table, N)
-    d = sym.aux_dim
-    D = model.basis.dimension
-    # (row word, row aux, column word, column aux): the word-major layout
-    M = np.zeros((D, d, D, d), dtype=complex)
-    for alpha, blk in sym.A.items():
-        dst, src, w = model.shift(alpha)
-        M[dst, :, src, :] += (r ** len(alpha)) * w[:, None, None] * blk
-    for alpha, blk in sym.B.items():
-        dst, src, w = model.shift(alpha)
-        M[src, :, dst, :] += (r ** len(alpha)) * w[:, None, None] * blk
-    return TruncatedOperator(model.basis, M.reshape(D * d, D * d), d)
+    terms = [(alpha, EMPTY, r ** len(alpha), blk) for alpha, blk in sym.A.items()]
+    terms += [(EMPTY, alpha, r ** len(alpha), blk) for alpha, blk in sym.B.items()]
+    return truncated_model(table, N).operator(terms, sym.aux_dim)
 
 
 def norm_profile(sym: MultiToeplitzSymbol, table: WeightTable,
@@ -218,17 +205,3 @@ def norm_profile(sym: MultiToeplitzSymbol, table: WeightTable,
                   if norms[i] > norms[i + 1] + tol]
     return norms, violations
 
-
-def hermitian_part_split(T: TruncatedOperator, table: WeightTable,
-                         tol: float = 1e-10) -> tuple[MultiToeplitzSymbol, MultiToeplitzSymbol]:
-    """Split a Toeplitz operator into its analytic (A) and antianalytic (B)
-    symbol parts.  Raises NotToeplitzError on structural failure."""
-    report = is_multi_toeplitz(T, table, tol)
-    if not report.is_toeplitz:
-        raise NotToeplitzError(
-            f"structure residual {report.worst_structure_residual:.3e}, "
-            f"incomparable entry {report.worst_incomparable_entry:.3e}")
-    sym = fourier_coefficients(T, table, T.basis.N)
-    analytic = MultiToeplitzSymbol(sym.aux_dim, dict(sym.A), {})
-    antianalytic = MultiToeplitzSymbol(sym.aux_dim, {}, dict(sym.B))
-    return analytic, antianalytic

@@ -21,7 +21,7 @@ from .cauchy import (analytic_functional_calculus, cauchy_kernel,
 from .corpus import (random_gated_tuple, random_hereditary,
                      random_nilpotent_tuple, random_symbol)
 from .fock import spectral_norm, verify_model_identities, weighted_space_conjugation
-from .pluriharmonic import (PluriharmonicFunction, distance,
+from .pluriharmonic import (PluriharmonicFunction, distance, evaluate_symbol,
                             scalar_holomorphic, schur_positivity_test,
                             weierstrass_limit)
 from .report import CheckTimer, VerificationReport
@@ -156,11 +156,11 @@ def berezin_suite(spec: DomainSpec, table: WeightTable, N: int,
         X = random_nilpotent_tuple(rng, spec, dim=3)
         K = berezin_kernel(spec, X, table, N)
         worst_iso = max(worst_iso, spectral_norm(K.conj().T @ K - np.eye(X.dim)))
-        worst_inter = max(worst_inter, intertwining_residual(spec, X, table, N))
+        worst_inter = max(worst_inter, intertwining_residual(K, X, table, N))
         for alpha in enumerate_words(spec.n, 2):
             for beta in enumerate_words(spec.n, 2):
                 g = hereditary_model_operator({(alpha, beta): 1}, table, N)
-                got = berezin_transform(spec, X, g, table)
+                got = berezin_transform(spec, X, g, table, K)
                 want = X.word(alpha) @ X.word(beta).conj().T
                 worst_repro = max(worst_repro,
                                   spectral_norm(got - want))
@@ -298,9 +298,7 @@ def cauchy_suite(spec: DomainSpec, table: WeightTable, N: int,
         res2 = analytic_functional_calculus(spec, X, c2, N, table)
         worst_route = max(worst_route, res1.cross_residual, res2.cross_residual)
         prod = multiply_symbols(c1, c2)
-        direct_prod = np.zeros((X.dim, X.dim), dtype=complex)
-        for w, c in prod.items():
-            direct_prod += c * X.word(w)
+        direct_prod = evaluate_symbol(MultiToeplitzSymbol.scalar(A=prod), X.matrices)
         worst_mult = max(worst_mult,
                          spectral_norm(res1.value @ res2.value - direct_prod))
 

@@ -124,7 +124,7 @@ def test_07_berezin_reproducing(tables):
         X = random_nilpotent_tuple(rng, spec, dim=3)  # order <= 3, N = 5 >= 3+2
         K = berezin_kernel(spec, X, table, 5)
         assert np.linalg.norm(K.conj().T @ K - np.eye(3), 2) <= 1e-10
-        assert intertwining_residual(spec, X, table, 5) <= 1e-10
+        assert intertwining_residual(K, X, table, 5) <= 1e-10
         for alpha in enumerate_words(2, 2):
             for beta in enumerate_words(2, 2):
                 g = word_operator(W, alpha) @ word_operator(W, beta).adjoint()

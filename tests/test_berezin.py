@@ -64,7 +64,9 @@ def test_kernel_isometry_and_intertwining(ball2_table):
         X = random_nilpotent_tuple(rng, spec, dim=3)
         K = berezin_kernel(spec, X, ball2_table, 5)
         assert np.linalg.norm(K.conj().T @ K - np.eye(X.dim), 2) < 1e-10
-        assert intertwining_residual(spec, X, ball2_table, 5) < 1e-10
+        assert intertwining_residual(K, X, ball2_table, 5) < 1e-10
+    with pytest.raises(ValueError):  # K is the depth-5 kernel
+        intertwining_residual(K, X, ball2_table, 4)
 
 
 def test_reproducing_property(ball2_table, mixed_table):

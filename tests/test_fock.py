@@ -206,6 +206,13 @@ def test_index_maps_match_dense_products():
                            for beta, a in spec.coefficients.items())
                 got = reconstruction_operator(spec, X, N, table).matrix
                 assert np.max(np.abs(got - want)) <= 1e-13, (name, N, d)
+            # one term with both words nonempty, on Lambda, with a 2 x 2 block
+            alpha, beta = (1,), (spec.n, 1)
+            B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            want = 0.7 * np.kron(word_operator(L, alpha) @ word_operator(L, beta).conj().T, B)
+            got = truncated_model(table, N).operator([(alpha, beta, 0.7, B)], 2, left=False)
+            assert got.aux_dim == 2, (name, N)
+            assert np.max(np.abs(got.matrix - want)) <= 1e-13, (name, N)
 
 
 def test_block_columns_match_dense_references():
@@ -254,7 +261,7 @@ def test_block_columns_match_dense_references():
                 K = berezin_kernel(spec, Y, table, N)
                 want = max(np.linalg.norm(K @ Yi.conj().T - np.kron(Wi.matrix.conj().T, Ik) @ K, 2)
                            for Yi, Wi in zip(Y.matrices, W))
-                assert abs(intertwining_residual(spec, Y, table, N) - want) <= 1e-13
+                assert abs(intertwining_residual(K, Y, table, N) - want) <= 1e-13
                 for d in (1, 2):
                     sym = MultiToeplitzSymbol(d, {w: rand(d) for w in words},
                                               {w: rand(d) for w in words if w})
@@ -263,6 +270,7 @@ def test_block_columns_match_dense_references():
                                       for j in range(d)] for i in range(d)])
                     got = berezin_transform(spec, Y, g, table)
                     assert np.max(np.abs(got - want)) <= 1e-13, (name, N, k, d)
+                    assert np.array_equal(got, berezin_transform(spec, Y, g, table, K))
 
 
 def test_truncated_model_kept_per_depth(ball2_table):
@@ -270,6 +278,11 @@ def test_truncated_model_kept_per_depth(ball2_table):
     assert truncated_model(ball2_table, 3) is model
     assert truncated_model(ball2_table, 4) is not model
     assert creation_tuple(ball2_table, 3)[0].basis is model.basis
+    maps = model.shift((1, 2), left=False)
+    assert all(a is b for a, b in zip(model.shift((1, 2), left=False), maps))
+    for a in maps:
+        with pytest.raises(ValueError):
+            a[0] = 0
     with pytest.raises(ValueError):
         truncated_model(ball2_table, 6)
 

@@ -3,9 +3,8 @@ import pytest
 
 from ncdomains.corpus import builtin_corpus, random_symbol
 from ncdomains.pluriharmonic import PluriharmonicFunction, gamma_kernel
-from ncdomains.toeplitz import (MultiToeplitzSymbol, NotToeplitzError,
-                                ToeplitzReport, fourier_coefficients,
-                                hermitian_part_split, is_multi_toeplitz,
+from ncdomains.toeplitz import (MultiToeplitzSymbol, ToeplitzReport,
+                                fourier_coefficients, is_multi_toeplitz,
                                 max_block_difference, norm_profile,
                                 symbol_to_operator)
 from ncdomains.fock import (TruncatedFockBasis, TruncatedOperator, creation_tuple,
@@ -79,19 +78,6 @@ def test_adjoint_swaps_parts():
     assert adj.constant[0, 0] == -1j
     assert adj.A[(2,)][0, 0] == 3.0
     assert adj.B[(1,)][0, 0] == 2.0
-
-
-def test_hermitian_part_split(ball2_table):
-    sym = MultiToeplitzSymbol.scalar(A={EMPTY: 1.0, (1,): 2.0}, B={(2,): 1j})
-    op = symbol_to_operator(sym, ball2_table, 1.0, 3)
-    analytic, antianalytic = hermitian_part_split(op, ball2_table)
-    assert not analytic.B and not antianalytic.A
-    recombined = analytic + antianalytic
-    assert max_block_difference(recombined, sym) < 1e-10
-
-    op.matrix[op.basis.index[(1,)], op.basis.index[(2,)]] += 0.5
-    with pytest.raises(NotToeplitzError):
-        hermitian_part_split(op, ball2_table)
 
 
 def test_norm_profile_monotone(ball2_table):
