@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import (TruncatedOperator, cp_map_apply, cp_orbit_norms, defect_operator,
-                   spectral_norm, truncated_model, word_operator)
+                   spectral_norm, substitute, truncated_model, word_operator)
+from .toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_to_operator
 from .weights import DomainSpec, WeightTable
 from .words import Word
 
@@ -161,38 +162,35 @@ HereditaryPolynomial = dict[tuple[Word, Word], complex]
 """q(Z, Z*) = sum c_{alpha,beta} Z_alpha Z_beta^*, keyed by (alpha, beta)."""
 
 
+def hereditary_terms(poly: HereditaryPolynomial) -> list:
+    """The terms (alpha, beta, c, 1) of q, in the term format of fock.py."""
+    return [(alpha, beta, c, 1) for (alpha, beta), c in poly.items()]
+
+
 def hereditary_eval(X: OperatorTuple, poly: HereditaryPolynomial) -> np.ndarray:
-    """Direct substitution W_alpha -> X_alpha, W_beta^* -> X_beta^*."""
-    out = np.zeros((X.dim, X.dim), dtype=complex)
-    for (alpha, beta), c in poly.items():
-        out += c * (X.word(alpha) @ X.word(beta).conj().T)
-    return out
+    """q(X, X^*): direct substitution Z_alpha -> X_alpha, Z_beta^* -> X_beta^*."""
+    return substitute(X.matrices, hereditary_terms(poly))
 
 
 def hereditary_model_operator(poly: HereditaryPolynomial, table: WeightTable,
                               N: int) -> TruncatedOperator:
     """q(W, W^*) = sum c_{alpha,beta} W_alpha W_beta^* on the truncation at depth N."""
-    return truncated_model(table, N).operator(
-        [(alpha, beta, c, 1) for (alpha, beta), c in poly.items()])
+    return truncated_model(table, N).operator(hereditary_terms(poly))
 
 
-def mean_value_check(sym, spec: DomainSpec, X: OperatorTuple, r: float,
-                     table: WeightTable, N: int) -> float:
+def mean_value_check(sym: MultiToeplitzSymbol, spec: DomainSpec, X: OperatorTuple,
+                     r: float, table: WeightTable, N: int) -> float:
     """Residual of F(X) = extended-Berezin_{(1/r)X}[F(r W_N)] for a symbol F.
 
     (1/r)X must lie in the domain and be pure.
     """
-    from .pluriharmonic import PluriharmonicFunction
-    from .toeplitz import symbol_to_operator
-
     inner = X.scaled(1.0 / r)
     report = domain_membership(spec, inner, tol=1e-10)
     if not report.in_domain:
         raise DomainMembershipError("(1/r)X is outside the domain")
     if not report.pure:
         raise DomainMembershipError("(1/r)X is not certified pure")
-    F = sym if isinstance(sym, PluriharmonicFunction) else PluriharmonicFunction(sym)
-    direct = F.evaluate(X.matrices)
-    op = symbol_to_operator(F.symbol, table, r, N)
+    direct = evaluate_symbol(sym, X.matrices)
+    op = symbol_to_operator(sym, table, r, N)
     transported = berezin_transform(spec, inner, op, table)
     return spectral_norm(direct - transported)

@@ -21,12 +21,12 @@ import numpy as np
 from .berezin import OperatorTuple
 from .fock import (TruncatedOperator, cp_map_terms, cp_orbit_norms, spectral_norm,
                    truncated_model)
-from .pluriharmonic import evaluate_symbol
-from .toeplitz import MultiToeplitzSymbol, symbol_to_operator
+from .toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_to_operator
 from .weights import DomainSpec, WeightTable
 from .words import EMPTY, Word, fock_dimension, reverse
 
 GATE_MARGIN = 1e-6
+RADIUS_TOL = 1e-10  # radius_inequality_check: allowed excess of ||R_N^k||
 
 
 class SpectralGateError(ValueError):
@@ -141,8 +141,7 @@ class CalculusResult:
 
 def analytic_functional_calculus(spec: DomainSpec, X: OperatorTuple,
                                  coeffs: dict[Word, complex], N: int,
-                                 table: WeightTable, tol: float = 1e-8
-                                 ) -> CalculusResult:
+                                 table: WeightTable) -> CalculusResult:
     """Direct series sum c_alpha X_alpha, cross-checked against the Cauchy
     route C_{q,tX}[F((1/t)W_N)] for a t > 1 inside the gate."""
     r_q = spectral_gate(spec, X)
@@ -178,8 +177,7 @@ class RadiusInequalityReport:
 
 
 def radius_inequality_check(spec: DomainSpec, X: OperatorTuple, N: int,
-                            table: WeightTable, tol: float = 1e-10
-                            ) -> RadiusInequalityReport:
+                            table: WeightTable) -> RadiusInequalityReport:
     """||R_N^k|| <= ||Phi^k_{q,X}(I)||^(1/2) for k = 1..N; valid because the
     compression norm lower-bounds the full norm and ||Phi^k_{rev q,Lambda}(I)|| <= 1."""
     R = reconstruction_operator(spec, X, N, table).matrix
@@ -195,6 +193,6 @@ def radius_inequality_check(spec: DomainSpec, X: OperatorTuple, N: int,
         lhs = spectral_norm(Q)
         rhs = sqrt(phi_norm)
         margins.append(rhs - lhs)
-        if lhs > rhs + tol:
+        if lhs > rhs + RADIUS_TOL:
             violations += 1
     return RadiusInequalityReport(margins, violations)

@@ -11,6 +11,8 @@ from .toeplitz import MultiToeplitzSymbol
 from .weights import DomainSpec, hyperball_spec
 from .words import Word, enumerate_words
 
+DOMAIN_SLACK = (1 - 0.9) * 0.05  # smallest defect eigenvalue scale_into_domain accepts
+
 
 def mixed_spec(m: int) -> DomainSpec:
     """q = Z_1 + Z_2 + Z_1 Z_2 on two letters."""
@@ -59,7 +61,7 @@ def random_symbol(rng: np.random.Generator, n: int, max_len: int,
 
 
 def random_nilpotent_tuple(rng: np.random.Generator, spec: DomainSpec,
-                           dim: int = 3, margin: float = 0.9) -> OperatorTuple:
+                           dim: int = 3) -> OperatorTuple:
     """Strictly upper triangular matrices scaled into the domain; jointly
     nilpotent of order <= dim, hence pure with a finite-support kernel."""
     mats = []
@@ -67,16 +69,16 @@ def random_nilpotent_tuple(rng: np.random.Generator, spec: DomainSpec,
         M = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         mats.append(np.triu(M, k=1))
     X = OperatorTuple(spec, mats)
-    return scale_into_domain(X, margin)
+    return scale_into_domain(X)
 
 
-def scale_into_domain(X: OperatorTuple, margin: float = 0.9) -> OperatorTuple:
-    """Shrink a tuple until it sits inside the domain with some slack."""
+def scale_into_domain(X: OperatorTuple) -> OperatorTuple:
+    """Shrink a tuple until it sits inside the domain with DOMAIN_SLACK."""
     t = 1.0
     for _ in range(200):
         cand = X.scaled(t)
         report = domain_membership(X.spec, cand, tol=0.0)
-        if report.in_domain and all(v > (1 - margin) * 0.05 for v in report.min_eigenvalues):
+        if report.in_domain and all(v > DOMAIN_SLACK for v in report.min_eigenvalues):
             return cand
         t *= 0.7
     raise RuntimeError("could not scale tuple into the domain")

@@ -12,13 +12,13 @@ basis and sqrt(b_alpha) in basis order.  Each word operator is a weighted
 partial permutation, W_alpha e_gamma = sqrt(b_gamma / b_{alpha gamma})
 e_{alpha gamma} (Lambda_alpha appends reverse(alpha) on the right); its
 word-shift index maps are memoized on the model and read-only.
-TruncatedModel.operator is the one assembly: every production operator
-(creation operators, multi-Toeplitz operators, hereditary model operators,
-the Cauchy reconstruction operator) is a sum of terms c W_alpha W_beta^* (x) B
-scattered there from these maps.
-The dense creation path (creation_tuple, weighted_*_creation, word_operator
-on TruncatedOperators and the TruncatedOperator arithmetic) is kept as the
-tests' oracle.
+Symbols and hereditary polynomials are term lists: (alpha, beta, c, B) is
+c Z_alpha Z_beta^* (x) B, B a d x d block or the scalar 1.  TruncatedModel.operator
+puts the model W in place of Z and is the one assembly of a production model
+operator, scattered from the shift maps; substitute puts a k x k tuple X in
+place of Z, on (aux space) (x) C^k, aux-major (flat index aux_index * k + p).
+The dense creation path (creation_tuple, weighted_left_creation, word_operator
+on TruncatedOperators, TruncatedOperator arithmetic) is the tests' oracle.
 
 A tuple X has one CP map, Phi_{q,X}(Y) = sum a_alpha X_alpha Y X_alpha^*: its
 terms come from cp_map_terms and its powers from cp_map_orbit (cp_map_apply is
@@ -225,11 +225,6 @@ def weighted_left_creation(table: WeightTable, i: int, N: int) -> TruncatedOpera
     return _creation(table, i, N, left=True)
 
 
-def weighted_right_creation(table: WeightTable, i: int, N: int) -> TruncatedOperator:
-    """Lambda_i e_gamma = sqrt(b_gamma / b_{gamma g_i}) e_{gamma g_i}."""
-    return _creation(table, i, N, left=False)
-
-
 def _creation(table: WeightTable, i: int, N: int, left: bool) -> TruncatedOperator:
     if not 1 <= i <= table.spec.n:
         raise ValueError(f"letter {i} outside 1..{table.spec.n}")
@@ -255,6 +250,24 @@ def word_operator(ops: Sequence, alpha: Word):
     for letter in alpha:
         out_m = out_m @ ops[letter - 1]
     return out_m
+
+
+def substitute(X: Sequence[np.ndarray], terms, d: int = 1) -> np.ndarray:
+    """sum c B (x) X_alpha X_beta^* over the terms (alpha, beta, c, B), a
+    (d*k) x (d*k) matrix with aux-major rows (flat index i * k + p); the
+    tuple-side counterpart of TruncatedModel.operator."""
+    k = X[0].shape[0]
+    out = np.zeros((d, k, d, k), dtype=complex)
+    for alpha, beta, c, B in terms:
+        # one word product per term when either word is empty
+        if not beta:
+            M = word_operator(X, alpha)
+        elif not alpha:
+            M = word_operator(X, beta).conj().T
+        else:
+            M = word_operator(X, alpha) @ word_operator(X, beta).conj().T
+        out += np.reshape(B, (d, 1, d, 1)) * (c * M)[None, :, None, :]
+    return out.reshape(d * k, d * k)
 
 
 def cp_map_terms(spec: DomainSpec, X: Sequence[np.ndarray]) -> list[tuple[float, np.ndarray]]:

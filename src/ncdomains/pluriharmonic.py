@@ -16,17 +16,23 @@ from typing import Sequence
 
 import numpy as np
 
+from .berezin import DomainMembershipError, berezin_transform, domain_membership
 from .fock import TruncatedOperator, spectral_norm, truncated_model
-from .toeplitz import MultiToeplitzSymbol, symbol_to_operator
+from .toeplitz import (MultiToeplitzSymbol, evaluate_symbol, max_block_difference,
+                       symbol_to_operator)
 from .weights import WeightTable
 from .words import EMPTY, Word
 
 RHO_RADII_KMAX = 8
+SELF_ADJOINT_TOL = 1e-12
+PSD_TOL = 1e-10
+LIMIT_TOL = 1e-8  # weierstrass_limit: a last Cauchy step this small has converged
+ROUNDTRIP_TOL = 1e-8
 
 
-def rho_radii(k_max: int = RHO_RADII_KMAX) -> list[float]:
-    """Fixed radius ladder r_k = 1 - 2^-k used by the metric rho."""
-    return [1.0 - 2.0 ** (-k) for k in range(1, k_max + 1)]
+def rho_radii() -> list[float]:
+    """Fixed radius ladder r_k = 1 - 2^-k, k <= RHO_RADII_KMAX, of the metric rho."""
+    return [1.0 - 2.0 ** (-k) for k in range(1, RHO_RADII_KMAX + 1)]
 
 
 @dataclass
@@ -41,43 +47,16 @@ class PluriharmonicFunction:
     def max_order(self) -> int:
         return self.symbol.max_order
 
-    def is_self_adjoint(self, tol: float = 1e-12) -> bool:
-        A0 = self.symbol.constant
-        if np.max(np.abs(A0 - A0.conj().T)) > tol:
-            return False
-        d = self.aux_dim
-        zero = np.zeros((d, d), dtype=complex)
-        for w in set(self.symbol.A) | set(self.symbol.B):
-            if w == EMPTY:
-                continue
-            if np.max(np.abs(self.symbol.B.get(w, zero)
-                             - self.symbol.A.get(w, zero).conj().T)) > tol:
-                return False
-        return True
+    def is_self_adjoint(self) -> bool:
+        return max_block_difference(self.symbol, self.symbol.adjoint()) <= SELF_ADJOINT_TOL
 
-    def evaluate(self, X: Sequence[np.ndarray], scale: float = 1.0) -> np.ndarray:
+    def evaluate(self, X: Sequence[np.ndarray]) -> np.ndarray:
         """sum B_(a) (x) X_a^*  +  A_(()) (x) I  +  sum A_(a) (x) X_a."""
-        return evaluate_symbol(self.symbol, X, scale)
+        return evaluate_symbol(self.symbol, X)
 
     def real_part(self) -> "PluriharmonicFunction":
         half = 0.5 * self.symbol
         return PluriharmonicFunction(half + half.adjoint())
-
-
-def evaluate_symbol(sym: MultiToeplitzSymbol, X: Sequence[np.ndarray],
-                    scale: float = 1.0) -> np.ndarray:
-    from .fock import word_operator
-
-    k = X[0].shape[0]
-    d = sym.aux_dim
-    out = np.zeros((d * k, d * k), dtype=complex)
-    for alpha, blk in sym.A.items():
-        Xa = word_operator(X, alpha) * (scale ** len(alpha))
-        out += np.kron(blk, Xa)
-    for alpha, blk in sym.B.items():
-        Xa = word_operator(X, alpha) * (scale ** len(alpha))
-        out += np.kron(blk, Xa.conj().T)
-    return out
 
 
 def holomorphic(A: dict[Word, np.ndarray], aux_dim: int = 1) -> PluriharmonicFunction:
@@ -122,8 +101,7 @@ class SchurPositivityReport:
 
 
 def schur_positivity_test(F: PluriharmonicFunction, table: WeightTable,
-                          radii: Sequence[float], order: int, N: int,
-                          tol: float = 1e-10) -> SchurPositivityReport:
+                          radii: Sequence[float], order: int, N: int) -> SchurPositivityReport:
     """Certify Re F >= 0 at truncation: the Gamma block matrix must equal the
     words-<=order compression of F(rW_N)^* + F(rW_N) and be PSD per radius."""
     if F.symbol.B:
@@ -140,21 +118,20 @@ def schur_positivity_test(F: PluriharmonicFunction, table: WeightTable,
         comp = H[: len(G), : len(G)]
         residuals.append(float(np.max(np.abs(G - comp))))
         mins.append(float(np.min(np.linalg.eigvalsh((G + G.conj().T) / 2))))
-    positive = all(v >= -tol for v in mins)
+    positive = all(v >= -PSD_TOL for v in mins)
     return SchurPositivityReport([float(r) for r in radii], residuals, mins,
-                                 positive, tol)
+                                 positive, PSD_TOL)
 
 
 def distance(F: PluriharmonicFunction, G: PluriharmonicFunction,
-             table: WeightTable, N: int,
-             k_max: int = RHO_RADII_KMAX) -> tuple[list[float], float]:
+             table: WeightTable, N: int) -> tuple[list[float], float]:
     """d_{r_k}(F, G) = ||F(r_k W_N) - G(r_k W_N)|| and the truncated metric
     rho = sum 2^-k d/(1+d).  d_r values are lower bounds nondecreasing in N;
-    the rho tail beyond k_max is bounded by 2^-k_max."""
+    the rho tail beyond RHO_RADII_KMAX is bounded by 2^-RHO_RADII_KMAX."""
     diff = F.symbol - G.symbol
     d_vals = []
     rho = 0.0
-    for k, r in enumerate(rho_radii(k_max), start=1):
+    for k, r in enumerate(rho_radii(), start=1):
         d_r = symbol_to_operator(diff, table, r, N).norm()
         d_vals.append(d_r)
         rho += 2.0 ** (-k) * d_r / (1.0 + d_r)
@@ -170,8 +147,7 @@ class WeierstrassReport:
 
 
 def weierstrass_limit(functions: Sequence[PluriharmonicFunction],
-                      table: WeightTable, radii: Sequence[float], N: int,
-                      tol: float = 1e-8) -> WeierstrassReport:
+                      table: WeightTable, radii: Sequence[float], N: int) -> WeierstrassReport:
     """Check Cauchy-ness of {F_j(rW_N)} per radius; on success return the
     coefficientwise limit and verify it reproduces the operator limits."""
     if len(functions) < 2:
@@ -183,7 +159,7 @@ def weierstrass_limit(functions: Sequence[PluriharmonicFunction],
             diff = functions[j + 1].symbol - functions[j].symbol
             diffs.append(symbol_to_operator(diff, table, float(r), N).norm())
         cauchy[float(r)] = diffs
-    converged = all(diffs[-1] <= tol or diffs[-1] < diffs[0]
+    converged = all(diffs[-1] <= LIMIT_TOL or diffs[-1] < diffs[0]
                     for diffs in cauchy.values())
     if not converged:
         return WeierstrassReport(False, None, cauchy, {})
@@ -196,11 +172,11 @@ def weierstrass_limit(functions: Sequence[PluriharmonicFunction],
     return WeierstrassReport(True, limit, cauchy, dists)
 
 
-def conjugate(G: PluriharmonicFunction, tol: float = 1e-12) -> PluriharmonicFunction:
+def conjugate(G: PluriharmonicFunction) -> PluriharmonicFunction:
     """Harmonic conjugate H = (F - F^*) / 2i of a self-adjoint G, where F is
     the holomorphic completion of G.  H is self-adjoint, H(0) = 0, and
     G + iH is holomorphic."""
-    if not G.is_self_adjoint(tol):
+    if not G.is_self_adjoint():
         raise ValueError("conjugate requires a self-adjoint pluriharmonic function")
     F = holomorphic_completion(G)
     H_sym = (1.0 / 2j) * (F.symbol - F.symbol.adjoint())
@@ -225,13 +201,10 @@ class BoundedRoundtripReport:
 
 
 def bounded_roundtrip(F: PluriharmonicFunction, table: WeightTable, N: int,
-                      radii: Sequence[float], X, tol: float = 1e-8
-                      ) -> BoundedRoundtripReport:
+                      radii: Sequence[float], X) -> BoundedRoundtripReport:
     """Boundary operator psi_N = phi(W_N) from the symbol, the Dirichlet-style
     norm-convergence diagnostic ||F(rW) - psi_N|| -> 0, and the roundtrip
     F(X) = extended-Berezin_X[psi_N] at a pure X."""
-    from .berezin import DomainMembershipError, berezin_transform, domain_membership
-
     report = domain_membership(X.spec, X)
     if not report.in_domain or not report.pure:
         raise DomainMembershipError("bounded roundtrip requires a pure domain element")
@@ -243,4 +216,4 @@ def bounded_roundtrip(F: PluriharmonicFunction, table: WeightTable, N: int,
     direct = F.evaluate(X.matrices)
     transported = berezin_transform(X.spec, X, psi, table)
     residual = spectral_norm(direct - transported)
-    return BoundedRoundtripReport(gaps, residual, tol)
+    return BoundedRoundtripReport(gaps, residual, ROUNDTRIP_TOL)

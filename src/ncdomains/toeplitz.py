@@ -7,6 +7,10 @@ B: nonempty word -> d x d block.  The associated operator is
     phi(rW) = sum B_(alpha) (x) r^|alpha| W_alpha^*  +  A_(()) (x) I
             + sum A_(alpha) (x) r^|alpha| W_alpha.
 
+MultiToeplitzSymbol.terms(r) is the one translation of a symbol into the
+term list (alpha, beta, c, B) of fock.py; symbol_to_operator substitutes it
+into the model (phi(rW)) and evaluate_symbol into a tuple (phi(rX)).
+
 Structure checks compare matrix entries only on index pairs whose letter
 extensions stay inside the truncation; boundary pairs would produce false
 negatives from compression and are skipped.
@@ -14,12 +18,15 @@ negatives from compression and are skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .fock import TruncatedOperator, truncated_model
+from .fock import TruncatedOperator, substitute, truncated_model
 from .weights import TruncationExceededError, WeightTable
 from .words import EMPTY, Word, fock_dimension
+
+MONOTONE_TOL = 1e-10  # norm_profile: allowed decrease of ||phi(r W_N)|| in r
 
 
 @dataclass
@@ -52,8 +59,14 @@ class MultiToeplitzSymbol:
         lengths = [len(w) for w in self.A] + [len(w) for w in self.B]
         return max(lengths, default=0)
 
-    def drop_zero_blocks(self, tol: float = 0.0) -> "MultiToeplitzSymbol":
-        keep = lambda m: {w: b for w, b in m.items() if np.max(np.abs(b)) > tol}
+    def terms(self, r: float) -> list:
+        """phi(rZ) as terms (alpha, beta, c, B): (alpha, (), r^|alpha|, A_(alpha))
+        and ((), alpha, r^|alpha|, B_(alpha))."""
+        return ([(alpha, EMPTY, r ** len(alpha), blk) for alpha, blk in self.A.items()]
+                + [(EMPTY, alpha, r ** len(alpha), blk) for alpha, blk in self.B.items()])
+
+    def drop_zero_blocks(self) -> "MultiToeplitzSymbol":
+        keep = lambda m: {w: b for w, b in m.items() if np.max(np.abs(b)) > 0.0}
         return MultiToeplitzSymbol(self.aux_dim, keep(self.A), keep(self.B))
 
     def adjoint(self) -> "MultiToeplitzSymbol":
@@ -83,9 +96,6 @@ class MultiToeplitzSymbol:
             {w: scalar * blk for w, blk in self.B.items()})
 
     __rmul__ = __mul__
-
-    def allclose(self, other: "MultiToeplitzSymbol", tol: float = 1e-10) -> bool:
-        return max_block_difference(self, other) <= tol
 
 
 def max_block_difference(s1: MultiToeplitzSymbol, s2: MultiToeplitzSymbol) -> float:
@@ -187,21 +197,25 @@ def symbol_to_operator(sym: MultiToeplitzSymbol, table: WeightTable,
     if sym.max_order > N:
         raise TruncationExceededError(
             f"symbol support {sym.max_order} exceeds truncation {N}")
-    terms = [(alpha, EMPTY, r ** len(alpha), blk) for alpha, blk in sym.A.items()]
-    terms += [(EMPTY, alpha, r ** len(alpha), blk) for alpha, blk in sym.B.items()]
-    return truncated_model(table, N).operator(terms, sym.aux_dim)
+    return truncated_model(table, N).operator(sym.terms(r), sym.aux_dim)
 
 
-def norm_profile(sym: MultiToeplitzSymbol, table: WeightTable,
-                 radii, N: int, tol: float = 1e-10):
+def evaluate_symbol(sym: MultiToeplitzSymbol, X: Sequence[np.ndarray],
+                    scale: float = 1.0) -> np.ndarray:
+    """phi(scale X) = sum B_(a) (x) scale^|a| X_a^*  +  A_(()) (x) I
+    + sum A_(a) (x) scale^|a| X_a, aux-major."""
+    return substitute(X, sym.terms(scale), sym.aux_dim)
+
+
+def norm_profile(sym: MultiToeplitzSymbol, table: WeightTable, radii, N: int):
     """||phi(r W_N)|| per radius.  Each value is a lower bound of the
     untruncated norm, nondecreasing in N; the profile must be nondecreasing
-    in r up to tol."""
+    in r up to MONOTONE_TOL."""
     norms = []
     for r in radii:
         norms.append(symbol_to_operator(sym, table, float(r), N).norm())
     violations = [(float(radii[i]), float(radii[i + 1]))
                   for i in range(len(norms) - 1)
-                  if norms[i] > norms[i + 1] + tol]
+                  if norms[i] > norms[i + 1] + MONOTONE_TOL]
     return norms, violations
 

@@ -16,10 +16,6 @@ Word = tuple[int, ...]
 EMPTY: Word = ()
 
 
-def word(*letters: int) -> Word:
-    return tuple(letters)
-
-
 def enumerate_words(n: int, max_len: int) -> list[Word]:
     """All words of length <= max_len, graded (length, then lexicographic).
 

@@ -1,0 +1,67 @@
+"""Source guards: imports happen at module level in the library, and no file
+imports a name it never uses."""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _function_imports(source: str) -> list[int]:
+    """Lines of import statements inside a function body."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines += [sub.lineno for sub in ast.walk(node)
+                      if isinstance(sub, (ast.Import, ast.ImportFrom))]
+    return sorted(set(lines))
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Imported names that are neither read anywhere in the file nor listed
+    in __all__."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_no_function_level_imports_in_library():
+    assert _function_imports(
+        "import os\n"
+        "def f():\n"
+        "    from .toeplitz import symbol_to_operator\n"
+        "    def g():\n"
+        "        import json\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        import sys\n") == [3, 5, 8]
+    src = ROOT / "src" / "ncdomains"
+    found = {p.name: _function_imports(p.read_text()) for p in sorted(src.glob("*.py"))}
+    assert not any(found.values()), {k: v for k, v in found.items() if v}
+
+
+def test_no_unused_imports():
+    assert _unused_imports(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .words import EMPTY, Word, reverse\n"
+        "from .fock import spectral_norm\n"
+        "__all__ = ['spectral_norm']\n"
+        "def f(w: Word):\n"
+        "    return np.zeros(len(reverse(w)))\n") == ["EMPTY", "os"]
+    files = [p for d in ("src", "tests", "scripts") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(files) > 20
+    found = {str(p.relative_to(ROOT)): _unused_imports(p.read_text()) for p in files}
+    assert not any(found.values()), {k: v for k, v in found.items() if v}

@@ -22,7 +22,7 @@ from ncdomains.report import VerificationReport
 from ncdomains.serialization import dump_json, tuple_to_json
 from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from ncdomains.verify import full_suite
-from ncdomains.weights import hyperball_spec, weights_by_factorization
+from ncdomains.weights import weights_by_factorization
 from ncdomains.words import EMPTY, enumerate_words, reverse
 
 

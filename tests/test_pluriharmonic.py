@@ -9,7 +9,7 @@ from ncdomains.pluriharmonic import (PluriharmonicFunction, bounded_roundtrip,
                                      rho_radii,
                                      scalar_holomorphic, schur_positivity_test,
                                      weierstrass_limit)
-from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
+from ncdomains.toeplitz import MultiToeplitzSymbol
 from ncdomains.words import EMPTY
 
 
