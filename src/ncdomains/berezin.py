@@ -12,6 +12,7 @@ finitely many terms and holds up to roundoff on a large enough truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,9 +62,18 @@ class MembershipReport:
     in_domain: bool
     min_eigenvalues: list[float]       # smallest eigenvalue of (id-Phi)^j(I), j=1..m
     two_condition_agrees: bool         # Phi(I) <= I and order-m defect >= 0
-    pure: bool
-    purity_decay: list[float]          # ||Phi^p(I)||, p = 1..PURITY_STEPS or the first zero
     tol: float
+    spec: DomainSpec = field(repr=False, compare=False)
+    matrices: list[np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def purity_decay(self) -> list[float]:
+        """||Phi^p(I)||, p = 1..PURITY_STEPS or the first zero; formed on first read."""
+        return cp_orbit_norms(self.spec, self.matrices, PURITY_STEPS)
+
+    @property
+    def pure(self) -> bool:
+        return self.purity_decay[-1] <= 1e-12
 
 
 def domain_membership(spec: DomainSpec, X: OperatorTuple, tol: float = 1e-10
@@ -85,9 +95,7 @@ def domain_membership(spec: DomainSpec, X: OperatorTuple, tol: float = 1e-10
     first_ok = float(np.max(np.linalg.eigvalsh((phis[0] + phis[0].conj().T) / 2))) <= 1 + tol
     two_cond = first_ok and mins[-1] >= -tol
     agrees = two_cond == in_domain
-
-    decay = cp_orbit_norms(spec, mats, PURITY_STEPS)
-    return MembershipReport(in_domain, mins, agrees, decay[-1] <= 1e-12, decay, tol)
+    return MembershipReport(in_domain, mins, agrees, tol, spec, mats)
 
 
 def defect_sqrt(spec: DomainSpec, X: OperatorTuple) -> np.ndarray:

@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import verify
 from .berezin import domain_membership
 from .cauchy import joint_spectral_radius, radius_inequality_check
 from .corpus import builtin_corpus
-from .report import CheckTimer, VerificationReport
+from .report import VerificationReport
 from .serialization import (dump_json, load_json, operator_from_json,
                             operator_to_json, symbol_from_json,
                             symbol_to_json, tuple_from_json)
@@ -95,22 +94,21 @@ def cmd_model(args) -> int:
 def cmd_toeplitz(args) -> int:
     spec = resolve_spec(args.spec)
     N = args.max_len
-    table = verify.build_table(spec, N)
     report = VerificationReport({"command": "toeplitz", "spec": spec.to_json(),
                                  "N": N, "seed": args.seed, "tol": args.tol})
-    t = CheckTimer(report)
+    table = verify.build_table(spec, N)
     if args.op:
         T = operator_from_json(load_json(args.op))
         rep = is_multi_toeplitz(T, table, tol=args.tol)
-        t.flag("toeplitz.check",
-               "operator satisfies the weighted shift-invariance relations",
-               rep.is_toeplitz,
-               {"worst_structure_residual": rep.worst_structure_residual,
-                "worst_incomparable_entry": rep.worst_incomparable_entry,
-                "structure_witness": [list(w) for w in rep.structure_witness[:2]]
-                + [rep.structure_witness[2]] if rep.structure_witness else None,
-                "incomparable_witness": [list(w) for w in rep.incomparable_witness]
-                if rep.incomparable_witness else None})
+        report.flag("toeplitz.check",
+                    "operator satisfies the weighted shift-invariance relations",
+                    rep.is_toeplitz,
+                    {"worst_structure_residual": rep.worst_structure_residual,
+                     "worst_incomparable_entry": rep.worst_incomparable_entry,
+                     "structure_witness": [list(w) for w in rep.structure_witness[:2]]
+                     + [rep.structure_witness[2]] if rep.structure_witness else None,
+                     "incomparable_witness": [list(w) for w in rep.incomparable_witness]
+                     if rep.incomparable_witness else None})
         if rep.is_toeplitz and args.out:
             sym = fourier_coefficients(T, table, T.basis.N)
             dump_json(symbol_to_json(sym), args.out)
@@ -124,9 +122,9 @@ def cmd_toeplitz(args) -> int:
             sym.aux_dim,
             {w: blk * args.radius ** len(w) for w, blk in sym.A.items()},
             {w: blk * args.radius ** len(w) for w, blk in sym.B.items()})
-        t.check("toeplitz.roundtrip",
-                "symbol -> operator -> Fourier coefficients round trip",
-                max_block_difference(scaled, rec), args.tol)
+        report.check("toeplitz.roundtrip",
+                     "symbol -> operator -> Fourier coefficients round trip",
+                     max_block_difference(scaled, rec), args.tol)
         if args.out:
             dump_json(operator_to_json(T), args.out)
             print(f"operator written to {args.out}")
@@ -143,11 +141,10 @@ def cmd_berezin(args) -> int:
     if args.tuple:
         X = tuple_from_json(load_json(args.tuple), spec)
         mem = domain_membership(spec, X, tol=args.tol)
-        t = CheckTimer(report)
-        t.flag("berezin.membership",
-               "all defect operators of the tuple are positive semidefinite",
-               mem.in_domain, {"min_eigenvalues": mem.min_eigenvalues,
-                               "pure": mem.pure})
+        report.flag("berezin.membership",
+                    "all defect operators of the tuple are positive semidefinite",
+                    mem.in_domain, {"min_eigenvalues": mem.min_eigenvalues,
+                                    "pure": mem.pure})
         return finish(report, args.out)
     table = verify.build_table(spec, N)
     verify.berezin_suite(spec, table, N, report, seed=args.seed)
@@ -157,10 +154,10 @@ def cmd_berezin(args) -> int:
 def cmd_pluriharmonic(args) -> int:
     spec = resolve_spec(args.spec)
     N = args.max_len
-    table = verify.build_table(spec, N)
     report = VerificationReport({"command": "pluriharmonic",
                                  "spec": spec.to_json(), "N": N,
                                  "seed": args.seed})
+    table = verify.build_table(spec, N)
     verify.pluriharmonic_suite(spec, table, N, report, seed=args.seed)
     return finish(report, args.out)
 
@@ -168,20 +165,19 @@ def cmd_pluriharmonic(args) -> int:
 def cmd_cauchy(args) -> int:
     spec = resolve_spec(args.spec)
     N = args.max_len
-    table = verify.build_table(spec, N)
     report = VerificationReport({"command": "cauchy", "spec": spec.to_json(),
                                  "N": N, "seed": args.seed})
+    table = verify.build_table(spec, N)
     if args.tuple:
         X = tuple_from_json(load_json(args.tuple), spec)
         r = joint_spectral_radius(spec, X)
-        t = CheckTimer(report)
-        t.flag("cauchy.gate", "joint spectral radius below the calculus gate",
-               r.gate, {"r_exact": r.r_exact,
-                        "sequence_tail": r.r_sequence[-3:]})
+        report.flag("cauchy.gate", "joint spectral radius below the calculus gate",
+                    r.gate, {"r_exact": r.r_exact,
+                             "sequence_tail": r.r_sequence[-3:]})
         ineq = radius_inequality_check(spec, X, N, table)
-        t.flag("cauchy.radius_inequality",
-               "reconstruction-operator powers below the CP-map power bound",
-               ineq.passed, {"margins": ineq.margins})
+        report.flag("cauchy.radius_inequality",
+                    "reconstruction-operator powers below the CP-map power bound",
+                    ineq.passed, {"margins": ineq.margins})
         return finish(report, args.out)
     verify.cauchy_suite(spec, table, N, report, seed=args.seed)
     return finish(report, args.out)
@@ -191,10 +187,9 @@ def cmd_verify_all(args) -> int:
     N = args.max_len
     report = VerificationReport({"command": "verify-all", "N": N,
                                  "seed": args.seed})
-    t0 = time.perf_counter()
     for name, spec in builtin_corpus().items():
         verify.full_suite(spec, N, report, seed=args.seed, label=f".{name}")
-    report.config["elapsed_seconds"] = time.perf_counter() - t0
+    report.config["elapsed_seconds"] = report.elapsed()
     print(f"corpus run took {report.config['elapsed_seconds']:.1f} s")
     return finish(report, args.out)
 

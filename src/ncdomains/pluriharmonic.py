@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .berezin import DomainMembershipError, berezin_transform, domain_membership
+from .berezin import mean_value_check
 from .fock import TruncatedOperator, spectral_norm, truncated_model
 from .toeplitz import (MultiToeplitzSymbol, evaluate_symbol, max_block_difference,
                        symbol_to_operator)
@@ -57,10 +57,6 @@ class PluriharmonicFunction:
     def real_part(self) -> "PluriharmonicFunction":
         half = 0.5 * self.symbol
         return PluriharmonicFunction(half + half.adjoint())
-
-
-def holomorphic(A: dict[Word, np.ndarray], aux_dim: int = 1) -> PluriharmonicFunction:
-    return PluriharmonicFunction(MultiToeplitzSymbol(aux_dim, dict(A), {}))
 
 
 def scalar_holomorphic(coeffs: dict[Word, complex]) -> PluriharmonicFunction:
@@ -204,16 +200,12 @@ def bounded_roundtrip(F: PluriharmonicFunction, table: WeightTable, N: int,
                       radii: Sequence[float], X) -> BoundedRoundtripReport:
     """Boundary operator psi_N = phi(W_N) from the symbol, the Dirichlet-style
     norm-convergence diagnostic ||F(rW) - psi_N|| -> 0, and the roundtrip
-    F(X) = extended-Berezin_X[psi_N] at a pure X."""
-    report = domain_membership(X.spec, X)
-    if not report.in_domain or not report.pure:
-        raise DomainMembershipError("bounded roundtrip requires a pure domain element")
+    F(X) = extended-Berezin_X[psi_N] at a pure X: the mean value check at
+    r = 1."""
+    residual = mean_value_check(F.symbol, X.spec, X, 1.0, table, N)
     psi = symbol_to_operator(F.symbol, table, 1.0, N)
     gaps = []
     for r in radii:
         op_r = symbol_to_operator(F.symbol, table, float(r), N)
         gaps.append(spectral_norm(op_r.matrix - psi.matrix))
-    direct = F.evaluate(X.matrices)
-    transported = berezin_transform(X.spec, X, psi, table)
-    residual = spectral_norm(direct - transported)
     return BoundedRoundtripReport(gaps, residual, ROUNDTRIP_TOL)

@@ -21,8 +21,14 @@ class CheckRecord:
 
 @dataclass
 class VerificationReport:
+    """The records of one run and the run's clock: each record's elapsed time
+    is the time since the report's previous record, or since the report was
+    created, so the records tile the run."""
     config: dict
     checks: list[CheckRecord] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.started = self._last = time.perf_counter()
 
     @property
     def failures(self) -> list[CheckRecord]:
@@ -32,25 +38,9 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "summary": {
-                "total": len(self.checks),
-                "pass": sum(c.status == PASS for c in self.checks),
-                "fail": len(self.failures),
-            },
-            "checks": [asdict(c) for c in self.checks],
-        }
-
-
-class CheckTimer:
-    """Appends check records to a report.  Each record's elapsed time is the
-    time since the timer's previous record, or since the timer was created."""
-
-    def __init__(self, report: VerificationReport):
-        self.report = report
-        self._last = time.perf_counter()
+    def elapsed(self) -> float:
+        """Seconds since the report was created."""
+        return time.perf_counter() - self.started
 
     def _record(self, check_id: str, identity: str, ok: bool,
                 residual: float | None, tolerance: float | None,
@@ -59,7 +49,7 @@ class CheckTimer:
         rec = CheckRecord(check_id, identity, PASS if ok else FAIL, residual,
                           tolerance, now - self._last, detail or {})
         self._last = now
-        self.report.checks.append(rec)
+        self.checks.append(rec)
         return rec
 
     def check(self, check_id: str, identity: str, residual: float,
@@ -70,3 +60,19 @@ class CheckTimer:
     def flag(self, check_id: str, identity: str, ok: bool,
              detail: dict | None = None) -> CheckRecord:
         return self._record(check_id, identity, ok, None, None, detail)
+
+    def to_json(self) -> dict:
+        suite_elapsed: dict[str, float] = {}
+        for c in self.checks:
+            suite = c.check_id.split(".", 1)[0]
+            suite_elapsed[suite] = suite_elapsed.get(suite, 0.0) + c.elapsed
+        return {
+            "config": self.config,
+            "summary": {
+                "total": len(self.checks),
+                "pass": sum(c.status == PASS for c in self.checks),
+                "fail": len(self.failures),
+                "elapsed": suite_elapsed,
+            },
+            "checks": [asdict(c) for c in self.checks],
+        }

@@ -23,7 +23,7 @@ from .corpus import (random_gated_tuple, random_hereditary,
 from .fock import spectral_norm, verify_model_identities, weighted_space_conjugation
 from .pluriharmonic import (PluriharmonicFunction, distance, scalar_holomorphic,
                             schur_positivity_test, weierstrass_limit)
-from .report import CheckTimer, VerificationReport
+from .report import VerificationReport
 from .toeplitz import (MultiToeplitzSymbol, evaluate_symbol, fourier_coefficients,
                        is_multi_toeplitz, max_block_difference, norm_profile,
                        symbol_to_operator)
@@ -38,62 +38,57 @@ def build_table(spec: DomainSpec, N: int) -> WeightTable:
     return weights_by_factorization(spec, N)
 
 
-def weights_suite(spec: DomainSpec, N: int, report: VerificationReport,
-                  label: str = "") -> WeightTable:
-    t = CheckTimer(report)
+def weights_suite(spec: DomainSpec, N: int, report: VerificationReport) -> WeightTable:
     table = build_table(spec, N)
     conv = weights_by_convolution(spec, N)
     equal = table.b == conv.b
-    t.flag(f"weights.oracle_equality{label}",
-           "factorization-sum weights equal convolution-inverse weights, exact rationals",
-           equal)
+    report.flag("weights.oracle_equality",
+                "factorization-sum weights equal convolution-inverse weights, exact rationals",
+                equal)
 
     is_hyperball = (spec.coefficients ==
                     hyperball_spec(spec.n, spec.m).coefficients)
     if is_hyperball:
-        t.flag(f"weights.hyperball_closed_form{label}",
-               "hyperball weights match the binomial closed form exactly",
-               table.b == hyperball_weights(spec.n, spec.m, N).b)
+        report.flag("weights.hyperball_closed_form",
+                    "hyperball weights match the binomial closed form exactly",
+                    table.b == hyperball_weights(spec.n, spec.m, N).b)
 
     bound = ratio_bound_check(table)
-    t.flag(f"weights.ratio_bound{label}",
-           "b_alpha b_beta <= C(|beta|+m-1, m-1) b_{alpha beta}, exact check",
-           bound.passed, {"pairs": bound.pairs_checked})
+    report.flag("weights.ratio_bound",
+                "b_alpha b_beta <= C(|beta|+m-1, m-1) b_{alpha beta}, exact check",
+                bound.passed, {"pairs": bound.pairs_checked})
 
     est, depth = omega_beta(table, EMPTY)
-    t.flag(f"weights.omega_empty{label}",
-           "depth-limited ratio supremum equals 1 at the empty word",
-           est == 1, {"depth": depth})
+    report.flag("weights.omega_empty",
+                "depth-limited ratio supremum equals 1 at the empty word",
+                est == 1, {"depth": depth})
     return table
 
 
 def model_suite(spec: DomainSpec, table: WeightTable, N: int,
-                report: VerificationReport, tol: float = 1e-10,
-                label: str = "") -> None:
-    t = CheckTimer(report)
+                report: VerificationReport, tol: float = 1e-10) -> None:
     ident = verify_model_identities(spec, table, N, tol)
-    t.check(f"model.defect_left{label}",
-            "(id - Phi at W)^m (I) equals the vacuum projection",
-            ident.defect_residual_left, tol)
-    t.check(f"model.defect_right{label}",
-            "(id - Phi at Lambda, reversed coefficients)^m (I) equals the vacuum projection",
-            ident.defect_residual_right, tol)
-    t.check(f"model.contraction_left{label}",
-            "Phi at W maps I below the identity",
-            max(ident.phi_norm_left - 1.0, 0.0), tol)
-    t.check(f"model.commutation{label}",
-            "left and right weighted creation operators commute on interior words",
-            ident.commutation_residual, 1e-12)
+    report.check("model.defect_left",
+                 "(id - Phi at W)^m (I) equals the vacuum projection",
+                 ident.defect_residual_left, tol)
+    report.check("model.defect_right",
+                 "(id - Phi at Lambda, reversed coefficients)^m (I) equals the vacuum projection",
+                 ident.defect_residual_right, tol)
+    report.check("model.contraction_left",
+                 "Phi at W maps I below the identity",
+                 max(ident.phi_norm_left - 1.0, 0.0), tol)
+    report.check("model.commutation",
+                 "left and right weighted creation operators commute on interior words",
+                 ident.commutation_residual, 1e-12)
     conj = weighted_space_conjugation(table, N)
-    t.check(f"model.conjugation{label}",
-            "diagonal sqrt-weight conjugation turns W_i into the unweighted shift",
-            conj.shift_residual, tol)
+    report.check("model.conjugation",
+                 "diagonal sqrt-weight conjugation turns W_i into the unweighted shift",
+                 conj.shift_residual, tol)
 
 
 def toeplitz_suite(spec: DomainSpec, table: WeightTable, N: int,
                    report: VerificationReport, seed: int = 0,
-                   n_symbols: int = 20, label: str = "") -> None:
-    t = CheckTimer(report)
+                   n_symbols: int = 20) -> None:
     rng = np.random.default_rng(seed)
 
     worst_roundtrip = 0.0
@@ -107,12 +102,12 @@ def toeplitz_suite(spec: DomainSpec, table: WeightTable, N: int,
         worst_structure = max(worst_structure,
                               rep.worst_structure_residual,
                               rep.worst_incomparable_entry)
-    t.check(f"toeplitz.roundtrip{label}",
-            "symbol -> operator -> Fourier coefficients recovers every block",
-            worst_roundtrip, 1e-10, {"seed": seed, "symbols": n_symbols})
-    t.check(f"toeplitz.structure{label}",
-            "assembled symbols satisfy the weighted shift-invariance relations",
-            worst_structure, 1e-12)
+    report.check("toeplitz.roundtrip",
+                 "symbol -> operator -> Fourier coefficients recovers every block",
+                 worst_roundtrip, 1e-10, {"seed": seed, "symbols": n_symbols})
+    report.check("toeplitz.structure",
+                 "assembled symbols satisfy the weighted shift-invariance relations",
+                 worst_structure, 1e-12)
 
     # a designed failure: one incomparable entry bumped by 0.1 must be caught
     if spec.n >= 2:
@@ -122,10 +117,10 @@ def toeplitz_suite(spec: DomainSpec, table: WeightTable, N: int,
         j = op.basis.index[(2,)]
         op.matrix[i, j] += 0.1
         rep = is_multi_toeplitz(op, table, tol=1e-10)
-        t.flag(f"toeplitz.perturbation_rejected{label}",
-               "a 0.1 bump at an incomparable entry is rejected with residual >= 0.05",
-               (not rep.is_toeplitz) and rep.worst_incomparable_entry >= 0.05,
-               {"residual": rep.worst_incomparable_entry})
+        report.flag("toeplitz.perturbation_rejected",
+                    "a 0.1 bump at an incomparable entry is rejected with residual >= 0.05",
+                    (not rep.is_toeplitz) and rep.worst_incomparable_entry >= 0.05,
+                    {"residual": rep.worst_incomparable_entry})
 
     radii = [k / 10.0 for k in range(1, 11)]
     worst_violation = 0.0
@@ -135,15 +130,14 @@ def toeplitz_suite(spec: DomainSpec, table: WeightTable, N: int,
         for a, b in violations:
             ia, ib = radii.index(a), radii.index(b)
             worst_violation = max(worst_violation, norms[ia] - norms[ib])
-    t.check(f"toeplitz.norm_monotone{label}",
-            "||phi(r W_N)|| is nondecreasing in r",
-            worst_violation, 1e-10)
+    report.check("toeplitz.norm_monotone",
+                 "||phi(r W_N)|| is nondecreasing in r",
+                 worst_violation, 1e-10)
 
 
 def berezin_suite(spec: DomainSpec, table: WeightTable, N: int,
                   report: VerificationReport, seed: int = 0,
-                  n_tuples: int = 5, label: str = "") -> None:
-    t = CheckTimer(report)
+                  n_tuples: int = 5) -> None:
     rng = np.random.default_rng(seed)
 
     worst_repro = 0.0
@@ -173,27 +167,25 @@ def berezin_suite(spec: DomainSpec, table: WeightTable, N: int,
             worst_mean = max(worst_mean, mean_value_check(
                 sym, spec, inner, r, table, N))
 
-    t.check(f"berezin.reproducing{label}",
-            "Berezin transform sends W_alpha W_beta^* to X_alpha X_beta^* at pure tuples",
-            worst_repro, 1e-10, {"seed": seed})
-    t.check(f"berezin.kernel_isometry{label}",
-            "K^* K = I at pure tuples once the truncation covers the kernel support",
-            worst_iso, 1e-10)
-    t.check(f"berezin.intertwining{label}",
-            "K X_i^* = (W_i^* (x) I) K",
-            worst_inter, 1e-10)
-    t.check(f"berezin.von_neumann{label}",
-            "||q(X, X^*)|| <= ||q(W_N, W_N^*)|| for hereditary polynomials",
-            max(worst_vn, 0.0), 1e-8)
-    t.check(f"berezin.mean_value{label}",
-            "F(X) equals the extended Berezin transform of F(r W_N) at (1/r) X",
-            worst_mean, 1e-8)
+    report.check("berezin.reproducing",
+                 "Berezin transform sends W_alpha W_beta^* to X_alpha X_beta^* at pure tuples",
+                 worst_repro, 1e-10, {"seed": seed})
+    report.check("berezin.kernel_isometry",
+                 "K^* K = I at pure tuples once the truncation covers the kernel support",
+                 worst_iso, 1e-10)
+    report.check("berezin.intertwining",
+                 "K X_i^* = (W_i^* (x) I) K",
+                 worst_inter, 1e-10)
+    report.check("berezin.von_neumann",
+                 "||q(X, X^*)|| <= ||q(W_N, W_N^*)|| for hereditary polynomials",
+                 max(worst_vn, 0.0), 1e-8)
+    report.check("berezin.mean_value",
+                 "F(X) equals the extended Berezin transform of F(r W_N) at (1/r) X",
+                 worst_mean, 1e-8)
 
 
 def pluriharmonic_suite(spec: DomainSpec, table: WeightTable, N: int,
-                        report: VerificationReport, seed: int = 0,
-                        label: str = "") -> None:
-    t = CheckTimer(report)
+                        report: VerificationReport, seed: int = 0) -> None:
     rng = np.random.default_rng(seed)
     order = max(1, min(2, N - 2))
     radii = [0.3, 0.7, 0.95]
@@ -213,21 +205,21 @@ def pluriharmonic_suite(spec: DomainSpec, table: WeightTable, N: int,
         comp_min = float(np.min(np.linalg.eigvalsh(
             (H[: nw * d, : nw * d] + H[: nw * d, : nw * d].conj().T) / 2)))
         worst_eig = max(worst_eig, abs(comp_min - rep.min_eigenvalues[-1]))
-    t.check(f"pluriharmonic.gamma_identity{label}",
-            "Gamma kernel block matrix equals the compression of F(rW)^* + F(rW)",
-            worst_eq, 1e-12, {"seed": seed})
-    t.check(f"pluriharmonic.gamma_eigen{label}",
-            "Gamma kernel and compression share their minimum eigenvalue",
-            worst_eig, 1e-10)
+    report.check("pluriharmonic.gamma_identity",
+                 "Gamma kernel block matrix equals the compression of F(rW)^* + F(rW)",
+                 worst_eq, 1e-12, {"seed": seed})
+    report.check("pluriharmonic.gamma_eigen",
+                 "Gamma kernel and compression share their minimum eigenvalue",
+                 worst_eig, 1e-10)
 
     F_pos = scalar_holomorphic({EMPTY: 1.0, (1,): 1.0})
     rep = schur_positivity_test(F_pos, table, [0.5, 0.9], order, N)
-    t.flag(f"pluriharmonic.psd_example{label}",
-           "1 + Z_1 has positive real part at truncation", rep.positive)
+    report.flag("pluriharmonic.psd_example",
+                "1 + Z_1 has positive real part at truncation", rep.positive)
     F_zero = scalar_holomorphic({(1,): 1.0})
     rep = schur_positivity_test(F_zero, table, [0.5, 0.9], order, N)
-    t.flag(f"pluriharmonic.non_psd_example{label}",
-           "Z_1 without constant term is reported non-positive", not rep.positive)
+    report.flag("pluriharmonic.non_psd_example",
+                "Z_1 without constant term is reported non-positive", not rep.positive)
 
     worst_metric = 0.0
     for _ in range(20):
@@ -237,10 +229,10 @@ def pluriharmonic_suite(spec: DomainSpec, table: WeightTable, N: int,
         _, rho_fh = distance(F, H, table, N)
         _, rho_hg = distance(H, G, table, N)
         worst_metric = max(worst_metric, rho_fg - (rho_fh + rho_hg))
-    t.check(f"pluriharmonic.metric_axioms{label}",
-            "rho is symmetric, vanishes on the diagonal, and obeys the triangle inequality",
-            max(worst_metric, 0.0), 1e-12,
-            {"symmetry": "exact: F - G = -(G - F)", "diagonal": "exact: F - F = 0"})
+    report.check("pluriharmonic.metric_axioms",
+                 "rho is symmetric, vanishes on the diagonal, and obeys the triangle inequality",
+                 max(worst_metric, 0.0), 1e-12,
+                 {"symmetry": "exact: F - G = -(G - F)", "diagonal": "exact: F - F = 0"})
 
     family = [PluriharmonicFunction(MultiToeplitzSymbol.scalar(
         A={(1,): 1.0 - 1.0 / j})) for j in range(1, 9)]
@@ -248,24 +240,23 @@ def pluriharmonic_suite(spec: DomainSpec, table: WeightTable, N: int,
     limit = PluriharmonicFunction(MultiToeplitzSymbol.scalar(A={(1,): 1.0}))
     rhos = [distance(Fj, limit, table, N)[1] for Fj in family]
     decreasing = all(rhos[i + 1] <= rhos[i] + 1e-12 for i in range(len(rhos) - 1))
-    t.flag(f"pluriharmonic.weierstrass{label}",
-           "a convergent family is Cauchy per radius and rho-converges monotonically",
-           wrep.converged and decreasing and rhos[-1] < rhos[0])
+    report.flag("pluriharmonic.weierstrass",
+                "a convergent family is Cauchy per radius and rho-converges monotonically",
+                wrep.converged and decreasing and rhos[-1] < rhos[0])
 
 
 def cauchy_suite(spec: DomainSpec, table: WeightTable, N: int,
                  report: VerificationReport, seed: int = 0,
-                 n_tuples: int = 10, label: str = "") -> None:
-    t = CheckTimer(report)
+                 n_tuples: int = 10) -> None:
     rng = np.random.default_rng(seed)
 
     if spec.n == 1 and spec.degree == 1:
         lam = 0.37
         X = OperatorTuple(spec, [np.array([[lam]], dtype=complex)])
         a1 = float(spec.coefficient((1,)))
-        t.check(f"cauchy.scalar_radius{label}",
-                "linearized joint spectral radius matches the scalar closed form",
-                abs(linearized_radius(spec, X) - sqrt(a1) * lam), 1e-12)
+        report.check("cauchy.scalar_radius",
+                     "linearized joint spectral radius matches the scalar closed form",
+                     abs(linearized_radius(spec, X) - sqrt(a1) * lam), 1e-12)
 
     worst_seq = 0.0
     worst_fourier = 0.0
@@ -303,31 +294,35 @@ def cauchy_suite(spec: DomainSpec, table: WeightTable, N: int,
         ineq = radius_inequality_check(spec, X, N, table)
         zero_radius_viol += ineq.violations
 
-    t.check(f"cauchy.gelfand_sequence{label}",
-            "||Phi^k(I)||^(1/2k) at k = 40 approaches the linearized radius",
-            worst_seq, 5e-2, {"seed": seed})
-    t.check(f"cauchy.kernel_fourier{label}",
-            "Cauchy kernel vacuum column carries sqrt(b_omega) X_omega^*",
-            worst_fourier, 1e-10)
-    t.check(f"cauchy.transform_reproducing{label}",
-            "Cauchy transform sends W_alpha to X_alpha",
-            worst_transform, 1e-10)
-    t.check(f"cauchy.route_agreement{label}",
-            "direct power series agrees with the Cauchy-kernel evaluation route",
-            worst_route, 1e-8)
-    t.check(f"cauchy.multiplicative{label}",
-            "the analytic calculus is multiplicative on polynomial symbols",
-            worst_mult, 1e-8)
-    t.flag(f"cauchy.radius_inequality{label}",
-           "||R_N^k|| <= ||Phi^k(I)||^(1/2) for k <= N, zero violations",
-           zero_radius_viol == 0)
+    report.check("cauchy.gelfand_sequence",
+                 "||Phi^k(I)||^(1/2k) at k = 40 approaches the linearized radius",
+                 worst_seq, 5e-2, {"seed": seed})
+    report.check("cauchy.kernel_fourier",
+                 "Cauchy kernel vacuum column carries sqrt(b_omega) X_omega^*",
+                 worst_fourier, 1e-10)
+    report.check("cauchy.transform_reproducing",
+                 "Cauchy transform sends W_alpha to X_alpha",
+                 worst_transform, 1e-10)
+    report.check("cauchy.route_agreement",
+                 "direct power series agrees with the Cauchy-kernel evaluation route",
+                 worst_route, 1e-8)
+    report.check("cauchy.multiplicative",
+                 "the analytic calculus is multiplicative on polynomial symbols",
+                 worst_mult, 1e-8)
+    report.flag("cauchy.radius_inequality",
+                "||R_N^k|| <= ||Phi^k(I)||^(1/2) for k <= N, zero violations",
+                zero_radius_viol == 0)
 
 
 def full_suite(spec: DomainSpec, N: int, report: VerificationReport,
                seed: int = 0, label: str = "") -> None:
-    table = weights_suite(spec, N, report, label)
-    model_suite(spec, table, N, report, label=label)
-    toeplitz_suite(spec, table, N, report, seed=seed, n_symbols=5, label=label)
-    berezin_suite(spec, table, N, report, seed=seed, n_tuples=3, label=label)
-    pluriharmonic_suite(spec, table, N, report, seed=seed, label=label)
-    cauchy_suite(spec, table, N, report, seed=seed, n_tuples=3, label=label)
+    """All six suites; `label` is appended to the check ids they record."""
+    first = len(report.checks)
+    table = weights_suite(spec, N, report)
+    model_suite(spec, table, N, report)
+    toeplitz_suite(spec, table, N, report, seed=seed, n_symbols=5)
+    berezin_suite(spec, table, N, report, seed=seed, n_tuples=3)
+    pluriharmonic_suite(spec, table, N, report, seed=seed)
+    cauchy_suite(spec, table, N, report, seed=seed, n_tuples=3)
+    for rec in report.checks[first:]:
+        rec.check_id += label

@@ -45,6 +45,22 @@ def test_nilpotent_tuples_are_pure(ball2_table):
         assert all(v > 0.0 for v in report.purity_decay[:-1])
 
 
+def test_scale_into_domain_skips_purity_decay(monkeypatch):
+    """Rescaling reads membership and the defect eigenvalues only; the purity
+    decay is formed on first read of `purity_decay` or `pure`."""
+    def decay(*args, **kwargs):
+        raise AssertionError("purity decay formed")
+
+    monkeypatch.setattr("ncdomains.berezin.cp_orbit_norms", decay)
+    rng = np.random.default_rng(2)
+    for spec in builtin_corpus().values():
+        X = OperatorTuple(spec, [rng.standard_normal((3, 3)) for _ in range(spec.n)])
+        scale_into_domain(X)
+        random_nilpotent_tuple(rng, spec, dim=3)
+    with pytest.raises(AssertionError, match="purity decay formed"):
+        domain_membership(spec, X).pure
+
+
 def test_defect_sqrt_squares_back(ball2_table):
     rng = np.random.default_rng(5)
     spec = ball2_table.spec

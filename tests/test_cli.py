@@ -1,12 +1,15 @@
 import argparse
 import json
+import time
 
 import numpy as np
 import pytest
 
+from ncdomains import cli
 from ncdomains.cli import build_parser, main
-from ncdomains.corpus import mixed_spec
-from ncdomains.serialization import dump_json, operator_to_json
+from ncdomains.corpus import (builtin_corpus, mixed_spec, random_gated_tuple,
+                              random_nilpotent_tuple)
+from ncdomains.serialization import dump_json, operator_to_json, tuple_to_json
 from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from ncdomains.weights import weights_by_factorization
 
@@ -156,3 +159,39 @@ def test_check_elapsed_times(tmp_path):
     elapsed = [c["elapsed"] for c in report["checks"]]
     assert all(e > 0 for e in elapsed)
     assert sum(elapsed) <= report["config"]["elapsed_seconds"]
+
+
+def test_suite_elapsed_totals(tmp_path):
+    out = tmp_path / "report.json"
+    main(["verify-all", "--max-len", "2", "--out", str(out)])
+    report = json.loads(out.read_text())
+    totals = report["summary"]["elapsed"]
+    assert set(totals) == {"weights", "model", "toeplitz", "berezin",
+                           "pluriharmonic", "cauchy"}
+    elapsed = [c["elapsed"] for c in report["checks"]]
+    assert sum(totals.values()) == pytest.approx(sum(elapsed), rel=1e-12)
+
+
+def test_tuple_commands_time_the_tuple_work(tmp_path, monkeypatch):
+    """The --tuple records of berezin and cauchy include the membership test
+    and the spectral radius computed before them."""
+    def slow(fn):
+        def wrapped(*args, **kwargs):
+            time.sleep(0.05)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "domain_membership", slow(cli.domain_membership))
+    monkeypatch.setattr(cli, "joint_spectral_radius", slow(cli.joint_spectral_radius))
+    rng = np.random.default_rng(3)
+    spec = builtin_corpus()["mixed_n2_m2"]
+    X, Xg = tmp_path / "X.json", tmp_path / "Xg.json"
+    dump_json(tuple_to_json(random_nilpotent_tuple(rng, spec, dim=2)), X)
+    dump_json(tuple_to_json(random_gated_tuple(rng, spec, dim=2, target_radius=0.6)), Xg)
+    for command, path, check_id in (("berezin", X, "berezin.membership"),
+                                    ("cauchy", Xg, "cauchy.gate")):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--spec", "mixed_n2_m2", "--max-len", "3",
+                     "--tuple", str(path), "--out", str(out)]) == 0
+        checks = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks[check_id]["elapsed"] >= 0.05

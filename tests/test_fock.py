@@ -1,4 +1,5 @@
 import ast
+import json
 from math import sqrt
 from pathlib import Path
 
@@ -365,10 +366,14 @@ def test_commutation_on_index_maps_matches_dense_products():
             assert got <= 1e-15
 
 
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden_corpus_n5.json"
+
+
 def test_production_skips_dense_creation_path(monkeypatch, tmp_path):
     """The verification suites and the single-spec CLI commands read every
     model operator from the shift maps; the dense creation path is left to
-    the tests as their oracle."""
+    the tests as their oracle.  The corpus run at depth 4 records the check
+    list of the benchmark's golden file, read here and never written."""
     def dense(*args, **kwargs):
         raise AssertionError("dense creation path called")
 
@@ -379,6 +384,8 @@ def test_production_skips_dense_creation_path(monkeypatch, tmp_path):
     for name, spec in builtin_corpus().items():
         full_suite(spec, 4, report, label=f".{name}")
     assert report.passed
+    golden = json.loads(GOLDEN.read_text())["checks"]
+    assert [[c.check_id, c.status, c.tolerance] for c in report.checks] == golden
 
     rng = np.random.default_rng(3)
     spec = builtin_corpus()["mixed_n2_m2"]
