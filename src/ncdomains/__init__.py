@@ -9,8 +9,7 @@ from .cauchy import (analytic_functional_calculus, cauchy_kernel,
                      reconstruction_operator)
 from .corpus import builtin_corpus
 from .fock import (TruncatedFockBasis, TruncatedOperator, creation_tuple,
-                   verify_model_identities, weighted_left_creation,
-                   word_operator)
+                   verify_model_identities, word_operator)
 from .pluriharmonic import (PluriharmonicFunction, conjugate, distance,
                             gamma_kernel, rho_radii, schur_positivity_test)
 from .toeplitz import (MultiToeplitzSymbol, fourier_coefficients,
@@ -26,7 +25,7 @@ __all__ = [
     "joint_spectral_radius", "reconstruction_operator",
     "builtin_corpus",
     "TruncatedFockBasis", "TruncatedOperator", "creation_tuple",
-    "verify_model_identities", "weighted_left_creation", "word_operator",
+    "verify_model_identities", "word_operator",
     "PluriharmonicFunction", "conjugate", "distance", "gamma_kernel",
     "rho_radii", "schur_positivity_test",
     "MultiToeplitzSymbol", "fourier_coefficients", "is_multi_toeplitz",

@@ -17,8 +17,6 @@ c Z_alpha Z_beta^* (x) B, B a d x d block or the scalar 1.  TruncatedModel.opera
 puts the model W in place of Z and is the one assembly of a production model
 operator, scattered from the shift maps; substitute puts a k x k tuple X in
 place of Z, on (aux space) (x) C^k, aux-major (flat index aux_index * k + p).
-The dense creation path (creation_tuple, weighted_left_creation, word_operator
-on TruncatedOperators, TruncatedOperator arithmetic) is the tests' oracle.
 
 A tuple X has one CP map, Phi_{q,X}(Y) = sum a_alpha X_alpha Y X_alpha^*: its
 terms come from cp_map_terms and its powers from cp_map_orbit (cp_map_apply is
@@ -93,29 +91,9 @@ class TruncatedOperator:
         j = self.basis.index[gamma] * d
         return self.matrix[i:i + d, j:j + d]
 
-    def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.basis, self.matrix.conj().T, self.aux_dim)
-
     def norm(self) -> float:
         """Largest singular value; a lower bound of the untruncated norm."""
         return spectral_norm(self.matrix)
-
-    def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        _require_same_space(self, other)
-        return TruncatedOperator(self.basis, self.matrix @ other.matrix, self.aux_dim)
-
-    def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        _require_same_space(self, other)
-        return TruncatedOperator(self.basis, self.matrix + other.matrix, self.aux_dim)
-
-    def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        _require_same_space(self, other)
-        return TruncatedOperator(self.basis, self.matrix - other.matrix, self.aux_dim)
-
-    def __mul__(self, scalar: complex) -> "TruncatedOperator":
-        return TruncatedOperator(self.basis, self.matrix * scalar, self.aux_dim)
-
-    __rmul__ = __mul__
 
 
 def spectral_norm(M: np.ndarray) -> float:
@@ -138,22 +116,6 @@ def spectral_norm(M: np.ndarray) -> float:
     A = M / scale
     G = A @ A.conj().T if A.shape[0] <= A.shape[1] else A.conj().T @ A
     return scale * sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
-
-
-class BasisMismatchError(ValueError):
-    pass
-
-
-def _require_same_space(a: TruncatedOperator, b: TruncatedOperator) -> None:
-    if a.basis is not b.basis and (a.basis.n, a.basis.N) != (b.basis.n, b.basis.N):
-        raise BasisMismatchError("operators live on different truncated bases")
-    if a.aux_dim != b.aux_dim:
-        raise BasisMismatchError(f"aux_dim mismatch: {a.aux_dim} vs {b.aux_dim}")
-
-
-def identity_operator(basis: TruncatedFockBasis, aux_dim: int = 1) -> TruncatedOperator:
-    d = basis.dimension * aux_dim
-    return TruncatedOperator(basis, np.eye(d, dtype=complex), aux_dim)
 
 
 class TruncatedModel:
@@ -180,10 +142,13 @@ class TruncatedModel:
         """W_alpha (left) or Lambda_alpha (right) as read-only arrays
         (dst, src, weight), kept per (alpha, left): e_src maps to
         weight * e_dst, with weight = sqrt_b[src] / sqrt_b[dst].
-        The sources are the words of length <= N - |alpha|."""
+        The sources are the words of length <= N - |alpha|; a letter outside
+        1..n raises ValueError."""
         key = (alpha, left)
         if key not in self._shifts:
             n, N = self.basis.n, self.basis.N
+            if not all(1 <= letter <= n for letter in alpha):
+                raise ValueError(f"word {alpha} has letters outside 1..{n}")
             src = np.arange(fock_dimension(n, N - len(alpha)) if len(alpha) <= N else 0)
             dst = src
             for letter in reversed(alpha):
@@ -220,36 +185,25 @@ def truncated_model(table: WeightTable, N: int) -> TruncatedModel:
     return table._models[N]
 
 
-def weighted_left_creation(table: WeightTable, i: int, N: int) -> TruncatedOperator:
-    """W_i e_gamma = sqrt(b_gamma / b_{g_i gamma}) e_{g_i gamma}, zero at depth N."""
-    return _creation(table, i, N, left=True)
-
-
-def _creation(table: WeightTable, i: int, N: int, left: bool) -> TruncatedOperator:
-    if not 1 <= i <= table.spec.n:
-        raise ValueError(f"letter {i} outside 1..{table.spec.n}")
-    return truncated_model(table, N).operator([((i,), EMPTY, 1, 1)], left=left)
-
-
 def creation_tuple(table: WeightTable, N: int, left: bool = True) -> list[TruncatedOperator]:
-    return [_creation(table, i, N, left) for i in range(1, table.spec.n + 1)]
+    """W_1, ..., W_n (left) or Lambda_1, ..., Lambda_n (right) at depth N."""
+    model = truncated_model(table, N)
+    return [model.operator([((i,), EMPTY, 1, 1)], left=left)
+            for i in range(1, table.spec.n + 1)]
 
 
 def word_operator(ops: Sequence, alpha: Word):
     """Ordered product X_{i_1} ... X_{i_k}; identity for the empty word.
 
-    Works on TruncatedOperators and on plain numpy matrices alike.
+    Works on plain numpy matrices, and on TruncatedOperators, whose matrices
+    it multiplies and whose space the product keeps.
     """
-    if isinstance(ops[0], TruncatedOperator):
-        out = identity_operator(ops[0].basis, ops[0].aux_dim)
-        for letter in alpha:
-            out = out @ ops[letter - 1]
-        return out
-    k = ops[0].shape[0]
-    out_m = np.eye(k, dtype=complex)
+    wrapped = isinstance(ops[0], TruncatedOperator)
+    mats = [op.matrix for op in ops] if wrapped else ops
+    out = np.eye(mats[0].shape[0], dtype=complex)
     for letter in alpha:
-        out_m = out_m @ ops[letter - 1]
-    return out_m
+        out = out @ mats[letter - 1]
+    return TruncatedOperator(ops[0].basis, out, ops[0].aux_dim) if wrapped else out
 
 
 def substitute(X: Sequence[np.ndarray], terms, d: int = 1) -> np.ndarray:

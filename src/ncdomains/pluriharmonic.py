@@ -23,6 +23,14 @@ from .toeplitz import (MultiToeplitzSymbol, evaluate_symbol, max_block_differenc
 from .weights import WeightTable
 from .words import EMPTY, Word
 
+# evaluate_symbol(F.symbol, X) is the value F(X), exported with the functions
+__all__ = [
+    "PluriharmonicFunction", "scalar_holomorphic", "evaluate_symbol", "rho_radii",
+    "gamma_kernel", "SchurPositivityReport", "schur_positivity_test", "distance",
+    "WeierstrassReport", "weierstrass_limit", "conjugate", "holomorphic_completion",
+    "BoundedRoundtripReport", "bounded_roundtrip",
+]
+
 RHO_RADII_KMAX = 8
 SELF_ADJOINT_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -49,10 +57,6 @@ class PluriharmonicFunction:
 
     def is_self_adjoint(self) -> bool:
         return max_block_difference(self.symbol, self.symbol.adjoint()) <= SELF_ADJOINT_TOL
-
-    def evaluate(self, X: Sequence[np.ndarray]) -> np.ndarray:
-        """sum B_(a) (x) X_a^*  +  A_(()) (x) I  +  sum A_(a) (x) X_a."""
-        return evaluate_symbol(self.symbol, X)
 
     def real_part(self) -> "PluriharmonicFunction":
         half = 0.5 * self.symbol

@@ -24,9 +24,13 @@ def matrix_to_json(M: np.ndarray, aux_dim: int = 1) -> dict:
 
 
 def matrix_from_json(obj: dict) -> tuple[np.ndarray, int]:
-    rows, cols = obj["rows"], obj["cols"]
-    flat = np.array([complex(re, im) for re, im in obj["data"]])
-    return flat.reshape(rows, cols), obj.get("aux_dim", 1)
+    """Parse the matrix_to_json() form; malformed data raise ValueError."""
+    try:
+        rows, cols = obj["rows"], obj["cols"]
+        flat = np.array([complex(re, im) for re, im in obj["data"]])
+        return flat.reshape(rows, cols), obj.get("aux_dim", 1)
+    except TypeError as exc:
+        raise ValueError(f"malformed matrix: {exc}") from None
 
 
 def operator_to_json(T: TruncatedOperator) -> dict:
@@ -47,7 +51,10 @@ def _block_to_json(blk: np.ndarray) -> list:
 
 
 def _block_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows])
+    except TypeError as exc:
+        raise ValueError(f"malformed block: {exc}") from None
 
 
 def symbol_to_json(sym: MultiToeplitzSymbol) -> dict:

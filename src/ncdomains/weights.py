@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .words import EMPTY, Word, concat, enumerate_words, reverse
+from .words import EMPTY, Word, enumerate_words, reverse
 
 RationalLike = Fraction | int | str
 
@@ -84,8 +84,13 @@ class DomainSpec:
     @staticmethod
     def from_json(obj: dict) -> "DomainSpec":
         """Parse the to_json() form; malformed fields raise ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"spec must be a JSON object, got {obj!r}")
+        entries = obj["coefficients"]
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise ValueError(f"coefficients must be a list of objects, got {entries!r}")
         coeffs = {}
-        for entry in obj["coefficients"]:
+        for entry in entries:
             w = entry["word"]
             if not isinstance(w, list):
                 raise ValueError(f"coefficient word must be a list of letters, got {w!r}")
@@ -219,7 +224,7 @@ def omega_beta(table: WeightTable, beta: Word) -> tuple[Fraction, int]:
             f"|beta| = {len(beta)} exceeds table depth {table.N}")
     best = Fraction(0)
     for gamma in enumerate_words(table.spec.n, depth):
-        ratio = table.b[gamma] / table.b[concat(beta, gamma)]
+        ratio = table.b[gamma] / table.b[beta + gamma]
         if ratio > best:
             best = ratio
     return best, depth
@@ -247,7 +252,7 @@ def ratio_bound_check(table: WeightTable) -> RatioBoundReport:
     for alpha in enumerate_words(n, table.N):
         for beta in enumerate_words(n, table.N - len(alpha)):
             lhs = table.b[alpha] * table.b[beta]
-            rhs = comb(len(beta) + m - 1, m - 1) * table.b[concat(alpha, beta)]
+            rhs = comb(len(beta) + m - 1, m - 1) * table.b[alpha + beta]
             slack = rhs - lhs
             checked += 1
             if slack < 0:

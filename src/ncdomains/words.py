@@ -37,10 +37,6 @@ def fock_dimension(n: int, max_len: int) -> int:
     return (n ** (max_len + 1) - 1) // (n - 1)
 
 
-def concat(u: Word, v: Word) -> Word:
-    return u + v
-
-
 def reverse(u: Word) -> Word:
     return u[::-1]
 

@@ -8,6 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from dense_oracle import dense_creation, dense_word
 from ncdomains.berezin import (berezin_kernel, berezin_transform,
                                hereditary_eval, hereditary_model_operator,
                                intertwining_residual, mean_value_check)
@@ -19,7 +20,8 @@ from ncdomains.cli import main
 from ncdomains.corpus import (builtin_corpus, random_gated_tuple,
                               random_hereditary, random_nilpotent_tuple,
                               random_spec, random_symbol)
-from ncdomains.fock import creation_tuple, defect_operator, word_operator
+from ncdomains.fock import (TruncatedFockBasis, TruncatedOperator, creation_tuple,
+                            defect_operator)
 from ncdomains.pluriharmonic import (PluriharmonicFunction, distance,
                                      scalar_holomorphic,
                                      schur_positivity_test, weierstrass_limit)
@@ -120,14 +122,15 @@ def test_07_berezin_reproducing(tables):
     for name in ("hyperball_n2_m1", "hyperball_n2_m2", "mixed_n2_m1"):
         table = tables[name]
         spec = table.spec
-        W = creation_tuple(table, 5, left=True)
+        basis = TruncatedFockBasis.build(spec.n, 5)
+        W = dense_creation(table, 5, left=True)
         X = random_nilpotent_tuple(rng, spec, dim=3)  # order <= 3, N = 5 >= 3+2
         K = berezin_kernel(spec, X, table, 5)
         assert np.linalg.norm(K.conj().T @ K - np.eye(3), 2) <= 1e-10
         assert intertwining_residual(K, X, table, 5) <= 1e-10
         for alpha in enumerate_words(2, 2):
             for beta in enumerate_words(2, 2):
-                g = word_operator(W, alpha) @ word_operator(W, beta).adjoint()
+                g = TruncatedOperator(basis, dense_word(W, alpha) @ dense_word(W, beta).conj().T)
                 got = berezin_transform(spec, X, g, table)
                 want = X.word(alpha) @ X.word(beta).conj().T
                 assert np.linalg.norm(got - want, 2) <= 1e-10
@@ -183,12 +186,13 @@ def test_11_cauchy_calculus(tables):
     rng = np.random.default_rng(110)
     table = tables["hyperball_n2_m2"]
     spec = table.spec
-    W = creation_tuple(table, 4, left=True)
+    basis = TruncatedFockBasis.build(spec.n, 4)
+    W = dense_creation(table, 4, left=True)
     for _ in range(10):
         X = random_gated_tuple(rng, spec, dim=3, target_radius=0.6)
         C = cauchy_kernel(spec, X, 4, table)
         for alpha in enumerate_words(2, 3):
-            got = cauchy_transform(spec, X, word_operator(W, alpha), 4,
+            got = cauchy_transform(spec, X, TruncatedOperator(basis, dense_word(W, alpha)), 4,
                                    table, C=C)
             assert np.linalg.norm(got - X.word(alpha), 2) <= 1e-10
         c1 = {w: complex(rng.standard_normal(), rng.standard_normal())

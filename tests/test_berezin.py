@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_oracle import dense_creation, dense_word
 from ncdomains.berezin import (DomainMembershipError, OperatorTuple,
                                berezin_kernel, berezin_transform, defect_sqrt,
                                domain_membership, hereditary_eval,
@@ -8,7 +9,8 @@ from ncdomains.berezin import (DomainMembershipError, OperatorTuple,
                                intertwining_residual, mean_value_check)
 from ncdomains.corpus import (builtin_corpus, random_hereditary, random_nilpotent_tuple,
                               random_symbol, scale_into_domain)
-from ncdomains.fock import cp_map_apply, creation_tuple, truncated_model, word_operator
+from ncdomains.fock import (TruncatedFockBasis, TruncatedOperator, cp_map_apply,
+                            truncated_model)
 from ncdomains.weights import hyperball_spec, weights_by_convolution
 from ncdomains.words import enumerate_words
 
@@ -89,11 +91,12 @@ def test_reproducing_property(ball2_table, mixed_table):
     rng = np.random.default_rng(4)
     for table in (ball2_table, mixed_table):
         spec = table.spec
-        W = creation_tuple(table, 5, left=True)
+        basis = TruncatedFockBasis.build(spec.n, 5)
+        W = dense_creation(table, 5, left=True)
         X = random_nilpotent_tuple(rng, spec, dim=3)
         for alpha in enumerate_words(2, 2):
             for beta in enumerate_words(2, 2):
-                g = word_operator(W, alpha) @ word_operator(W, beta).adjoint()
+                g = TruncatedOperator(basis, dense_word(W, alpha) @ dense_word(W, beta).conj().T)
                 got = berezin_transform(spec, X, g, table)
                 want = X.word(alpha) @ X.word(beta).conj().T
                 assert np.linalg.norm(got - want, 2) < 1e-10
@@ -116,11 +119,11 @@ def test_hereditary_model_operator_matches_dense_products():
     for name, spec in builtin_corpus().items():
         table = weights_by_convolution(spec, 5)
         for N in range(6):
-            W = creation_tuple(table, N, left=True)
+            W = dense_creation(table, N, left=True)
             words = enumerate_words(spec.n, min(N + 1, 3))
             for alpha in words:
                 for beta in words:
-                    want = (word_operator(W, alpha) @ word_operator(W, beta).adjoint()).matrix
+                    want = dense_word(W, alpha) @ dense_word(W, beta).conj().T
                     got = hereditary_model_operator({(alpha, beta): 1}, table, N).matrix
                     assert np.max(np.abs(got - want)) <= 1e-15, (name, N, alpha, beta)
 

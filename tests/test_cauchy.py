@@ -3,6 +3,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from dense_oracle import dense_creation, dense_word
 from ncdomains import berezin, cauchy, corpus, fock
 from ncdomains.berezin import OperatorTuple
 from ncdomains.cauchy import (SpectralGateError,
@@ -12,8 +13,8 @@ from ncdomains.cauchy import (SpectralGateError,
                               multiply_symbols, radius_inequality_check,
                               reconstruction_operator, spectral_gate)
 from ncdomains.corpus import builtin_corpus, random_gated_tuple, random_nilpotent_tuple
-from ncdomains.fock import (cp_map_apply, cp_orbit_norms, creation_tuple,
-                            identity_operator, word_operator)
+from ncdomains.fock import (TruncatedFockBasis, TruncatedOperator, cp_map_apply,
+                            cp_orbit_norms)
 from ncdomains.weights import hyperball_spec, weights_by_convolution
 from ncdomains.words import EMPTY, enumerate_words
 
@@ -124,15 +125,16 @@ def test_cauchy_kernel_gate(ball2_table):
 def test_transform_identity_and_words(ball2_table):
     spec = ball2_table.spec
     rng = np.random.default_rng(29)
-    W = creation_tuple(ball2_table, 4, left=True)
+    basis = TruncatedFockBasis.build(2, 4)
+    W = dense_creation(ball2_table, 4, left=True)
     for _ in range(3):
         X = random_gated_tuple(rng, spec, dim=3, target_radius=0.5)
         C = cauchy_kernel(spec, X, 4, ball2_table)
-        got = cauchy_transform(spec, X, identity_operator(W[0].basis), 4,
-                               ball2_table, C=C)
+        I = TruncatedOperator(basis, np.eye(basis.dimension, dtype=complex))
+        got = cauchy_transform(spec, X, I, 4, ball2_table, C=C)
         assert np.linalg.norm(got - np.eye(3), 2) < 1e-10
         for alpha in enumerate_words(2, 3):
-            got = cauchy_transform(spec, X, word_operator(W, alpha), 4,
+            got = cauchy_transform(spec, X, TruncatedOperator(basis, dense_word(W, alpha)), 4,
                                    ball2_table, C=C)
             assert np.linalg.norm(got - X.word(alpha), 2) < 1e-10
 

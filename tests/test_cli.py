@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from ncdomains import cli
+from ncdomains.berezin import OperatorTuple
 from ncdomains.cli import build_parser, main
 from ncdomains.corpus import (builtin_corpus, mixed_spec, random_gated_tuple,
                               random_nilpotent_tuple)
-from ncdomains.serialization import dump_json, operator_to_json, tuple_to_json
+from ncdomains.serialization import (dump_json, operator_to_json, symbol_to_json,
+                                     tuple_to_json)
 from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from ncdomains.weights import weights_by_factorization
 
@@ -84,7 +86,6 @@ def test_toeplitz_op_symbol_at_operator_depth(tmp_path, capsys):
 
 
 def test_toeplitz_build_from_symbol(tmp_path):
-    from ncdomains.serialization import symbol_to_json
     sym = MultiToeplitzSymbol.scalar(A={(): 1.0, (1,): 2.0}, B={(2,): 1j})
     sym_path = tmp_path / "sym.json"
     dump_json(symbol_to_json(sym), sym_path)
@@ -94,8 +95,6 @@ def test_toeplitz_build_from_symbol(tmp_path):
 
 
 def test_berezin_tuple_membership(tmp_path):
-    from ncdomains.berezin import OperatorTuple
-    from ncdomains.serialization import tuple_to_json
     spec = mixed_spec(1)
     X = OperatorTuple(spec, [np.zeros((2, 2)), np.zeros((2, 2))])
     path = tmp_path / "tuple.json"
@@ -137,11 +136,15 @@ def test_subcommand_options():
     }
 
 
-@pytest.mark.parametrize("field, value", [("word", 1), ("word", ["1"]), ("n", 2.0)])
+@pytest.mark.parametrize("field, value", [("word", 1), ("word", ["1"]), ("n", 2.0),
+                                          ("top", []), ("top", "x"),
+                                          ("coefficients", 5), ("coefficients", [5])])
 def test_malformed_spec_exit_code(tmp_path, capsys, field, value):
     spec = mixed_spec(1).to_json()
-    if field == "n":
-        spec["n"] = value
+    if field == "top":
+        spec = value
+    elif field in ("n", "coefficients"):
+        spec[field] = value
     else:
         spec["coefficients"][0][field] = value
     path = tmp_path / "bad.json"
@@ -150,6 +153,29 @@ def test_malformed_spec_exit_code(tmp_path, capsys, field, value):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_malformed_tuple_exit_code(tmp_path, capsys):
+    obj = tuple_to_json(OperatorTuple(mixed_spec(1), [np.zeros((1, 1))] * 2))
+    obj["matrices"][0]["data"] = [["a", "b"]]
+    path = tmp_path / "tuple.json"
+    dump_json(obj, path)
+    rc = main(["berezin", "--spec", "mixed_n2_m1", "--tuple", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed matrix") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("letter", [0, 3])
+def test_symbol_letter_outside_alphabet_exit_code(tmp_path, capsys, letter):
+    """Letters 0 and n + 1 are outside the alphabet: exit 2, one error line."""
+    path = tmp_path / "sym.json"
+    dump_json(symbol_to_json(MultiToeplitzSymbol.scalar(A={(letter,): 1.0})), path)
+    rc = main(["toeplitz", "--spec", "hyperball_n2_m1", "--max-len", "2",
+               "--symbol", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: word ({letter},) has letters outside 1..2\n"
 
 
 def test_check_elapsed_times(tmp_path):

@@ -65,3 +65,40 @@ def test_no_unused_imports():
     assert len(files) > 20
     found = {str(p.relative_to(ROOT)): _unused_imports(p.read_text()) for p in files}
     assert not any(found.values()), {k: v for k, v in found.items() if v}
+
+
+ARITHMETIC_DUNDERS = {f"__{side}{op}__" for side in ("", "r", "i") for op in (
+    "add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "pow")} | {"__neg__", "__pos__"}
+
+
+def _operator_arithmetic(source: str, cls: str = "TruncatedOperator") -> list[str]:
+    """Arithmetic dunders and adjoint defined or assigned in the body of cls."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [n for n in names if n in ARITHMETIC_DUNDERS or n == "adjoint"]
+    return found
+
+
+def test_truncated_operator_has_no_arithmetic():
+    """Model operators are assembled by TruncatedModel.operator alone; the
+    class carries a matrix, its blocks and its norm, and no second algebra."""
+    assert _operator_arithmetic(
+        "class TruncatedOperator:\n"
+        "    def block(self): pass\n"
+        "    def __matmul__(self, o): pass\n"
+        "    def adjoint(self): pass\n"
+        "    __rmul__ = __mul__ = None\n"
+        "class Other:\n"
+        "    def __add__(self, o): pass\n") == ["__matmul__", "adjoint", "__rmul__", "__mul__"]
+    src = ROOT / "src" / "ncdomains"
+    found = {p.name: _operator_arithmetic(p.read_text()) for p in sorted(src.glob("*.py"))}
+    assert not any(found.values()), {k: v for k, v in found.items() if v}

@@ -1,21 +1,20 @@
 import ast
 import json
+import sys
 from math import sqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncdomains import fock
+from dense_oracle import dense_creation, dense_word
 from ncdomains.berezin import (OperatorTuple, berezin_kernel, berezin_transform,
                                intertwining_residual)
 from ncdomains.cauchy import cauchy_kernel, cauchy_transform, reconstruction_operator
-from ncdomains.fock import (BasisMismatchError, TruncatedFockBasis,
-                            TruncatedOperator, cp_map_apply, cp_map_orbit,
-                            cp_orbit_norms, creation_tuple, defect_operator, identity_operator, spectral_norm,
+from ncdomains.fock import (TruncatedFockBasis, cp_map_apply, cp_map_orbit,
+                            cp_orbit_norms, creation_tuple, defect_operator, spectral_norm,
                             truncated_model, verify_model_identities,
-                            weighted_left_creation, weighted_space_conjugation,
-                            word_operator)
+                            weighted_space_conjugation, word_operator)
 from ncdomains.cli import main
 from ncdomains.corpus import (builtin_corpus, random_gated_tuple, random_nilpotent_tuple,
                               scale_into_domain)
@@ -28,7 +27,7 @@ from ncdomains.words import EMPTY, enumerate_words, reverse
 
 
 def test_creation_matrix_entries(ball2_table):
-    W1 = weighted_left_creation(ball2_table, 1, 3)
+    W1 = creation_tuple(ball2_table, 3)[0]
     basis = W1.basis
     # W_1 e_() = sqrt(b_()/b_(1)) e_(1) = (1/sqrt(2)) e_(1) for m = 2
     col = W1.matrix[:, basis.index[EMPTY]]
@@ -40,7 +39,7 @@ def test_creation_matrix_entries(ball2_table):
 
 def test_unweighted_shift_for_m1(ball1_table):
     # m = 1 hyperball weights are all 1: W_i is the plain left shift
-    W1 = weighted_left_creation(ball1_table, 1, 3)
+    W1 = creation_tuple(ball1_table, 3)[0]
     basis = W1.basis
     for gamma in basis.words:
         if len(gamma) < 3:
@@ -54,6 +53,18 @@ def test_word_operator_orders_letters(ball2_table):
     # W_1 W_2 e_() lands on e_(1,2), not e_(2,1)
     assert v[basis.index[(1, 2)]] != 0
     assert v[basis.index[(2, 1)]] == 0
+    # the product of creation operators against the chained dense oracle
+    for name, spec in builtin_corpus().items():
+        table = weights_by_factorization(spec, 4)
+        for N in range(5):
+            for left in (True, False):
+                ops = creation_tuple(table, N, left=left)
+                ref = dense_creation(table, N, left)
+                for alpha in enumerate_words(spec.n, N):
+                    got = word_operator(ops, alpha)
+                    assert got.basis is ops[0].basis and got.aux_dim == 1
+                    err = np.max(np.abs(got.matrix - dense_word(ref, alpha)))
+                    assert err <= 1e-15, (name, N, left, alpha)
 
 
 def test_defect_identity_on_corpus():
@@ -119,43 +130,28 @@ def test_cp_map_apply_validates_inputs(ball2_table):
         cp_map_apply(spec, [np.eye(2), np.eye(2)], np.eye(3))
 
 
-def test_operator_algebra_and_mismatch(ball2_table, ball1_table):
-    A = identity_operator(TruncatedFockBasis.build(2, 2))
-    B = weighted_left_creation(ball2_table, 1, 2)
-    C = weighted_left_creation(ball1_table, 1, 3)
-    assert (A + B).matrix.shape == A.matrix.shape
-    assert np.allclose((2.0 * A).matrix, 2 * np.eye(A.basis.dimension))
-    with pytest.raises(BasisMismatchError):
-        _ = B @ C
-
-
 def test_block_extraction(ball2_table):
-    W1 = weighted_left_creation(ball2_table, 1, 2)
+    W1 = creation_tuple(ball2_table, 2)[0]
     blk = W1.block((1,), EMPTY)
     assert blk.shape == (1, 1)
     assert abs(blk[0, 0] - 1 / sqrt(2)) < 1e-15
 
 
 def test_creation_rejects_bad_letter(ball2_table):
-    with pytest.raises(ValueError):
-        weighted_left_creation(ball2_table, 3, 3)
-    with pytest.raises(ValueError):
-        weighted_left_creation(ball2_table, 1, 9)
-
-
-def _dense_creation(table, N, left):
-    """Reference creation matrices built entry by entry from exact weights."""
-    basis = TruncatedFockBasis.build(table.spec.n, N)
-    out = []
-    for i in range(1, table.spec.n + 1):
-        M = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-        for gamma in basis.words:
-            if len(gamma) < N:
-                target = (i,) + gamma if left else gamma + (i,)
-                M[basis.index[target], basis.index[gamma]] = sqrt(
-                    float(table.b[gamma] / table.b[target]))
-        out.append(M)
-    return out
+    """Letters outside 1..n raise from the shift maps, also for words longer
+    than N, and from symbol_to_operator; a depth beyond the table raises."""
+    model = truncated_model(ball2_table, 2)
+    for alpha in ((0,), (3,), (1, 0), (3, 1, 1)):
+        for left in (True, False):
+            with pytest.raises(ValueError, match="letters outside 1..2"):
+                model.shift(alpha, left)
+    for letter in (0, 3):
+        for sym in (MultiToeplitzSymbol.scalar(A={(letter,): 1.0}),
+                    MultiToeplitzSymbol.scalar(B={(1, letter): 1.0})):
+            with pytest.raises(ValueError, match="letters outside 1..2"):
+                symbol_to_operator(sym, ball2_table, 1.0, 2)
+    with pytest.raises(ValueError, match="exceeds table depth"):
+        creation_tuple(ball2_table, 9)
 
 
 def test_conjugation_matches_dense_product():
@@ -168,7 +164,7 @@ def test_conjugation_matches_dense_product():
             sqrt_b = np.array([sqrt(table.b[w]) for w in basis.words])
             inner = [j for j, g in enumerate(basis.words) if len(g) < N]
             want = 0.0
-            for i, Wi in enumerate(_dense_creation(table, N, left=True), start=1):
+            for i, Wi in enumerate(dense_creation(table, N, left=True), start=1):
                 shift = np.zeros_like(Wi)
                 for j in inner:
                     shift[basis.index[(i,) + basis.words[j]], j] = 1.0
@@ -184,8 +180,8 @@ def test_index_maps_match_dense_products():
     for name, spec in builtin_corpus().items():
         table = weights_by_factorization(spec, 4)
         for N in range(5):
-            W = _dense_creation(table, N, left=True)
-            L = _dense_creation(table, N, left=False)
+            W = dense_creation(table, N, left=True)
+            L = dense_creation(table, N, left=False)
             for left, ref in ((True, W), (False, L)):
                 got = [op.matrix for op in creation_tuple(table, N, left=left)]
                 assert np.max(np.abs(np.array(got) - np.array(ref))) <= 1e-15, name
@@ -195,14 +191,14 @@ def test_index_maps_match_dense_products():
                 sym = MultiToeplitzSymbol(d, {w: blk() for w in words},
                                           {w: blk() for w in words if w})
                 for r in (1.0, 0.6):
-                    want = sum(np.kron(word_operator(W, a) * r ** len(a), c)
+                    want = sum(np.kron(dense_word(W, a) * r ** len(a), c)
                                for a, c in sym.A.items())
-                    want = want + sum(np.kron(word_operator(W, a).conj().T * r ** len(a), c)
+                    want = want + sum(np.kron(dense_word(W, a).conj().T * r ** len(a), c)
                                       for a, c in sym.B.items())
                     got = symbol_to_operator(sym, table, r, N).matrix
                     assert np.max(np.abs(got - want)) <= 1e-13, (name, N, d, r)
                 X = OperatorTuple(spec, [blk() for _ in range(spec.n)])
-                want = sum(float(a) * np.kron(word_operator(L, reverse(beta)),
+                want = sum(float(a) * np.kron(dense_word(L, reverse(beta)),
                                               X.word(beta).conj().T)
                            for beta, a in spec.coefficients.items())
                 got = reconstruction_operator(spec, X, N, table).matrix
@@ -210,7 +206,7 @@ def test_index_maps_match_dense_products():
             # one term with both words nonempty, on Lambda, with a 2 x 2 block
             alpha, beta = (1,), (spec.n, 1)
             B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            want = 0.7 * np.kron(word_operator(L, alpha) @ word_operator(L, beta).conj().T, B)
+            want = 0.7 * np.kron(dense_word(L, alpha) @ dense_word(L, beta).conj().T, B)
             got = truncated_model(table, N).operator([(alpha, beta, 0.7, B)], 2, left=False)
             assert got.aux_dim == 2, (name, N)
             assert np.max(np.abs(got.matrix - want)) <= 1e-13, (name, N)
@@ -228,14 +224,14 @@ def test_block_columns_match_dense_references():
         table = weights_by_factorization(spec, 4)
         for N in range(5):
             report = verify_model_identities(spec, table, N)
-            W = creation_tuple(table, N, left=True)
-            D = W[0].basis.dimension
+            W = dense_creation(table, N, True)
+            D = W[0].shape[0]
             vacuum = np.zeros((D, D))
             vacuum[0, 0] = 1.0
             for ops, s, res, nrm in (
-                    (_dense_creation(table, N, True), spec,
+                    (W, spec,
                      report.defect_residual_left, report.phi_norm_left),
-                    (_dense_creation(table, N, False), spec.reversed(),
+                    (dense_creation(table, N, False), spec.reversed(),
                      report.defect_residual_right, report.phi_norm_right)):
                 want = np.max(np.abs(defect_operator(s, ops, spec.m) - vacuum))
                 assert abs(res - want) <= 1e-13, (name, N)
@@ -260,7 +256,7 @@ def test_block_columns_match_dense_references():
 
                 Y = scale_into_domain(OperatorTuple(spec, [rand(k) for _ in range(spec.n)]))
                 K = berezin_kernel(spec, Y, table, N)
-                want = max(np.linalg.norm(K @ Yi.conj().T - np.kron(Wi.matrix.conj().T, Ik) @ K, 2)
+                want = max(np.linalg.norm(K @ Yi.conj().T - np.kron(Wi.conj().T, Ik) @ K, 2)
                            for Yi, Wi in zip(Y.matrices, W))
                 assert abs(intertwining_residual(K, Y, table, N) - want) <= 1e-13
                 for d in (1, 2):
@@ -353,8 +349,8 @@ def test_commutation_on_index_maps_matches_dense_products():
     for name, spec in builtin_corpus().items():
         table = weights_by_factorization(spec, 4)
         for N in range(5):
-            W = _dense_creation(table, N, left=True)
-            L = _dense_creation(table, N, left=False)
+            W = dense_creation(table, N, left=True)
+            L = dense_creation(table, N, left=False)
             interior = len(enumerate_words(spec.n, N - 2)) if N >= 2 else 0
             want = 0.0
             for Wi in W:
@@ -371,15 +367,16 @@ GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden_corpus_n
 
 def test_production_skips_dense_creation_path(monkeypatch, tmp_path):
     """The verification suites and the single-spec CLI commands read every
-    model operator from the shift maps; the dense creation path is left to
-    the tests as their oracle.  The corpus run at depth 4 records the check
-    list of the benchmark's golden file, read here and never written."""
+    model operator from the shift maps, never from creation_tuple, which is
+    patched to raise wherever the package binds it.  The corpus run at
+    depth 4 records the check list of the benchmark's golden file, read here
+    and never written."""
     def dense(*args, **kwargs):
-        raise AssertionError("dense creation path called")
+        raise AssertionError("creation_tuple called")
 
-    monkeypatch.setattr(fock, "_creation", dense)
-    monkeypatch.setattr(fock, "identity_operator", dense)
-    monkeypatch.setattr(TruncatedOperator, "__matmul__", dense)
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ncdomains"]:
+        if hasattr(module, "creation_tuple"):
+            monkeypatch.setattr(module, "creation_tuple", dense)
     report = VerificationReport({})
     for name, spec in builtin_corpus().items():
         full_suite(spec, 4, report, label=f".{name}")

@@ -33,7 +33,7 @@ def test_evaluate_matches_direct_sum(ball2_table):
     rng = np.random.default_rng(6)
     X = random_nilpotent_tuple(rng, ball2_table.spec, dim=3)
     F = scalar_holomorphic({EMPTY: 2.0, (1,): 1.0, (1, 2): -1j})
-    val = F.evaluate(X.matrices)
+    val = evaluate_symbol(F.symbol, X.matrices)
     want = 2.0 * np.eye(3) + X.matrices[0] + (-1j) * X.word((1, 2))
     assert np.linalg.norm(val - want, 2) < 1e-14
 

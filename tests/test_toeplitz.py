@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
 
+from dense_oracle import dense_creation
 from ncdomains.corpus import builtin_corpus, random_symbol
 from ncdomains.pluriharmonic import PluriharmonicFunction, gamma_kernel
 from ncdomains.toeplitz import (MultiToeplitzSymbol, ToeplitzReport,
                                 fourier_coefficients, is_multi_toeplitz,
                                 max_block_difference, norm_profile,
                                 symbol_to_operator)
-from ncdomains.fock import (TruncatedFockBasis, TruncatedOperator, creation_tuple,
-                            identity_operator, truncated_model)
+from ncdomains.fock import TruncatedFockBasis, TruncatedOperator, truncated_model
 from ncdomains.weights import weights_by_convolution
 from ncdomains.words import EMPTY, GEQ, compare_right
 
 
 def test_identity_is_toeplitz(ball2_table):
-    I = identity_operator(creation_tuple(ball2_table, 3)[0].basis)
+    basis = TruncatedFockBasis.build(2, 3)
+    I = TruncatedOperator(basis, np.eye(basis.dimension, dtype=complex))
     report = is_multi_toeplitz(I, ball2_table)
     assert report.is_toeplitz
     sym = fourier_coefficients(I, ball2_table, 3)
@@ -24,7 +25,8 @@ def test_identity_is_toeplitz(ball2_table):
 
 
 def test_creation_operator_is_toeplitz(ball2_table):
-    W1 = creation_tuple(ball2_table, 4)[0]
+    W1 = TruncatedOperator(TruncatedFockBasis.build(2, 4),
+                           dense_creation(ball2_table, 4, left=True)[0])
     report = is_multi_toeplitz(W1, ball2_table)
     assert report.is_toeplitz, (report.worst_structure_residual,
                                 report.worst_incomparable_entry)
