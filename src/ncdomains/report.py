@@ -1,11 +1,28 @@
 """Machine-readable check records and run reports."""
 from __future__ import annotations
 
+import os
+import platform
 import time
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 PASS = "pass"
 FAIL = "fail"
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def environment() -> dict:
+    """Python and numpy versions, the BLAS numpy was built against, and the
+    BLAS thread settings, which change run times severalfold."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {k: blas.get(k) for k in ("name", "version")}
+    except (TypeError, KeyError):      # numpy < 1.25 has no mode="dicts"
+        blas = {}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas, "threads": {v: os.environ.get(v) for v in THREAD_VARIABLES}}
 
 
 @dataclass
@@ -67,7 +84,7 @@ class VerificationReport:
             suite = c.check_id.split(".", 1)[0]
             suite_elapsed[suite] = suite_elapsed.get(suite, 0.0) + c.elapsed
         return {
-            "config": self.config,
+            "config": {**self.config, "environment": environment()},
             "summary": {
                 "total": len(self.checks),
                 "pass": sum(c.status == PASS for c in self.checks),

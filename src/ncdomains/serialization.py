@@ -4,6 +4,12 @@ Words are integer arrays ([] is the empty word).  Matrices are
 {rows, cols, aux_dim, data} with data a row-major list of [re, im] pairs.
 Symbols are {aux_dim, A: [{word, block}], B: [{word, block}]} with blocks
 nested [re, im] arrays.  Operator tuples are {n, dim, matrices: [...]}.
+
+Files are written as compact one-line JSON with sorted keys, through the C
+encoder of the json module; the keys are unchanged, and indented files load
+the same.  Complex arrays go to and from their [re, im] pairs as float views,
+never through arithmetic, so every value, -0.0 and the infinities included,
+reads back bit for bit (NaN as NaN).  Malformed input raises ValueError.
 """
 from __future__ import annotations
 
@@ -14,23 +20,67 @@ import numpy as np
 from .berezin import OperatorTuple
 from .fock import TruncatedFockBasis, TruncatedOperator
 from .toeplitz import MultiToeplitzSymbol
-from .weights import DomainSpec
+from .weights import DomainSpec, _integer
+from .words import fock_dimension
+
+
+def _object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _count(value, what: str, least: int = 0) -> int:
+    if _integer(value, what) < least:
+        raise ValueError(f"{what} must be >= {least}, got {value!r}")
+    return value
+
+
+def _word(value) -> tuple:
+    return tuple(_integer(letter, "letter") for letter in _list(value, "word"))
+
+
+def _pairs(a: np.ndarray) -> list:
+    """The [re, im] pairs of a, nested as a.shape + (2,)."""
+    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(*a.shape, 2).tolist()
+
+
+def _complex(data, shape: tuple, what: str) -> np.ndarray:
+    """The complex array of shape whose [re, im] pairs are data, nested
+    exactly as shape + (2,) with numbers only: dtype=float would read null
+    as NaN and parse strings."""
+    try:
+        arr = np.asarray(data)
+        if arr.size == 0:          # [] stands for every empty shape
+            arr = arr.reshape(*shape, 2)
+    except ValueError as exc:
+        raise ValueError(f"malformed {what}: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"malformed {what}: entries must be numbers")
+    arr = arr.astype(float, copy=False)
+    if arr.shape != (*shape, 2):
+        raise ValueError(f"malformed {what}: expected [re, im] pairs of shape "
+                         f"{(*shape, 2)}, got {arr.shape}")
+    return arr.view(complex).reshape(shape)
 
 
 def matrix_to_json(M: np.ndarray, aux_dim: int = 1) -> dict:
     rows, cols = M.shape
-    data = [[float(v.real), float(v.imag)] for v in M.reshape(-1)]
-    return {"rows": rows, "cols": cols, "aux_dim": aux_dim, "data": data}
+    return {"rows": rows, "cols": cols, "aux_dim": aux_dim, "data": _pairs(M.reshape(-1))}
 
 
 def matrix_from_json(obj: dict) -> tuple[np.ndarray, int]:
     """Parse the matrix_to_json() form; malformed data raise ValueError."""
-    try:
-        rows, cols = obj["rows"], obj["cols"]
-        flat = np.array([complex(re, im) for re, im in obj["data"]])
-        return flat.reshape(rows, cols), obj.get("aux_dim", 1)
-    except TypeError as exc:
-        raise ValueError(f"malformed matrix: {exc}") from None
+    obj = _object(obj, "matrix")
+    rows, cols = _count(obj["rows"], "rows"), _count(obj["cols"], "cols")
+    aux = _count(obj.get("aux_dim", 1), "aux_dim", least=1)
+    return _complex(obj["data"], (rows * cols,), "matrix").reshape(rows, cols), aux
 
 
 def operator_to_json(T: TruncatedOperator) -> dict:
@@ -42,33 +92,31 @@ def operator_to_json(T: TruncatedOperator) -> dict:
 
 def operator_from_json(obj: dict) -> TruncatedOperator:
     M, aux = matrix_from_json(obj)
-    basis = TruncatedFockBasis.build(obj["n"], obj["N"])
-    return TruncatedOperator(basis, M, aux)
-
-
-def _block_to_json(blk: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in blk]
-
-
-def _block_from_json(rows: list) -> np.ndarray:
-    try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
-    except TypeError as exc:
-        raise ValueError(f"malformed block: {exc}") from None
+    n, N = _count(obj["n"], "n"), _count(obj["N"], "N")
+    d = fock_dimension(n, N) * aux
+    if M.shape != (d, d):      # before the basis is built: N may be huge
+        raise ValueError(f"matrix shape {M.shape} inconsistent with n = {n}, "
+                         f"N = {N}, aux_dim = {aux}")
+    return TruncatedOperator(TruncatedFockBasis.build(n, N), M, aux)
 
 
 def symbol_to_json(sym: MultiToeplitzSymbol) -> dict:
     return {
         "aux_dim": sym.aux_dim,
-        "A": [{"word": list(w), "block": _block_to_json(b)} for w, b in sorted(sym.A.items())],
-        "B": [{"word": list(w), "block": _block_to_json(b)} for w, b in sorted(sym.B.items())],
+        "A": [{"word": list(w), "block": _pairs(b)} for w, b in sorted(sym.A.items())],
+        "B": [{"word": list(w), "block": _pairs(b)} for w, b in sorted(sym.B.items())],
     }
 
 
 def symbol_from_json(obj: dict) -> MultiToeplitzSymbol:
-    A = {tuple(e["word"]): _block_from_json(e["block"]) for e in obj.get("A", [])}
-    B = {tuple(e["word"]): _block_from_json(e["block"]) for e in obj.get("B", [])}
-    return MultiToeplitzSymbol(obj.get("aux_dim", 1), A, B)
+    obj = _object(obj, "symbol")
+    d = _count(obj.get("aux_dim", 1), "aux_dim", least=1)
+
+    def part(key: str) -> dict:
+        entries = [_object(e, "symbol entry") for e in _list(obj.get(key, []), key)]
+        return {_word(e["word"]): _complex(e["block"], (d, d), "block") for e in entries}
+
+    return MultiToeplitzSymbol(d, part("A"), part("B"))
 
 
 def tuple_to_json(X: OperatorTuple) -> dict:
@@ -81,9 +129,10 @@ def tuple_to_json(X: OperatorTuple) -> dict:
 
 
 def tuple_from_json(obj: dict, spec: DomainSpec | None = None) -> OperatorTuple:
+    obj = _object(obj, "operator tuple")
     if spec is None:
         spec = DomainSpec.from_json(obj["spec"])
-    mats = [matrix_from_json(m)[0] for m in obj["matrices"]]
+    mats = [matrix_from_json(m)[0] for m in _list(obj["matrices"], "matrices")]
     return OperatorTuple(spec, mats)
 
 
@@ -93,6 +142,10 @@ def load_json(path) -> dict:
 
 
 def dump_json(obj, path) -> None:
+    """Write obj as one line of JSON with sorted keys.  json.dumps without
+    indent is the only call that takes the C encoder; json.dump and any
+    indent run the pure-Python one."""
+    text = json.dumps(obj, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")

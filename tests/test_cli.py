@@ -1,5 +1,6 @@
 import argparse
 import json
+import platform
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ from ncdomains.berezin import OperatorTuple
 from ncdomains.cli import build_parser, main
 from ncdomains.corpus import (builtin_corpus, mixed_spec, random_gated_tuple,
                               random_nilpotent_tuple)
+from ncdomains.fock import TruncatedFockBasis
 from ncdomains.serialization import (dump_json, operator_to_json, symbol_to_json,
                                      tuple_to_json)
 from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
@@ -119,6 +121,23 @@ def test_verify_all_small(tmp_path):
     assert report["config"]["seed"] == 0
 
 
+def test_report_environment(tmp_path, monkeypatch):
+    """Every report's config names the Python, numpy and BLAS that ran it
+    and the BLAS thread settings."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "report.json"
+    assert main(["verify-all", "--max-len", "2", "--out", str(out)]) == 0
+    env = json.loads(out.read_text())["config"]["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"} and env["blas"]["name"]
+    assert env["threads"]["OMP_NUM_THREADS"] == "3"
+    assert env["threads"]["MKL_NUM_THREADS"] is None
+    assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS"}
+
+
 def test_subcommand_options():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -155,9 +174,75 @@ def test_malformed_spec_exit_code(tmp_path, capsys, field, value):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_malformed_tuple_exit_code(tmp_path, capsys):
+def _tuple_file(field, value):
     obj = tuple_to_json(OperatorTuple(mixed_spec(1), [np.zeros((1, 1))] * 2))
-    obj["matrices"][0]["data"] = [["a", "b"]]
+    if field == "top":
+        return value
+    obj[field] = value
+    return obj
+
+
+def _symbol_file(field, value):
+    obj = symbol_to_json(MultiToeplitzSymbol.scalar(A={(1,): 1.0}))
+    if field in ("word", "block"):
+        obj["A"][0][field] = value
+    else:
+        obj[field] = value
+    return obj
+
+
+def _operator_file(field, value):
+    table = weights_by_factorization(mixed_spec(1), 2)
+    obj = operator_to_json(symbol_to_operator(MultiToeplitzSymbol.scalar(A={(1,): 1.0}),
+                                              table, 1.0, 2))
+    obj[field] = value
+    return obj
+
+
+MALFORMED_FILES = {
+    "tuple": (_tuple_file, ["berezin", "--spec", "mixed_n2_m1", "--tuple"]),
+    "symbol": (_symbol_file, ["toeplitz", "--spec", "hyperball_n2_m1", "--max-len", "2",
+                              "--symbol"]),
+    "operator": (_operator_file, ["toeplitz", "--spec", "mixed_n2_m1", "--max-len", "2",
+                                  "--op"]),
+}
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("tuple", "top", []), ("tuple", "matrices", 5),
+    ("symbol", "A", 5), ("symbol", "A", [5]), ("symbol", "word", "x"),
+    ("symbol", "aux_dim", "x"), ("symbol", "block", [[1, 0]]),
+    ("operator", "n", "x"), ("operator", "data", [1, 0, 2]),
+])
+def test_malformed_file_exit_code(tmp_path, capsys, kind, field, value):
+    """A malformed tuple, symbol or operator file: exit 2, one error line."""
+    make, argv = MALFORMED_FILES[kind]
+    path = tmp_path / f"{kind}.json"
+    dump_json(make(field, value), path)
+    rc = main([*argv, str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_operator_file_depth_checked_before_basis(tmp_path, capsys, monkeypatch):
+    """An operator file whose N does not match its matrix is rejected before
+    the depth-N basis, 2^61 words here, is enumerated."""
+    def no_basis(n, N):
+        raise AssertionError(f"basis of depth {N} enumerated")
+
+    path = tmp_path / "op.json"
+    dump_json(_operator_file("N", 60), path)
+    monkeypatch.setattr(TruncatedFockBasis, "build", staticmethod(no_basis))
+    rc = main([*MALFORMED_FILES["operator"][1], str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: matrix shape (7, 7) inconsistent")
+
+
+@pytest.mark.parametrize("data", [[["a", "b"]], [["1", 0]], [[None, 0]], [[10 ** 400, 0]]])
+def test_malformed_tuple_exit_code(tmp_path, capsys, data):
+    obj = tuple_to_json(OperatorTuple(mixed_spec(1), [np.zeros((1, 1))] * 2))
+    obj["matrices"][0]["data"] = data
     path = tmp_path / "tuple.json"
     dump_json(obj, path)
     rc = main(["berezin", "--spec", "mixed_n2_m1", "--tuple", str(path)])

@@ -1,7 +1,18 @@
-"""Source guards: imports happen at module level in the library, and no file
-imports a name it never uses."""
+"""Source guards: imports happen at module level in the library, no file
+imports a name it never uses, and files are written by the C JSON encoder."""
 import ast
+import json
+import json.encoder
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ncdomains.cli import main
+from ncdomains.corpus import mixed_spec
+from ncdomains.serialization import dump_json, operator_to_json
+from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
+from ncdomains.weights import weights_by_factorization
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -102,3 +113,22 @@ def test_truncated_operator_has_no_arithmetic():
     src = ROOT / "src" / "ncdomains"
     found = {p.name: _operator_arithmetic(p.read_text()) for p in sorted(src.glob("*.py"))}
     assert not any(found.values()), {k: v for k, v in found.items() if v}
+
+
+def test_dump_json_never_takes_the_pure_python_encoder(tmp_path, monkeypatch):
+    """json.dump and any indent run json.encoder._make_iterencode, the
+    pure-Python encoder, which is several times slower on operator files."""
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    with pytest.raises(AssertionError):
+        json.dumps({"a": [1.0]}, indent=2)
+    table = weights_by_factorization(mixed_spec(1), 3)
+    T = symbol_to_operator(MultiToeplitzSymbol.scalar(A={(): 1.0, (1,): 2.0}, B={(2,): 1j}),
+                           table, 0.9, 3)
+    dump_json(operator_to_json(T), tmp_path / "op.json")
+    out = tmp_path / "report.json"
+    assert main(["model", "--spec", "mixed_n2_m1", "--max-len", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["fail"] == 0
+    assert np.isclose(json.loads((tmp_path / "op.json").read_text())["data"][0][0], 1.0)

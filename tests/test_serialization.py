@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 from ncdomains.berezin import OperatorTuple
@@ -8,6 +10,14 @@ from ncdomains.serialization import (dump_json, load_json, matrix_from_json,
                                      operator_to_json, symbol_from_json,
                                      symbol_to_json, tuple_from_json,
                                      tuple_to_json)
+from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
+from ncdomains.weights import weights_by_factorization
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def test_matrix_roundtrip():
@@ -15,6 +25,12 @@ def test_matrix_roundtrip():
     back, aux = matrix_from_json(matrix_to_json(M, aux_dim=2))
     assert aux == 2
     assert np.array_equal(M, back)
+
+
+def test_empty_matrix_roundtrip():
+    """An empty matrix is written as data [] and reads back with its shape."""
+    back, _ = matrix_from_json(matrix_to_json(np.zeros((0, 3), dtype=complex)))
+    assert back.shape == (0, 3)
 
 
 def test_operator_roundtrip(ball2_table):
@@ -42,3 +58,57 @@ def test_tuple_roundtrip(tmp_path):
     assert back.spec == spec
     for M, Mb in zip(X.matrices, back.matrices):
         assert np.array_equal(M, Mb)
+
+
+def test_special_values_roundtrip_bitwise(tmp_path):
+    """Signed zeros, infinities and NaN in both parts survive a file round
+    trip bit for bit, as matrix entries and as symbol blocks."""
+    pairs = np.array([[re, im] for re in SPECIAL for im in SPECIAL])
+    M = pairs.view(complex).reshape(5, 5)      # no arithmetic on the values
+    assert np.signbit(M.real).sum() == 10 and np.signbit(M.imag).sum() == 10
+    path = tmp_path / "m.json"
+    dump_json(matrix_to_json(M), path)
+    back, _ = matrix_from_json(load_json(path))
+    assert np.array_equal(_bits(back), _bits(M))
+
+    sym = MultiToeplitzSymbol(5, {(): M, (1, 2): M.T}, {(2,): M[::-1]})
+    dump_json(symbol_to_json(sym), path)
+    back = symbol_from_json(load_json(path))
+    for part, back_part in ((sym.A, back.A), (sym.B, back.B)):
+        assert set(part) == set(back_part)
+        for w in part:
+            assert np.array_equal(_bits(back_part[w]), _bits(part[w]))
+
+
+def test_aux_symbol_roundtrip_bitwise(tmp_path):
+    sym = random_symbol(np.random.default_rng(4), 2, max_len=3, aux_dim=2)
+    path = tmp_path / "sym.json"
+    dump_json(symbol_to_json(sym), path)
+    back = symbol_from_json(load_json(path))
+    assert back.aux_dim == 2
+    assert set(back.A) == set(sym.A) and set(back.B) == set(sym.B)
+    for part, back_part in ((sym.A, back.A), (sym.B, back.B)):
+        for w in part:
+            assert np.array_equal(_bits(back_part[w]), _bits(part[w]))
+
+
+def test_large_operator_file_roundtrip(tmp_path):
+    """The 510 x 510 operator of an aux-2 symbol at depth 7 is written as one
+    line, reads back bit for bit, and a file in the former indented layout
+    holds the same JSON and loads to the same matrix."""
+    table = weights_by_factorization(mixed_spec(2), 7)
+    sym = random_symbol(np.random.default_rng(7), 2, max_len=2, aux_dim=2)
+    T = symbol_to_operator(sym, table, 0.9, 7)
+    assert T.matrix.shape == (510, 510)
+    path, indented = tmp_path / "op.json", tmp_path / "op_indented.json"
+    dump_json(operator_to_json(T), path)
+    assert path.read_text().count("\n") == 1
+    back = operator_from_json(load_json(path))
+    assert (back.basis.n, back.basis.N, back.aux_dim) == (2, 7, 2)
+    assert np.array_equal(_bits(back.matrix), _bits(T.matrix))
+
+    with open(indented, "w") as fh:
+        json.dump(operator_to_json(T), fh, indent=2, sort_keys=True)
+    assert load_json(indented) == load_json(path)
+    old = operator_from_json(load_json(indented))
+    assert np.array_equal(_bits(old.matrix), _bits(T.matrix))
