@@ -239,8 +239,7 @@ def test_operator_file_depth_checked_before_basis(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err.startswith("error: matrix shape (7, 7) inconsistent")
 
 
-@pytest.mark.parametrize("data", [[["a", "b"]], [["1", 0]], [[None, 0]], [[10 ** 400, 0]]])
-def test_malformed_tuple_exit_code(tmp_path, capsys, data):
+def _check_malformed_tuple_data(tmp_path, capsys, data):
     obj = tuple_to_json(OperatorTuple(mixed_spec(1), [np.zeros((1, 1))] * 2))
     obj["matrices"][0]["data"] = data
     path = tmp_path / "tuple.json"
@@ -249,6 +248,16 @@ def test_malformed_tuple_exit_code(tmp_path, capsys, data):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed matrix") and err.count("\n") == 1
+
+
+def test_malformed_tuple_exit_code(tmp_path, capsys):
+    _check_malformed_tuple_data(tmp_path, capsys, [["a", "b"]])
+
+
+@pytest.mark.parametrize("data", [[["1", 0]], [[None, 0]], [[10 ** 400, 0]]])
+def test_malformed_tuple_entry_exit_code(tmp_path, capsys, data):
+    """String, null and overflowing matrix entries: exit 2, one error line."""
+    _check_malformed_tuple_data(tmp_path, capsys, data)
 
 
 @pytest.mark.parametrize("letter", [0, 3])
