@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import verify
@@ -40,6 +41,13 @@ OPTIONS = {
     "seed": ("--seed", {"type": int, "default": 0}),
     "out": ("--out", {"default": None, "help": "report/output path"}),
 }
+
+
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def add_options(p: argparse.ArgumentParser, *names: str) -> None:
@@ -96,9 +104,9 @@ def cmd_toeplitz(args) -> int:
     N = args.max_len
     report = VerificationReport({"command": "toeplitz", "spec": spec.to_json(),
                                  "N": N, "seed": args.seed, "tol": args.tol})
+    T = operator_from_json(load_json(args.op), spec.n, N) if args.op else None
     table = verify.build_table(spec, N)
-    if args.op:
-        T = operator_from_json(load_json(args.op))
+    if T is not None:
         rep = is_multi_toeplitz(T, table, tol=args.tol)
         report.flag("toeplitz.check",
                     "operator satisfies the weighted shift-invariance relations",
@@ -215,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_options(p, "spec", "max_len", "tol", "seed", "out")
     p.add_argument("--op", default=None, help="operator JSON to check")
     p.add_argument("--symbol", default=None, help="symbol JSON to assemble")
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--radius", type=finite_float, default=1.0)
     p.set_defaults(fn=cmd_toeplitz)
 
     p = sub.add_parser("berezin", help="membership, purity, Berezin identities")

@@ -5,6 +5,15 @@ Words are integer arrays ([] is the empty word).  Matrices are
 Symbols are {aux_dim, A: [{word, block}], B: [{word, block}]} with blocks
 nested [re, im] arrays.  Operator tuples are {n, dim, matrices: [...]}.
 
+Operators are sparse: {n, N, aux_dim, rows, cols, index, data}, where index
+lists in ascending order the flat row-major position of every entry whose
+bits are not all zero, and data holds their [re, im] pairs.  A weighted
+multi-Toeplitz operator has entries only at comparable word pairs, so the
+file grows with its nonzeros, not with D^2; -0.0, the infinities and NaN are
+kept.  Operator files in the dense matrix form, with n and N added, still
+load.  Tuple matrices are k x k and stay dense: their reader allocates no
+more than the file itself holds.
+
 Files are written as compact one-line JSON with sorted keys, through the C
 encoder of the json module; the keys are unchanged, and indented files load
 the same.  Complex arrays go to and from their [re, im] pairs as float views,
@@ -84,20 +93,58 @@ def matrix_from_json(obj: dict) -> tuple[np.ndarray, int]:
 
 
 def operator_to_json(T: TruncatedOperator) -> dict:
-    obj = matrix_to_json(T.matrix, T.aux_dim)
-    obj["n"] = T.basis.n
-    obj["N"] = T.basis.N
-    return obj
+    """The sparse form: every entry whose bits are not all zero."""
+    rows, cols = T.matrix.shape
+    flat = np.ascontiguousarray(T.matrix, dtype=complex).reshape(-1)
+    index = np.flatnonzero(flat.view(np.uint64).reshape(-1, 2).any(axis=1))
+    return {"n": T.basis.n, "N": T.basis.N, "aux_dim": T.aux_dim,
+            "rows": rows, "cols": cols, "index": index.tolist(),
+            "data": _pairs(flat[index])}
 
 
-def operator_from_json(obj: dict) -> TruncatedOperator:
-    M, aux = matrix_from_json(obj)
-    n, N = _count(obj["n"], "n"), _count(obj["N"], "N")
-    d = fock_dimension(n, N) * aux
-    if M.shape != (d, d):      # before the basis is built: N may be huge
-        raise ValueError(f"matrix shape {M.shape} inconsistent with n = {n}, "
+def _positions(value, size: int) -> np.ndarray:
+    """The sparse form's index: flat positions in 0..size-1, ascending."""
+    index = np.asarray(_list(value, "index"))
+    if index.size == 0:
+        return index.astype(np.intp)
+    if index.ndim != 1 or index.dtype.kind != "i":
+        raise ValueError(f"malformed index: entries must be integers in 0..{size - 1}")
+    if np.any(np.diff(index) <= 0):
+        raise ValueError("malformed index: entries must be strictly ascending")
+    if index[0] < 0 or index[-1] >= size:
+        raise ValueError(f"malformed index: entries must be integers in 0..{size - 1}")
+    return index
+
+
+def operator_from_json(obj: dict, n: int | None = None,
+                       max_len: int | None = None) -> TruncatedOperator:
+    """Parse either operator form.  The header is checked against the basis
+    dimension, and against n and the depth bound max_len when given, before
+    the matrix is allocated or the basis built: a small sparse file can
+    declare a huge shape."""
+    obj = _object(obj, "operator")
+    rows, cols = _count(obj["rows"], "rows"), _count(obj["cols"], "cols")
+    aux = _count(obj.get("aux_dim", 1), "aux_dim", least=1)
+    file_n, N = _count(obj["n"], "n"), _count(obj["N"], "N")
+    # for n >= 2 the dimension exceeds 2^N, so a depth of rows.bit_length()
+    # or more cannot match and its dimension is never formed
+    if ((file_n >= 2 and N >= rows.bit_length()) or rows != cols
+            or fock_dimension(file_n, N) * aux != rows):
+        raise ValueError(f"matrix shape {(rows, cols)} inconsistent with n = {file_n}, "
                          f"N = {N}, aux_dim = {aux}")
-    return TruncatedOperator(TruncatedFockBasis.build(n, N), M, aux)
+    if n is not None and file_n != n:
+        raise ValueError(f"operator has n = {file_n} letters, the spec has {n}")
+    if max_len is not None and N > max_len:
+        raise ValueError(f"operator depth N = {N} exceeds the table depth {max_len}")
+    if "index" in obj:
+        index = _positions(obj["index"], rows * cols)
+        values = _complex(obj["data"], index.shape, "operator data")
+        M = np.zeros(rows * cols, dtype=complex)
+        M[index] = values
+        M = M.reshape(rows, cols)
+    else:
+        M, _ = matrix_from_json(obj)
+    return TruncatedOperator(TruncatedFockBasis.build(file_n, N), M, aux)
 
 
 def symbol_to_json(sym: MultiToeplitzSymbol) -> dict:

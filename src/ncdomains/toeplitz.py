@@ -99,14 +99,12 @@ class MultiToeplitzSymbol:
 
 
 def max_block_difference(s1: MultiToeplitzSymbol, s2: MultiToeplitzSymbol) -> float:
-    d = s1.aux_dim
-    zero = np.zeros((d, d), dtype=complex)
-    worst = 0.0
-    for w in set(s1.A) | set(s2.A):
-        worst = max(worst, float(np.max(np.abs(s1.A.get(w, zero) - s2.A.get(w, zero)))))
-    for w in set(s1.B) | set(s2.B):
-        worst = max(worst, float(np.max(np.abs(s1.B.get(w, zero) - s2.B.get(w, zero)))))
-    return worst
+    """The largest entrywise difference of the two symbols' coefficients;
+    NaN when any difference is NaN, so that it fails every tolerance."""
+    zero = np.zeros((s1.aux_dim, s1.aux_dim), dtype=complex)
+    diffs = [np.abs(p1.get(w, zero) - p2.get(w, zero))
+             for p1, p2 in ((s1.A, s2.A), (s1.B, s2.B)) for w in set(p1) | set(p2)]
+    return float(np.max(diffs, initial=0.0))
 
 
 @dataclass

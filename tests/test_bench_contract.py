@@ -2,10 +2,16 @@
 at every ncdomains site that binds it.  A renamed or removed listed function,
 or an import site the tracer cannot rebind, should fail here rather than only
 when a traced benchmark runs.  perfbench/ is read, never written."""
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from ncdomains.corpus import random_symbol
+from ncdomains.serialization import dump_json, symbol_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,20 +28,52 @@ sys.exit(ncdomains.cli.main(["verify-all", "--max-len", "2"]))
 """
 
 
-def traced_verify_all(*deleted: str) -> subprocess.CompletedProcess:
+# the two toeplitz commands of the cli_files_n7 workload that pass through
+# the operator file; prints the exit codes and the traced serialization calls
+TRACED_FILE_COMMANDS = """
+import json
+import spans
+import ncdomains.cli
+tracer = spans.Tracer()
+spans.install(tracer)
+common = ["toeplitz", "--spec", "mixed_n2_m2", "--max-len", "3"]
+codes = [ncdomains.cli.main([*common, "--symbol", "sym.json", "--out", "op.json"]),
+         ncdomains.cli.main([*common, "--op", "op.json"])]
+calls = {name: f["calls"] for name, f in tracer.summary()["functions"].items()
+         if name.startswith("serialization.")}
+print(json.dumps({"codes": codes, "calls": calls}))
+"""
+
+
+def traced(script: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
     path = [str(ROOT / "src"), str(ROOT / "perfbench")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, "-c", TRACED_VERIFY_ALL, *deleted],
-                          env=env, capture_output=True, text=True, timeout=300)
-
+    return subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 def test_traced_verify_all_runs():
-    proc = traced_verify_all()
+    proc = traced(TRACED_VERIFY_ALL)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_tracer_rejects_a_missing_listed_function():
-    proc = traced_verify_all("berezin.hereditary_model_operator")
+    proc = traced(TRACED_VERIFY_ALL, "berezin.hereditary_model_operator")
     assert proc.returncode != 0
     assert "in install" in proc.stderr
     assert "no attribute 'hereditary_model_operator'" in proc.stderr
+
+
+def test_traced_operator_file_commands_run(tmp_path):
+    """toeplitz --symbol ... --out op.json, then toeplitz --op op.json, run
+    traced and read and write the files through the listed functions."""
+    sym = random_symbol(np.random.default_rng(0), 2, max_len=2, aux_dim=2)
+    dump_json(symbol_to_json(sym), tmp_path / "sym.json")
+    proc = traced(TRACED_FILE_COMMANDS, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0]
+    assert got["calls"] == {"serialization.load_json": 2, "serialization.dump_json": 1,
+                            "serialization.operator_to_json": 1,
+                            "serialization.operator_from_json": 1,
+                            "serialization.symbol_from_json": 1,
+                            "serialization.tuple_from_json": 0}

@@ -16,6 +16,7 @@ from ncdomains.serialization import (dump_json, operator_to_json, symbol_to_json
                                      tuple_to_json)
 from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from ncdomains.weights import weights_by_factorization
+from ncdomains.words import fock_dimension
 
 
 def test_weights_csv_row_count(tmp_path):
@@ -213,9 +214,15 @@ MALFORMED_FILES = {
     ("symbol", "A", 5), ("symbol", "A", [5]), ("symbol", "word", "x"),
     ("symbol", "aux_dim", "x"), ("symbol", "block", [[1, 0]]),
     ("operator", "n", "x"), ("operator", "data", [1, 0, 2]),
+    ("operator", "index", 5), ("operator", "index", ["0", 8, 15]),
+    ("operator", "index", [-1, 8, 15]), ("operator", "index", [0, 8, 49]),
+    ("operator", "index", [0, 8, 8]), ("operator", "index", [8, 0, 15]),
+    ("operator", "index", [0, 8]),
 ])
 def test_malformed_file_exit_code(tmp_path, capsys, kind, field, value):
-    """A malformed tuple, symbol or operator file: exit 2, one error line."""
+    """A malformed tuple, symbol or operator file: exit 2, one error line.
+    The operator's 7 x 7 matrix has 3 nonzero entries, so an index must be
+    3 ascending positions in 0..48."""
     make, argv = MALFORMED_FILES[kind]
     path = tmp_path / f"{kind}.json"
     dump_json(make(field, value), path)
@@ -237,6 +244,56 @@ def test_operator_file_depth_checked_before_basis(tmp_path, capsys, monkeypatch)
     rc = main([*MALFORMED_FILES["operator"][1], str(path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: matrix shape (7, 7) inconsistent")
+
+
+@pytest.mark.parametrize("n, N, rows, error", [
+    (2, 40, fock_dimension(2, 40), "operator depth N = 40 exceeds the table depth 3"),
+    (2, 4, fock_dimension(2, 4), "operator depth N = 4 exceeds the table depth 3"),
+    (3, 2, fock_dimension(3, 2), "operator has n = 3 letters, the spec has 2"),
+    (2, 2, fock_dimension(2, 40), "matrix shape"),
+    (3, 10 ** 9, 13, "matrix shape (13, 13) inconsistent with n = 3, N = 1000000000"),
+], ids=["depth-40", "depth-4", "letters", "shape", "depth-1e9"])
+def test_operator_file_header_checked_before_allocation(tmp_path, capsys, monkeypatch,
+                                                        n, N, rows, error):
+    """A sparse operator file with no entries can declare any shape; its n,
+    N and shape are checked before the matrix is allocated or the basis is
+    enumerated, and a depth too large for its rows before 3^N is formed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated or enumerated")
+
+    path = tmp_path / "op.json"
+    dump_json({"n": n, "N": N, "aux_dim": 1, "rows": rows, "cols": rows,
+               "index": [], "data": []}, path)
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(TruncatedFockBasis, "build", staticmethod(refuse))
+    rc = main(["toeplitz", "--spec", "mixed_n2_m1", "--max-len", "3", "--op", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
+
+def test_nan_symbol_fails_roundtrip(tmp_path, capsys):
+    """A symbol with a NaN coefficient fails the round trip, not passes it."""
+    sym = MultiToeplitzSymbol.scalar(A={(): 1.0, (1,): np.nan}, B={(2,): 1j})
+    path = tmp_path / "sym.json"
+    dump_json(symbol_to_json(sym), path)
+    rc = main(["toeplitz", "--spec", "mixed_n2_m2", "--max-len", "3",
+               "--symbol", str(path)])
+    assert rc == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "[  fail] toeplitz.roundtrip  residual=nan tol=1e-10" in out
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-inf"])
+def test_nonfinite_radius_exit_code(tmp_path, capsys, radius):
+    path = tmp_path / "sym.json"
+    dump_json(symbol_to_json(MultiToeplitzSymbol.scalar(A={(1,): 1.0})), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["toeplitz", "--spec", "mixed_n2_m2", "--max-len", "3",
+              "--symbol", str(path), f"--radius={radius}"])
+    assert exc.value.code == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and "argument --radius: must be finite" in errors[0]
 
 
 def _check_malformed_tuple_data(tmp_path, capsys, data):

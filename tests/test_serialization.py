@@ -4,7 +4,7 @@ import numpy as np
 
 from ncdomains.berezin import OperatorTuple
 from ncdomains.corpus import mixed_spec, random_symbol
-from ncdomains.fock import creation_tuple
+from ncdomains.fock import TruncatedFockBasis, TruncatedOperator, creation_tuple
 from ncdomains.serialization import (dump_json, load_json, matrix_from_json,
                                      matrix_to_json, operator_from_json,
                                      operator_to_json, symbol_from_json,
@@ -71,6 +71,13 @@ def test_special_values_roundtrip_bitwise(tmp_path):
     back, _ = matrix_from_json(load_json(path))
     assert np.array_equal(_bits(back), _bits(M))
 
+    T = TruncatedOperator(TruncatedFockBasis.build(4, 1), M)    # 5 words
+    dump_json(operator_to_json(T), path)
+    obj = load_json(path)
+    assert obj["index"] == [i for i in range(25) if i != 0]   # only +0.0+0.0j left out
+    back = operator_from_json(obj)
+    assert np.array_equal(_bits(back.matrix), _bits(M))
+
     sym = MultiToeplitzSymbol(5, {(): M, (1, 2): M.T}, {(2,): M[::-1]})
     dump_json(symbol_to_json(sym), path)
     back = symbol_from_json(load_json(path))
@@ -94,15 +101,19 @@ def test_aux_symbol_roundtrip_bitwise(tmp_path):
 
 def test_large_operator_file_roundtrip(tmp_path):
     """The 510 x 510 operator of an aux-2 symbol at depth 7 is written as one
-    line, reads back bit for bit, and a file in the former indented layout
-    holds the same JSON and loads to the same matrix."""
+    line listing only its nonzero entries, under a tenth of the dense form's
+    size, and reads back bit for bit; a file in the former indented layout
+    holds the same JSON, and a dense file of the earlier form still loads."""
     table = weights_by_factorization(mixed_spec(2), 7)
     sym = random_symbol(np.random.default_rng(7), 2, max_len=2, aux_dim=2)
     T = symbol_to_operator(sym, table, 0.9, 7)
     assert T.matrix.shape == (510, 510)
     path, indented = tmp_path / "op.json", tmp_path / "op_indented.json"
+    dense = tmp_path / "op_dense.json"
     dump_json(operator_to_json(T), path)
     assert path.read_text().count("\n") == 1
+    nonzero = np.count_nonzero(_bits(T.matrix).reshape(-1, 2).any(axis=1))
+    assert 0 < nonzero and len(load_json(path)["index"]) == nonzero
     back = operator_from_json(load_json(path))
     assert (back.basis.n, back.basis.N, back.aux_dim) == (2, 7, 2)
     assert np.array_equal(_bits(back.matrix), _bits(T.matrix))
@@ -111,4 +122,10 @@ def test_large_operator_file_roundtrip(tmp_path):
         json.dump(operator_to_json(T), fh, indent=2, sort_keys=True)
     assert load_json(indented) == load_json(path)
     old = operator_from_json(load_json(indented))
+    assert np.array_equal(_bits(old.matrix), _bits(T.matrix))
+
+    dump_json({**matrix_to_json(T.matrix, T.aux_dim), "n": 2, "N": 7}, dense)
+    assert path.stat().st_size < dense.stat().st_size / 10
+    old = operator_from_json(load_json(dense))
+    assert (old.basis.n, old.basis.N, old.aux_dim) == (2, 7, 2)
     assert np.array_equal(_bits(old.matrix), _bits(T.matrix))
