@@ -104,9 +104,9 @@ def cmd_toeplitz(args) -> int:
     N = args.max_len
     report = VerificationReport({"command": "toeplitz", "spec": spec.to_json(),
                                  "N": N, "seed": args.seed, "tol": args.tol})
-    T = operator_from_json(load_json(args.op), spec.n, N) if args.op else None
     table = verify.build_table(spec, N)
-    if T is not None:
+    if args.op:
+        T = operator_from_json(load_json(args.op), table)
         rep = is_multi_toeplitz(T, table, tol=args.tol)
         report.flag("toeplitz.check",
                     "operator satisfies the weighted shift-invariance relations",

@@ -11,8 +11,9 @@ bits are not all zero, and data holds their [re, im] pairs.  A weighted
 multi-Toeplitz operator has entries only at comparable word pairs, so the
 file grows with its nonzeros, not with D^2; -0.0, the infinities and NaN are
 kept.  Operator files in the dense matrix form, with n and N added, still
-load.  Tuple matrices are k x k and stay dense: their reader allocates no
-more than the file itself holds.
+load.  An operator file of either form holds at most MAX_OPERATOR_ROWS rows,
+checked before the matrix is allocated.  Tuple matrices are k x k and stay
+dense: their reader allocates no more than the file itself holds.
 
 Files are written as compact one-line JSON with sorted keys, through the C
 encoder of the json module; the keys are unchanged, and indented files load
@@ -28,9 +29,13 @@ import numpy as np
 
 from .berezin import OperatorTuple
 from .fock import TruncatedFockBasis, TruncatedOperator
-from .toeplitz import MultiToeplitzSymbol
-from .weights import DomainSpec, _integer
+from .toeplitz import MultiToeplitzSymbol, check_basis
+from .weights import DomainSpec, WeightTable, _integer
 from .words import fock_dimension
+
+# An operator file holds at most this many rows: the dense matrix is then at
+# most 256 MiB.  A sparse file is not bounded by its own size, as a dense one is.
+MAX_OPERATOR_ROWS = 4096
 
 
 def _object(obj, what: str) -> dict:
@@ -104,10 +109,12 @@ def operator_to_json(T: TruncatedOperator) -> dict:
 
 def _positions(value, size: int) -> np.ndarray:
     """The sparse form's index: flat positions in 0..size-1, ascending."""
-    index = np.asarray(_list(value, "index"))
+    value = _list(value, "index")
+    index = np.asarray(value)
     if index.size == 0:
         return index.astype(np.intp)
-    if index.ndim != 1 or index.dtype.kind != "i":
+    # numpy reads true as 1 among integers
+    if index.ndim != 1 or index.dtype.kind != "i" or any(type(v) is bool for v in value):
         raise ValueError(f"malformed index: entries must be integers in 0..{size - 1}")
     if np.any(np.diff(index) <= 0):
         raise ValueError("malformed index: entries must be strictly ascending")
@@ -116,26 +123,26 @@ def _positions(value, size: int) -> np.ndarray:
     return index
 
 
-def operator_from_json(obj: dict, n: int | None = None,
-                       max_len: int | None = None) -> TruncatedOperator:
-    """Parse either operator form.  The header is checked against the basis
-    dimension, and against n and the depth bound max_len when given, before
+def operator_from_json(obj: dict, table: WeightTable | None = None) -> TruncatedOperator:
+    """Parse either operator form.  The header is checked, against the basis
+    dimension, MAX_OPERATOR_ROWS and, when given, the weight table, before
     the matrix is allocated or the basis built: a small sparse file can
     declare a huge shape."""
     obj = _object(obj, "operator")
     rows, cols = _count(obj["rows"], "rows"), _count(obj["cols"], "cols")
     aux = _count(obj.get("aux_dim", 1), "aux_dim", least=1)
-    file_n, N = _count(obj["n"], "n"), _count(obj["N"], "N")
+    n, N = _count(obj["n"], "n"), _count(obj["N"], "N")
     # for n >= 2 the dimension exceeds 2^N, so a depth of rows.bit_length()
     # or more cannot match and its dimension is never formed
-    if ((file_n >= 2 and N >= rows.bit_length()) or rows != cols
-            or fock_dimension(file_n, N) * aux != rows):
-        raise ValueError(f"matrix shape {(rows, cols)} inconsistent with n = {file_n}, "
+    if ((n >= 2 and N >= rows.bit_length()) or rows != cols
+            or fock_dimension(n, N) * aux != rows):
+        raise ValueError(f"matrix shape {(rows, cols)} inconsistent with n = {n}, "
                          f"N = {N}, aux_dim = {aux}")
-    if n is not None and file_n != n:
-        raise ValueError(f"operator has n = {file_n} letters, the spec has {n}")
-    if max_len is not None and N > max_len:
-        raise ValueError(f"operator depth N = {N} exceeds the table depth {max_len}")
+    if table is not None:
+        check_basis(n, N, table)
+    if rows > MAX_OPERATOR_ROWS:
+        raise ValueError(f"operator has {rows} rows, more than the "
+                         f"{MAX_OPERATOR_ROWS} an operator file may hold")
     if "index" in obj:
         index = _positions(obj["index"], rows * cols)
         values = _complex(obj["data"], index.shape, "operator data")
@@ -144,7 +151,7 @@ def operator_from_json(obj: dict, n: int | None = None,
         M = M.reshape(rows, cols)
     else:
         M, _ = matrix_from_json(obj)
-    return TruncatedOperator(TruncatedFockBasis.build(file_n, N), M, aux)
+    return TruncatedOperator(TruncatedFockBasis.build(n, N), M, aux)
 
 
 def symbol_to_json(sym: MultiToeplitzSymbol) -> dict:

@@ -117,6 +117,14 @@ class ToeplitzReport:
     incomparable_witness: tuple[Word, Word] | None = None
 
 
+def check_basis(n: int, N: int, table: WeightTable) -> None:
+    """Raise ValueError unless a depth-N basis on n letters fits table."""
+    if n != table.spec.n:
+        raise ValueError(f"operator has n = {n} letters, the spec has {table.spec.n}")
+    if N > table.N:
+        raise ValueError(f"operator depth N = {N} exceeds the table depth {table.N}")
+
+
 def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
                       tol: float = 1e-10) -> ToeplitzReport:
     """Check the weighted shift-invariance relations of the operator matrix.
@@ -125,8 +133,7 @@ def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
     block magnitude of T.
     """
     basis = T.basis
-    if basis.n != table.spec.n or basis.N > table.N:
-        raise ValueError("operator basis incompatible with weight table")
+    check_basis(basis.n, basis.N, table)
     n, D, d, words = basis.n, basis.dimension, T.aux_dim, basis.words
     magnitude = np.abs(T.matrix)
     scale = max(float(np.max(magnitude)), 1.0)

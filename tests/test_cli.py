@@ -200,6 +200,13 @@ def _operator_file(field, value):
     return obj
 
 
+def _dense_operator_file(field, value):
+    """An operator file in the dense form written before the sparse one."""
+    obj = _operator_file(field, value)
+    del obj["index"]
+    return obj
+
+
 MALFORMED_FILES = {
     "tuple": (_tuple_file, ["berezin", "--spec", "mixed_n2_m1", "--tuple"]),
     "symbol": (_symbol_file, ["toeplitz", "--spec", "hyperball_n2_m1", "--max-len", "2",
@@ -207,6 +214,7 @@ MALFORMED_FILES = {
     "operator": (_operator_file, ["toeplitz", "--spec", "mixed_n2_m1", "--max-len", "2",
                                   "--op"]),
 }
+MALFORMED_FILES["dense operator"] = (_dense_operator_file, MALFORMED_FILES["operator"][1])
 
 
 @pytest.mark.parametrize("kind, field, value", [
@@ -217,12 +225,13 @@ MALFORMED_FILES = {
     ("operator", "index", 5), ("operator", "index", ["0", 8, 15]),
     ("operator", "index", [-1, 8, 15]), ("operator", "index", [0, 8, 49]),
     ("operator", "index", [0, 8, 8]), ("operator", "index", [8, 0, 15]),
-    ("operator", "index", [0, 8]),
+    ("operator", "index", [0, 8]), ("operator", "index", [True, 8, 15]),
+    ("dense operator", "data", [1, 0, 2]),
 ])
 def test_malformed_file_exit_code(tmp_path, capsys, kind, field, value):
     """A malformed tuple, symbol or operator file: exit 2, one error line.
     The operator's 7 x 7 matrix has 3 nonzero entries, so an index must be
-    3 ascending positions in 0..48."""
+    3 ascending integer positions in 0..48."""
     make, argv = MALFORMED_FILES[kind]
     path = tmp_path / f"{kind}.json"
     dump_json(make(field, value), path)
@@ -246,23 +255,25 @@ def test_operator_file_depth_checked_before_basis(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err.startswith("error: matrix shape (7, 7) inconsistent")
 
 
-@pytest.mark.parametrize("n, N, rows, error", [
-    (2, 40, fock_dimension(2, 40), "operator depth N = 40 exceeds the table depth 3"),
-    (2, 4, fock_dimension(2, 4), "operator depth N = 4 exceeds the table depth 3"),
-    (3, 2, fock_dimension(3, 2), "operator has n = 3 letters, the spec has 2"),
-    (2, 2, fock_dimension(2, 40), "matrix shape"),
-    (3, 10 ** 9, 13, "matrix shape (13, 13) inconsistent with n = 3, N = 1000000000"),
-], ids=["depth-40", "depth-4", "letters", "shape", "depth-1e9"])
+@pytest.mark.parametrize("n, N, aux, rows, error", [
+    (2, 40, 1, fock_dimension(2, 40), "operator depth N = 40 exceeds the table depth 3"),
+    (2, 4, 1, fock_dimension(2, 4), "operator depth N = 4 exceeds the table depth 3"),
+    (3, 2, 1, fock_dimension(3, 2), "operator has n = 3 letters, the spec has 2"),
+    (2, 2, 1, fock_dimension(2, 40), "matrix shape"),
+    (3, 10 ** 9, 1, 13, "matrix shape (13, 13) inconsistent with n = 3, N = 1000000000"),
+    (2, 0, 100000, 100000, "operator has 100000 rows, more than the 4096"),
+], ids=["depth-40", "depth-4", "letters", "shape", "depth-1e9", "aux"])
 def test_operator_file_header_checked_before_allocation(tmp_path, capsys, monkeypatch,
-                                                        n, N, rows, error):
+                                                        n, N, aux, rows, error):
     """A sparse operator file with no entries can declare any shape; its n,
-    N and shape are checked before the matrix is allocated or the basis is
-    enumerated, and a depth too large for its rows before 3^N is formed."""
+    N and shape, and the row bound, are checked before the matrix is
+    allocated or the basis is enumerated, and a depth too large for its rows
+    before 3^N is formed."""
     def refuse(*args, **kwargs):
         raise AssertionError("allocated or enumerated")
 
     path = tmp_path / "op.json"
-    dump_json({"n": n, "N": N, "aux_dim": 1, "rows": rows, "cols": rows,
+    dump_json({"n": n, "N": N, "aux_dim": aux, "rows": rows, "cols": rows,
                "index": [], "data": []}, path)
     monkeypatch.setattr(np, "zeros", refuse)
     monkeypatch.setattr(TruncatedFockBasis, "build", staticmethod(refuse))
