@@ -155,15 +155,15 @@ def intertwining_residual(K: np.ndarray, X: OperatorTuple, table: WeightTable,
     k = X.dim
     model = truncated_model(table, N)
     Kb = K.reshape(model.basis.dimension, k, k)  # a K of another depth raises here
-    worst = 0.0
+    residuals = []
     for i, Xi in enumerate(X.matrices, start=1):
         # W_i^* e_{g_i gamma} = w e_gamma, so block gamma of (W_i^* (x) I) K is
         # w K_{g_i gamma}; it is zero at the words of length N
         dst, src, w = model.shift((i,))
         rhs = np.zeros_like(Kb)
         rhs[src] = w[:, None, None] * Kb[dst]
-        worst = max(worst, spectral_norm(K @ Xi.conj().T - rhs.reshape(K.shape)))
-    return worst
+        residuals.append(spectral_norm(K @ Xi.conj().T - rhs.reshape(K.shape)))
+    return float(np.max(residuals, initial=0.0))
 
 
 HereditaryPolynomial = dict[tuple[Word, Word], complex]

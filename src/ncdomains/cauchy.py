@@ -110,12 +110,10 @@ def cauchy_kernel_fourier_residual(C: np.ndarray, X: OperatorTuple,
     # the graded basis lists the words of length <= N first
     model = truncated_model(table, table.N)
     D = C.shape[0] // k
-    worst = 0.0
-    for omega, w, blk in zip(model.basis.words[:D], model.sqrt_b[:D],
-                             C.reshape(D, k, k)):
-        expected = w * X.word(omega).conj().T
-        worst = max(worst, float(np.max(np.abs(blk - expected))))
-    return worst
+    diffs = [np.abs(blk - w * X.word(omega).conj().T)
+             for omega, w, blk in zip(model.basis.words[:D], model.sqrt_b[:D],
+                                      C.reshape(D, k, k))]
+    return float(np.max(diffs, initial=0.0))
 
 
 def cauchy_transform(spec: DomainSpec, X: OperatorTuple, A: TruncatedOperator,
@@ -193,6 +191,6 @@ def radius_inequality_check(spec: DomainSpec, X: OperatorTuple, N: int,
         lhs = spectral_norm(Q)
         rhs = sqrt(phi_norm)
         margins.append(rhs - lhs)
-        if lhs > rhs + RADIUS_TOL:
+        if not lhs <= rhs + RADIUS_TOL:  # a NaN side is a violation
             violations += 1
     return RadiusInequalityReport(margins, violations)

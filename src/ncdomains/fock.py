@@ -322,7 +322,7 @@ def verify_model_identities(spec: DomainSpec, table: WeightTable, N: int,
     # basis vector; both raise word length by 2, so only the interior words
     # |gamma| <= N - 2 are compared (deeper ones are truncation artifacts)
     interior = fock_dimension(spec.n, N - 2) if N >= 2 else 0
-    comm = 0.0
+    comm = []
     for i in range(1, spec.n + 1):
         dst_w, _, w_w = model.shift((i,), left=True)
         for j in range(1, spec.n + 1):
@@ -332,9 +332,10 @@ def verify_model_identities(spec: DomainSpec, table: WeightTable, N: int,
             lw = w_l[mid_lw] * w_w[:interior]
             cols = np.where(dst_w[mid_wl] == dst_l[mid_lw],
                             np.abs(wl - lw), np.hypot(wl, lw))
-            comm = max(comm, float(cols.max(initial=0.0)))
+            comm.append(cols)
 
-    return ModelIdentityReport(residuals[0], norms[0], residuals[1], norms[1], comm, tol)
+    return ModelIdentityReport(residuals[0], norms[0], residuals[1], norms[1],
+                               float(np.max(comm, initial=0.0)), tol)
 
 
 @dataclass
@@ -351,9 +352,8 @@ def weighted_space_conjugation(table: WeightTable, N: int) -> ConjugationReport:
     unweighted multiplication shift of the weighted Fock space picture:
     U W_i U^{-1} e_gamma = sqrt_b[dst] w / sqrt_b[src] e_{g_i gamma}."""
     model = truncated_model(table, N)
-    worst = 0.0
+    residuals = []
     for i in range(1, table.spec.n + 1):
         dst, src, w = model.shift((i,))
-        entries = model.sqrt_b[dst] * w / model.sqrt_b[src]
-        worst = max(worst, float(np.abs(entries - 1.0).max(initial=0.0)))
-    return ConjugationReport(worst)
+        residuals.append(np.abs(model.sqrt_b[dst] * w / model.sqrt_b[src] - 1.0))
+    return ConjugationReport(float(np.max(residuals, initial=0.0)))

@@ -69,10 +69,15 @@ class VerificationReport:
         self.checks.append(rec)
         return rec
 
-    def check(self, check_id: str, identity: str, residual: float,
+    def check(self, check_id: str, identity: str, residuals,
               tolerance: float, detail: dict | None = None) -> CheckRecord:
+        """Record the largest of `residuals` (one number or a sequence, one
+        entry per case the check covers), and at least 0; it passes when that
+        is <= tolerance.  A NaN case makes the residual NaN, so the record
+        fails, and no cases give 0."""
+        residual = float(np.max(residuals, initial=0.0))
         return self._record(check_id, identity, residual <= tolerance,
-                            float(residual), float(tolerance), detail)
+                            residual, float(tolerance), detail)
 
     def flag(self, check_id: str, identity: str, ok: bool,
              detail: dict | None = None) -> CheckRecord:

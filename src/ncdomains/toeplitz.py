@@ -215,12 +215,12 @@ def evaluate_symbol(sym: MultiToeplitzSymbol, X: Sequence[np.ndarray],
 def norm_profile(sym: MultiToeplitzSymbol, table: WeightTable, radii, N: int):
     """||phi(r W_N)|| per radius.  Each value is a lower bound of the
     untruncated norm, nondecreasing in N; the profile must be nondecreasing
-    in r up to MONOTONE_TOL."""
+    in r up to MONOTONE_TOL; a NaN norm counts as a violation."""
     norms = []
     for r in radii:
         norms.append(symbol_to_operator(sym, table, float(r), N).norm())
     violations = [(float(radii[i]), float(radii[i + 1]))
                   for i in range(len(norms) - 1)
-                  if norms[i] > norms[i + 1] + MONOTONE_TOL]
+                  if not norms[i] <= norms[i + 1] + MONOTONE_TOL]
     return norms, violations
 

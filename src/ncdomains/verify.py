@@ -76,7 +76,7 @@ def model_suite(spec: DomainSpec, table: WeightTable, N: int,
                  ident.defect_residual_right, tol)
     report.check("model.contraction_left",
                  "Phi at W maps I below the identity",
-                 max(ident.phi_norm_left - 1.0, 0.0), tol)
+                 ident.phi_norm_left - 1.0, tol)
     report.check("model.commutation",
                  "left and right weighted creation operators commute on interior words",
                  ident.commutation_residual, 1e-12)
@@ -91,23 +91,20 @@ def toeplitz_suite(spec: DomainSpec, table: WeightTable, N: int,
                    n_symbols: int = 20) -> None:
     rng = np.random.default_rng(seed)
 
-    worst_roundtrip = 0.0
-    worst_structure = 0.0
+    roundtrip, structure = [], []
     for _ in range(n_symbols):
         sym = random_symbol(rng, spec.n, max_len=min(2, N - 1))
         op = symbol_to_operator(sym, table, 1.0, N)
         rec = fourier_coefficients(op, table, N)
-        worst_roundtrip = max(worst_roundtrip, max_block_difference(sym, rec))
+        roundtrip.append(max_block_difference(sym, rec))
         rep = is_multi_toeplitz(op, table, tol=1e-12)
-        worst_structure = max(worst_structure,
-                              rep.worst_structure_residual,
-                              rep.worst_incomparable_entry)
+        structure += [rep.worst_structure_residual, rep.worst_incomparable_entry]
     report.check("toeplitz.roundtrip",
                  "symbol -> operator -> Fourier coefficients recovers every block",
-                 worst_roundtrip, 1e-10, {"seed": seed, "symbols": n_symbols})
+                 roundtrip, 1e-10, {"seed": seed, "symbols": n_symbols})
     report.check("toeplitz.structure",
                  "assembled symbols satisfy the weighted shift-invariance relations",
-                 worst_structure, 1e-12)
+                 structure, 1e-12)
 
     # a designed failure: one incomparable entry bumped by 0.1 must be caught
     if spec.n >= 2:
@@ -123,16 +120,14 @@ def toeplitz_suite(spec: DomainSpec, table: WeightTable, N: int,
                     {"residual": rep.worst_incomparable_entry})
 
     radii = [k / 10.0 for k in range(1, 11)]
-    worst_violation = 0.0
+    decreases = []
     for _ in range(n_symbols):
         sym = random_symbol(rng, spec.n, max_len=min(2, N - 1))
         norms, violations = norm_profile(sym, table, radii, N)
-        for a, b in violations:
-            ia, ib = radii.index(a), radii.index(b)
-            worst_violation = max(worst_violation, norms[ia] - norms[ib])
+        decreases += [norms[radii.index(a)] - norms[radii.index(b)] for a, b in violations]
     report.check("toeplitz.norm_monotone",
                  "||phi(r W_N)|| is nondecreasing in r",
-                 worst_violation, 1e-10)
+                 decreases, 1e-10)
 
 
 def berezin_suite(spec: DomainSpec, table: WeightTable, N: int,
@@ -140,48 +135,42 @@ def berezin_suite(spec: DomainSpec, table: WeightTable, N: int,
                   n_tuples: int = 5) -> None:
     rng = np.random.default_rng(seed)
 
-    worst_repro = 0.0
-    worst_iso = 0.0
-    worst_inter = 0.0
-    worst_vn = -np.inf
-    worst_mean = 0.0
+    repro, iso, inter, vn, mean = [], [], [], [], []
     for _ in range(n_tuples):
         X = random_nilpotent_tuple(rng, spec, dim=3)
         K = berezin_kernel(spec, X, table, N)
-        worst_iso = max(worst_iso, spectral_norm(K.conj().T @ K - np.eye(X.dim)))
-        worst_inter = max(worst_inter, intertwining_residual(K, X, table, N))
+        iso.append(spectral_norm(K.conj().T @ K - np.eye(X.dim)))
+        inter.append(intertwining_residual(K, X, table, N))
         for alpha in enumerate_words(spec.n, 2):
             for beta in enumerate_words(spec.n, 2):
                 poly = {(alpha, beta): 1}
                 g = hereditary_model_operator(poly, table, N)
                 got = berezin_transform(spec, X, g, table, K)
-                worst_repro = max(worst_repro, spectral_norm(got - hereditary_eval(X, poly)))
+                repro.append(spectral_norm(got - hereditary_eval(X, poly)))
         poly = random_hereditary(rng, spec.n, max_deg=2)
         lhs = spectral_norm(hereditary_eval(X, poly))
         rhs = hereditary_model_operator(poly, table, N).norm()
-        worst_vn = max(worst_vn, lhs - rhs)
+        vn.append(lhs - rhs)
 
         sym = random_symbol(rng, spec.n, max_len=2)
         for r in (0.5, 0.9):
-            inner = X.scaled(r)
-            worst_mean = max(worst_mean, mean_value_check(
-                sym, spec, inner, r, table, N))
+            mean.append(mean_value_check(sym, spec, X.scaled(r), r, table, N))
 
     report.check("berezin.reproducing",
                  "Berezin transform sends W_alpha W_beta^* to X_alpha X_beta^* at pure tuples",
-                 worst_repro, 1e-10, {"seed": seed})
+                 repro, 1e-10, {"seed": seed})
     report.check("berezin.kernel_isometry",
                  "K^* K = I at pure tuples once the truncation covers the kernel support",
-                 worst_iso, 1e-10)
+                 iso, 1e-10)
     report.check("berezin.intertwining",
                  "K X_i^* = (W_i^* (x) I) K",
-                 worst_inter, 1e-10)
+                 inter, 1e-10)
     report.check("berezin.von_neumann",
                  "||q(X, X^*)|| <= ||q(W_N, W_N^*)|| for hereditary polynomials",
-                 max(worst_vn, 0.0), 1e-8)
+                 vn, 1e-8)
     report.check("berezin.mean_value",
                  "F(X) equals the extended Berezin transform of F(r W_N) at (1/r) X",
-                 worst_mean, 1e-8)
+                 mean, 1e-8)
 
 
 def pluriharmonic_suite(spec: DomainSpec, table: WeightTable, N: int,
@@ -190,27 +179,26 @@ def pluriharmonic_suite(spec: DomainSpec, table: WeightTable, N: int,
     order = max(1, min(2, N - 2))
     radii = [0.3, 0.7, 0.95]
 
-    worst_eq = 0.0
-    worst_eig = 0.0
+    eq, eig = [], []
     for _ in range(5):
         sym = random_symbol(rng, spec.n, max_len=min(2, N - order),
                             antianalytic=False)
         F = PluriharmonicFunction(sym)
         rep = schur_positivity_test(F, table, radii, order, N)
-        worst_eq = max(worst_eq, max(rep.equality_residuals))
+        eq += rep.equality_residuals
         op = symbol_to_operator(sym, table, radii[-1], N)
         H = op.matrix + op.matrix.conj().T
         d = sym.aux_dim
         nw = len(enumerate_words(spec.n, order))
         comp_min = float(np.min(np.linalg.eigvalsh(
             (H[: nw * d, : nw * d] + H[: nw * d, : nw * d].conj().T) / 2)))
-        worst_eig = max(worst_eig, abs(comp_min - rep.min_eigenvalues[-1]))
+        eig.append(abs(comp_min - rep.min_eigenvalues[-1]))
     report.check("pluriharmonic.gamma_identity",
                  "Gamma kernel block matrix equals the compression of F(rW)^* + F(rW)",
-                 worst_eq, 1e-12, {"seed": seed})
+                 eq, 1e-12, {"seed": seed})
     report.check("pluriharmonic.gamma_eigen",
                  "Gamma kernel and compression share their minimum eigenvalue",
-                 worst_eig, 1e-10)
+                 eig, 1e-10)
 
     F_pos = scalar_holomorphic({EMPTY: 1.0, (1,): 1.0})
     rep = schur_positivity_test(F_pos, table, [0.5, 0.9], order, N)
@@ -221,17 +209,17 @@ def pluriharmonic_suite(spec: DomainSpec, table: WeightTable, N: int,
     report.flag("pluriharmonic.non_psd_example",
                 "Z_1 without constant term is reported non-positive", not rep.positive)
 
-    worst_metric = 0.0
+    excess = []
     for _ in range(20):
         F, G, H = (PluriharmonicFunction(random_symbol(rng, spec.n, 2))
                    for _ in range(3))
         _, rho_fg = distance(F, G, table, N)
         _, rho_fh = distance(F, H, table, N)
         _, rho_hg = distance(H, G, table, N)
-        worst_metric = max(worst_metric, rho_fg - (rho_fh + rho_hg))
+        excess.append(rho_fg - (rho_fh + rho_hg))
     report.check("pluriharmonic.metric_axioms",
                  "rho is symmetric, vanishes on the diagonal, and obeys the triangle inequality",
-                 max(worst_metric, 0.0), 1e-12,
+                 excess, 1e-12,
                  {"symmetry": "exact: F - G = -(G - F)", "diagonal": "exact: F - F = 0"})
 
     family = [PluriharmonicFunction(MultiToeplitzSymbol.scalar(
@@ -258,26 +246,20 @@ def cauchy_suite(spec: DomainSpec, table: WeightTable, N: int,
                      "linearized joint spectral radius matches the scalar closed form",
                      abs(linearized_radius(spec, X) - sqrt(a1) * lam), 1e-12)
 
-    worst_seq = 0.0
-    worst_fourier = 0.0
-    worst_transform = 0.0
-    worst_route = 0.0
-    worst_mult = 0.0
+    seq, fourier, transform, route, mult = [], [], [], [], []
     zero_radius_viol = 0
     for _ in range(n_tuples):
         X = random_gated_tuple(rng, spec, dim=3, target_radius=0.6)
         r = joint_spectral_radius(spec, X, k_max=40)
-        worst_seq = max(worst_seq, abs(r.r_exact - r.last_sequence_value))
+        seq.append(abs(r.r_exact - r.last_sequence_value))
 
         C = cauchy_kernel(spec, X, N, table)
-        worst_fourier = max(worst_fourier,
-                            cauchy_kernel_fourier_residual(C, X, table))
+        fourier.append(cauchy_kernel_fourier_residual(C, X, table))
         for alpha in enumerate_words(spec.n, min(3, N - 1)):
             poly = {(alpha, EMPTY): 1}
             W_alpha = hereditary_model_operator(poly, table, N)
             got = cauchy_transform(spec, X, W_alpha, N, table, C=C)
-            worst_transform = max(worst_transform,
-                                  spectral_norm(got - hereditary_eval(X, poly)))
+            transform.append(spectral_norm(got - hereditary_eval(X, poly)))
 
         c1 = {w: complex(rng.standard_normal(), rng.standard_normal())
               for w in enumerate_words(spec.n, 2) if rng.random() < 0.6} or {EMPTY: 1.0}
@@ -285,30 +267,29 @@ def cauchy_suite(spec: DomainSpec, table: WeightTable, N: int,
               for w in enumerate_words(spec.n, 2) if rng.random() < 0.6} or {(1,): 1.0}
         res1 = analytic_functional_calculus(spec, X, c1, N, table)
         res2 = analytic_functional_calculus(spec, X, c2, N, table)
-        worst_route = max(worst_route, res1.cross_residual, res2.cross_residual)
+        route += [res1.cross_residual, res2.cross_residual]
         prod = multiply_symbols(c1, c2)
         direct_prod = evaluate_symbol(MultiToeplitzSymbol.scalar(A=prod), X.matrices)
-        worst_mult = max(worst_mult,
-                         spectral_norm(res1.value @ res2.value - direct_prod))
+        mult.append(spectral_norm(res1.value @ res2.value - direct_prod))
 
         ineq = radius_inequality_check(spec, X, N, table)
         zero_radius_viol += ineq.violations
 
     report.check("cauchy.gelfand_sequence",
                  "||Phi^k(I)||^(1/2k) at k = 40 approaches the linearized radius",
-                 worst_seq, 5e-2, {"seed": seed})
+                 seq, 5e-2, {"seed": seed})
     report.check("cauchy.kernel_fourier",
                  "Cauchy kernel vacuum column carries sqrt(b_omega) X_omega^*",
-                 worst_fourier, 1e-10)
+                 fourier, 1e-10)
     report.check("cauchy.transform_reproducing",
                  "Cauchy transform sends W_alpha to X_alpha",
-                 worst_transform, 1e-10)
+                 transform, 1e-10)
     report.check("cauchy.route_agreement",
                  "direct power series agrees with the Cauchy-kernel evaluation route",
-                 worst_route, 1e-8)
+                 route, 1e-8)
     report.check("cauchy.multiplicative",
                  "the analytic calculus is multiplicative on polynomial symbols",
-                 worst_mult, 1e-8)
+                 mult, 1e-8)
     report.flag("cauchy.radius_inequality",
                 "||R_N^k|| <= ||Phi^k(I)||^(1/2) for k <= N, zero violations",
                 zero_radius_viol == 0)

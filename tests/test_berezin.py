@@ -85,6 +85,8 @@ def test_kernel_isometry_and_intertwining(ball2_table):
         assert intertwining_residual(K, X, ball2_table, 5) < 1e-10
     with pytest.raises(ValueError):  # K is the depth-5 kernel
         intertwining_residual(K, X, ball2_table, 4)
+    K[0, 0] = np.nan
+    assert np.isnan(intertwining_residual(K, X, ball2_table, 5))
 
 
 def test_reproducing_property(ball2_table, mixed_table):

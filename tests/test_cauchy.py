@@ -113,6 +113,8 @@ def test_cauchy_kernel_fourier_column(ball2_table, mixed_table):
         X = random_gated_tuple(rng, table.spec, dim=3, target_radius=0.6)
         C = cauchy_kernel(table.spec, X, 4, table)
         assert cauchy_kernel_fourier_residual(C, X, table) < 1e-10
+        C[0, 0] = np.nan  # the vacuum block, compared first
+        assert np.isnan(cauchy_kernel_fourier_residual(C, X, table))
 
 
 def test_cauchy_kernel_gate(ball2_table):
@@ -184,6 +186,11 @@ def test_radius_inequality(ball2_table):
         report = radius_inequality_check(spec, X, 4, ball2_table)
         assert report.passed
         assert all(m >= -1e-10 for m in report.margins)
+    # NaN sides are a violation, not a pass
+    X.matrices[0][0, 0] = np.nan
+    report = radius_inequality_check(spec, X, 4, ball2_table)
+    assert np.isnan(report.margins).all()
+    assert report.violations == 4 and not report.passed
 
 
 def test_radius_inequality_matches_dense_powers():

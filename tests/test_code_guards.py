@@ -1,5 +1,6 @@
 """Source guards: imports happen at module level in the library, no file
-imports a name it never uses, and files are written by the C JSON encoder."""
+imports a name it never uses, no library file folds residuals with
+`x = max(x, ...)`, and files are written by the C JSON encoder."""
 import ast
 import json
 import json.encoder
@@ -112,6 +113,34 @@ def test_truncated_operator_has_no_arithmetic():
         "    def __add__(self, o): pass\n") == ["__matmul__", "adjoint", "__rmul__", "__mul__"]
     src = ROOT / "src" / "ncdomains"
     found = {p.name: _operator_arithmetic(p.read_text()) for p in sorted(src.glob("*.py"))}
+    assert not any(found.values()), {k: v for k, v in found.items() if v}
+
+
+def _max_folds(source: str) -> list[int]:
+    """Lines that rebind a name to the builtin max with that name first,
+    `x = max(x, ...)`: it drops a NaN case, since max(0.0, nan) is 0.0."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name) and node.value.func.id == "max"
+            and node.value.args and isinstance(node.value.args[0], ast.Name)
+            and node.value.args[0].id == node.targets[0].id]
+
+
+def test_no_max_folds_in_library():
+    """A check's cases are folded once, by VerificationReport.check or np.max."""
+    assert _max_folds(
+        "worst = 0.0\n"
+        "for x in xs:\n"
+        "    worst = max(worst, x)\n"
+        "    best = max(worst, x)\n"
+        "    worst = np.max(worst, x)\n"
+        "    n = max(1, min(2, n))\n"
+        "def f(a, b):\n"
+        "    a = max(a, b, 0.0)\n") == [3, 8]
+    src = ROOT / "src" / "ncdomains"
+    found = {p.name: _max_folds(p.read_text()) for p in sorted(src.glob("*.py"))}
     assert not any(found.values()), {k: v for k, v in found.items() if v}
 
 

@@ -90,6 +90,18 @@ def test_conjugation_to_unweighted_shift(ball2_table, mixed_table):
         assert report.passed
 
 
+def test_model_folds_keep_nan():
+    """A NaN weight at the word (2,) reaches the commutation and conjugation
+    residuals as NaN, whichever letter pair meets it first."""
+    table = weights_by_factorization(builtin_corpus()["mixed_n2_m1"], 3)
+    model = truncated_model(table, 3)
+    model.sqrt_b[model.basis.index[(2,)]] = np.nan
+    ident = verify_model_identities(table.spec, table, 3)
+    assert np.isnan(ident.commutation_residual) and not ident.passed
+    conj = weighted_space_conjugation(table, 3)
+    assert np.isnan(conj.shift_residual) and not conj.passed
+
+
 def test_cp_map_positive(ball2_table):
     spec = ball2_table.spec
     W = [op.matrix for op in creation_tuple(ball2_table, 3, left=True)]

@@ -90,6 +90,11 @@ def test_norm_profile_monotone(ball2_table):
         norms, violations = norm_profile(sym, ball2_table, radii, 4)
         assert violations == []
         assert norms == sorted(norms)
+    # NaN norms are a violation, not a pass
+    sym = MultiToeplitzSymbol.scalar(A={(): np.nan, (1,): 1.0})
+    norms, violations = norm_profile(sym, ball2_table, [0.5, 1.0], 4)
+    assert np.isnan(norms).all()
+    assert violations == [(0.5, 1.0)]
 
 
 def test_symbol_support_exceeds_truncation(ball2_table):

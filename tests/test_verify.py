@@ -1,0 +1,67 @@
+"""A check's residual is one fold over its cases: the largest, at least 0,
+and NaN when any case is NaN, so that a NaN case fails the record."""
+import math
+
+import numpy as np
+import pytest
+
+from ncdomains import verify
+from ncdomains.corpus import builtin_corpus
+from ncdomains.report import FAIL, PASS, VerificationReport
+
+
+@pytest.mark.parametrize("residuals, status, residual", [
+    ([1e-12, np.nan, 0.0], FAIL, math.nan),
+    ([], PASS, 0.0),
+    ([-0.5], PASS, 0.0),
+    (3e-11, PASS, 3e-11),
+    (2e-10, FAIL, 2e-10),
+])
+def test_check_folds_residuals(residuals, status, residual):
+    rec = VerificationReport({}).check("suite.case", "identity", residuals, 1e-10)
+    assert rec.status == status
+    assert type(rec.residual) is float
+    np.testing.assert_equal(rec.residual, residual)
+
+
+def _statuses(source=None, monkeypatch=None) -> dict[str, tuple[str, float]]:
+    """Status and residual of every record of the full suite on mixed_n2_m1
+    at depth 4; with `source`, that residual source of verify returns NaN on
+    its second call."""
+    if source is not None:
+        real = getattr(verify, source)
+        calls = []
+
+        def nan_on_second_call(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(source)
+            if len(calls) != 2:
+                return out
+            return (out[0], math.nan) if isinstance(out, tuple) else math.nan
+
+        monkeypatch.setattr(verify, source, nan_on_second_call)
+    report = VerificationReport({})
+    verify.full_suite(builtin_corpus()["mixed_n2_m1"], 4, report)
+    return {c.check_id: (c.status, c.residual) for c in report.checks}
+
+
+@pytest.fixture(scope="module")
+def clean_statuses():
+    return _statuses()
+
+
+@pytest.mark.parametrize("source, check_id", [
+    ("max_block_difference", "toeplitz.roundtrip"),
+    ("intertwining_residual", "berezin.intertwining"),
+    ("mean_value_check", "berezin.mean_value"),
+    ("distance", "pluriharmonic.metric_axioms"),
+    ("cauchy_kernel_fourier_residual", "cauchy.kernel_fourier"),
+])
+def test_nan_case_fails_its_record(monkeypatch, clean_statuses, source, check_id):
+    got = _statuses(source, monkeypatch)
+    assert list(got) == list(clean_statuses)
+    status, residual = got.pop(check_id)
+    assert status == FAIL and math.isnan(residual)
+    assert clean_statuses[check_id][0] == PASS
+    assert {k: s for k, (s, _) in got.items()} == {
+        k: s for k, (s, _) in clean_statuses.items() if k != check_id}
