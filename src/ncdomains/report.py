@@ -5,6 +5,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field, asdict
+from typing import Sequence
 
 import numpy as np
 
@@ -69,12 +70,12 @@ class VerificationReport:
         self.checks.append(rec)
         return rec
 
-    def check(self, check_id: str, identity: str, residuals,
+    def check(self, check_id: str, identity: str, residuals: float | Sequence[float],
               tolerance: float, detail: dict | None = None) -> CheckRecord:
         """Record the largest of `residuals` (one number or a sequence, one
         entry per case the check covers), and at least 0; it passes when that
         is <= tolerance.  A NaN case makes the residual NaN, so the record
-        fails, and no cases give 0."""
+        fails; an empty sequence gives 0.0."""
         residual = float(np.max(residuals, initial=0.0))
         return self._record(check_id, identity, residual <= tolerance,
                             residual, float(tolerance), detail)
