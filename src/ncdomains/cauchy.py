@@ -110,7 +110,7 @@ def cauchy_kernel_fourier_residual(C: np.ndarray, X: OperatorTuple,
     # the graded basis lists the words of length <= N first
     model = truncated_model(table, table.N)
     D = C.shape[0] // k
-    diffs = [np.abs(blk - w * X.word(omega).conj().T)
+    diffs = [np.max(np.abs(blk - w * X.word(omega).conj().T))
              for omega, w, blk in zip(model.basis.words[:D], model.sqrt_b[:D],
                                       C.reshape(D, k, k))]
     return float(np.max(diffs, initial=0.0))
