@@ -62,7 +62,6 @@ class MembershipReport:
     in_domain: bool
     min_eigenvalues: list[float]       # smallest eigenvalue of (id-Phi)^j(I), j=1..m
     two_condition_agrees: bool         # Phi(I) <= I and order-m defect >= 0
-    tol: float
     spec: DomainSpec = field(repr=False, compare=False)
     matrices: list[np.ndarray] = field(repr=False, compare=False)
 
@@ -95,7 +94,7 @@ def domain_membership(spec: DomainSpec, X: OperatorTuple, tol: float = 1e-10
     first_ok = float(np.max(np.linalg.eigvalsh((phis[0] + phis[0].conj().T) / 2))) <= 1 + tol
     two_cond = first_ok and mins[-1] >= -tol
     agrees = two_cond == in_domain
-    return MembershipReport(in_domain, mins, agrees, tol, spec, mats)
+    return MembershipReport(in_domain, mins, agrees, spec, mats)
 
 
 def defect_sqrt(spec: DomainSpec, X: OperatorTuple) -> np.ndarray:

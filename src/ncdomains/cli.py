@@ -1,8 +1,15 @@
 """Command line entry point: orchestrates the verification suites and emits
 machine-readable reports.
 
-Exit code is 0 iff every executed check passed.  All randomized inputs come
-from a seeded generator whose seed is echoed in the report.
+Every single-spec command starts with `start`, which resolves the spec and
+creates the report; its config holds the command, the spec and the depth N,
+plus the seed where the mode reads one (every suite but model's).  Without a
+file option, model, toeplitz, berezin, pluriharmonic and cauchy run their
+suite through `cmd_suite`.  Each check runs at its stated tolerance.
+
+Exit code is 0 iff every executed check passed, and 2 on malformed input.
+All randomized inputs come from a seeded generator whose seed is echoed in
+the report.
 """
 from __future__ import annotations
 
@@ -37,7 +44,6 @@ OPTIONS = {
                         "help": "builtin spec name or path to a spec JSON file"}),
     "max_len": ("--max-len", {"type": int, "default": 4, "metavar": "N",
                               "help": "truncation depth (default 4)"}),
-    "tol": ("--tol", {"type": float, "default": 1e-10}),
     "seed": ("--seed", {"type": int, "default": 0}),
     "out": ("--out", {"default": None, "help": "report/output path"}),
 }
@@ -56,6 +62,15 @@ def add_options(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(flag, **kwargs)
 
 
+def start(args, **config) -> tuple[DomainSpec, VerificationReport]:
+    """The spec of a single-spec command and its report, whose config holds
+    the command, the spec, the depth N and `config` (the seed, where the
+    mode reads one)."""
+    spec = resolve_spec(args.spec)
+    return spec, VerificationReport({"command": args.command, "spec": spec.to_json(),
+                                     "N": args.max_len, **config})
+
+
 def finish(report: VerificationReport, out: str | None) -> int:
     for c in report.checks:
         res = "" if c.residual is None else f"  residual={c.residual:.3e}"
@@ -69,10 +84,19 @@ def finish(report: VerificationReport, out: str | None) -> int:
     return 0 if report.passed else 1
 
 
+def cmd_suite(args) -> int:
+    """The suite mode of model, toeplitz, berezin, pluriharmonic and cauchy:
+    verify.<command>_suite on the spec's weight table.  The suite is looked
+    up when the command runs, so a wrapped suite is the one called."""
+    seed = {"seed": args.seed} if "seed" in vars(args) else {}
+    spec, report = start(args, **seed)
+    suite = getattr(verify, f"{args.command}_suite")
+    suite(verify.build_table(spec, args.max_len), report, **seed)
+    return finish(report, args.out)
+
+
 def cmd_weights(args) -> int:
-    spec = resolve_spec(args.spec)
-    report = VerificationReport({"command": "weights", "spec": spec.to_json(),
-                                 "N": args.max_len})
+    spec, report = start(args)
     table = verify.weights_suite(spec, args.max_len, report)
     if args.out:
         if args.format == "csv":
@@ -90,24 +114,15 @@ def cmd_weights(args) -> int:
     return finish(report, None)
 
 
-def cmd_model(args) -> int:
-    spec = resolve_spec(args.spec)
-    report = VerificationReport({"command": "model", "spec": spec.to_json(),
-                                 "N": args.max_len, "tol": args.tol})
-    table = verify.build_table(spec, args.max_len)
-    verify.model_suite(spec, table, args.max_len, report, tol=args.tol)
-    return finish(report, args.out)
-
-
 def cmd_toeplitz(args) -> int:
-    spec = resolve_spec(args.spec)
+    if not (args.op or args.symbol):
+        return cmd_suite(args)
+    spec, report = start(args)
     N = args.max_len
-    report = VerificationReport({"command": "toeplitz", "spec": spec.to_json(),
-                                 "N": N, "seed": args.seed, "tol": args.tol})
     table = verify.build_table(spec, N)
     if args.op:
         T = operator_from_json(load_json(args.op), table)
-        rep = is_multi_toeplitz(T, table, tol=args.tol)
+        rep = is_multi_toeplitz(T, table)
         report.flag("toeplitz.check",
                     "operator satisfies the weighted shift-invariance relations",
                     rep.is_toeplitz,
@@ -122,72 +137,49 @@ def cmd_toeplitz(args) -> int:
             dump_json(symbol_to_json(sym), args.out)
             print(f"symbol written to {args.out}")
         return finish(report, None)
-    if args.symbol:
-        sym = symbol_from_json(load_json(args.symbol))
-        T = symbol_to_operator(sym, table, args.radius, N)
-        rec = fourier_coefficients(T, table, N)
-        scaled = MultiToeplitzSymbol(
-            sym.aux_dim,
-            {w: blk * args.radius ** len(w) for w, blk in sym.A.items()},
-            {w: blk * args.radius ** len(w) for w, blk in sym.B.items()})
-        report.check("toeplitz.roundtrip",
-                     "symbol -> operator -> Fourier coefficients round trip",
-                     max_block_difference(scaled, rec), args.tol)
-        if args.out:
-            dump_json(operator_to_json(T), args.out)
-            print(f"operator written to {args.out}")
-        return finish(report, None)
-    verify.toeplitz_suite(spec, table, N, report, seed=args.seed)
-    return finish(report, args.out)
+    sym = symbol_from_json(load_json(args.symbol))
+    T = symbol_to_operator(sym, table, args.radius, N)
+    rec = fourier_coefficients(T, table, N)
+    scaled = MultiToeplitzSymbol(
+        sym.aux_dim,
+        {w: blk * args.radius ** len(w) for w, blk in sym.A.items()},
+        {w: blk * args.radius ** len(w) for w, blk in sym.B.items()})
+    report.check("toeplitz.roundtrip",
+                 "symbol -> operator -> Fourier coefficients round trip",
+                 max_block_difference(scaled, rec), 1e-10)
+    if args.out:
+        dump_json(operator_to_json(T), args.out)
+        print(f"operator written to {args.out}")
+    return finish(report, None)
 
 
 def cmd_berezin(args) -> int:
-    spec = resolve_spec(args.spec)
-    N = args.max_len
-    report = VerificationReport({"command": "berezin", "spec": spec.to_json(),
-                                 "N": N, "seed": args.seed})
-    if args.tuple:
-        X = tuple_from_json(load_json(args.tuple), spec)
-        mem = domain_membership(spec, X, tol=args.tol)
-        report.flag("berezin.membership",
-                    "all defect operators of the tuple are positive semidefinite",
-                    mem.in_domain, {"min_eigenvalues": mem.min_eigenvalues,
-                                    "pure": mem.pure})
-        return finish(report, args.out)
-    table = verify.build_table(spec, N)
-    verify.berezin_suite(spec, table, N, report, seed=args.seed)
-    return finish(report, args.out)
-
-
-def cmd_pluriharmonic(args) -> int:
-    spec = resolve_spec(args.spec)
-    N = args.max_len
-    report = VerificationReport({"command": "pluriharmonic",
-                                 "spec": spec.to_json(), "N": N,
-                                 "seed": args.seed})
-    table = verify.build_table(spec, N)
-    verify.pluriharmonic_suite(spec, table, N, report, seed=args.seed)
+    if not args.tuple:
+        return cmd_suite(args)
+    spec, report = start(args)
+    X = tuple_from_json(load_json(args.tuple), spec)
+    mem = domain_membership(spec, X)
+    report.flag("berezin.membership",
+                "all defect operators of the tuple are positive semidefinite",
+                mem.in_domain, {"min_eigenvalues": mem.min_eigenvalues,
+                                "pure": mem.pure})
     return finish(report, args.out)
 
 
 def cmd_cauchy(args) -> int:
-    spec = resolve_spec(args.spec)
-    N = args.max_len
-    report = VerificationReport({"command": "cauchy", "spec": spec.to_json(),
-                                 "N": N, "seed": args.seed})
-    table = verify.build_table(spec, N)
-    if args.tuple:
-        X = tuple_from_json(load_json(args.tuple), spec)
-        r = joint_spectral_radius(spec, X)
-        report.flag("cauchy.gate", "joint spectral radius below the calculus gate",
-                    r.gate, {"r_exact": r.r_exact,
-                             "sequence_tail": r.r_sequence[-3:]})
-        ineq = radius_inequality_check(spec, X, N, table)
-        report.flag("cauchy.radius_inequality",
-                    "reconstruction-operator powers below the CP-map power bound",
-                    ineq.passed, {"margins": ineq.margins})
-        return finish(report, args.out)
-    verify.cauchy_suite(spec, table, N, report, seed=args.seed)
+    if not args.tuple:
+        return cmd_suite(args)
+    spec, report = start(args)
+    table = verify.build_table(spec, args.max_len)
+    X = tuple_from_json(load_json(args.tuple), spec)
+    r = joint_spectral_radius(spec, X)
+    report.flag("cauchy.gate", "joint spectral radius below the calculus gate",
+                r.gate, {"r_exact": r.r_exact,
+                         "sequence_tail": r.r_sequence[-3:]})
+    ineq = radius_inequality_check(spec, X, args.max_len, table)
+    report.flag("cauchy.radius_inequality",
+                "reconstruction-operator powers below the CP-map power bound",
+                ineq.passed, {"margins": ineq.margins})
     return finish(report, args.out)
 
 
@@ -216,24 +208,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_weights)
 
     p = sub.add_parser("model", help="universal model identities")
-    add_options(p, "spec", "max_len", "tol", "out")
-    p.set_defaults(fn=cmd_model)
+    add_options(p, "spec", "max_len", "out")
+    p.set_defaults(fn=cmd_suite)
 
     p = sub.add_parser("toeplitz", help="multi-Toeplitz structure and symbols")
-    add_options(p, "spec", "max_len", "tol", "seed", "out")
-    p.add_argument("--op", default=None, help="operator JSON to check")
-    p.add_argument("--symbol", default=None, help="symbol JSON to assemble")
+    add_options(p, "spec", "max_len", "seed", "out")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--op", default=None, help="operator JSON to check")
+    source.add_argument("--symbol", default=None, help="symbol JSON to assemble")
     p.add_argument("--radius", type=finite_float, default=1.0)
     p.set_defaults(fn=cmd_toeplitz)
 
     p = sub.add_parser("berezin", help="membership, purity, Berezin identities")
-    add_options(p, "spec", "max_len", "tol", "seed", "out")
+    add_options(p, "spec", "max_len", "seed", "out")
     p.add_argument("--tuple", default=None, help="operator tuple JSON")
     p.set_defaults(fn=cmd_berezin)
 
     p = sub.add_parser("pluriharmonic", help="Gamma kernel, metric, limits")
     add_options(p, "spec", "max_len", "seed", "out")
-    p.set_defaults(fn=cmd_pluriharmonic)
+    p.set_defaults(fn=cmd_suite)
 
     p = sub.add_parser("cauchy", help="spectral radii and functional calculus")
     add_options(p, "spec", "max_len", "seed", "out")

@@ -274,6 +274,10 @@ def defect_operator(spec: DomainSpec, X: Sequence[np.ndarray], k: int) -> np.nda
     return (Y + Y.conj().T) / 2
 
 
+MODEL_TOL = 1e-10        # defects, contraction and conjugation of the model
+COMMUTATION_TOL = 1e-12  # left and right creation operators commute
+
+
 @dataclass
 class ModelIdentityReport:
     defect_residual_left: float        # ||(id-Phi_{q,W})^m(I) - P_C||_max
@@ -281,15 +285,14 @@ class ModelIdentityReport:
     defect_residual_right: float       # same, Lambda with reversed coefficients
     phi_norm_right: float
     commutation_residual: float        # max ||(W_i Lambda_j - Lambda_j W_i) e_gamma||
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return (self.defect_residual_left <= self.tol
-                and self.defect_residual_right <= self.tol
-                and self.phi_norm_left <= 1 + self.tol
-                and self.phi_norm_right <= 1 + self.tol
-                and self.commutation_residual <= self.tol)
+        return (self.defect_residual_left <= MODEL_TOL
+                and self.defect_residual_right <= MODEL_TOL
+                and self.phi_norm_left <= 1 + MODEL_TOL
+                and self.phi_norm_right <= 1 + MODEL_TOL
+                and self.commutation_residual <= COMMUTATION_TOL)
 
 
 def _diagonal_cp_map(model: TruncatedModel, spec: DomainSpec, y: np.ndarray,
@@ -304,8 +307,8 @@ def _diagonal_cp_map(model: TruncatedModel, spec: DomainSpec, y: np.ndarray,
     return out
 
 
-def verify_model_identities(spec: DomainSpec, table: WeightTable, N: int,
-                            tol: float = 1e-10) -> ModelIdentityReport:
+def verify_model_identities(spec: DomainSpec, table: WeightTable,
+                            N: int) -> ModelIdentityReport:
     model = truncated_model(table, N)
     D = model.basis.dimension
     vacuum = np.zeros(D)
@@ -335,25 +338,17 @@ def verify_model_identities(spec: DomainSpec, table: WeightTable, N: int,
             comm.append(cols)
 
     return ModelIdentityReport(residuals[0], norms[0], residuals[1], norms[1],
-                               float(np.max(comm, initial=0.0)), tol)
+                               float(np.max(comm, initial=0.0)))
 
 
-@dataclass
-class ConjugationReport:
-    shift_residual: float  # max over i, |gamma| < N of |(U W_i U^{-1})[g_i gamma, gamma] - 1|
-
-    @property
-    def passed(self) -> bool:
-        return self.shift_residual <= 1e-10
-
-
-def weighted_space_conjugation(table: WeightTable, N: int) -> ConjugationReport:
+def weighted_space_conjugation(table: WeightTable, N: int) -> float:
     """Diagonal U e_alpha = sqrt(b_alpha) e_alpha conjugating each W_i to the
     unweighted multiplication shift of the weighted Fock space picture:
-    U W_i U^{-1} e_gamma = sqrt_b[dst] w / sqrt_b[src] e_{g_i gamma}."""
+    U W_i U^{-1} e_gamma = sqrt_b[dst] w / sqrt_b[src] e_{g_i gamma}.  Returns
+    max over i, |gamma| < N of |(U W_i U^{-1})[g_i gamma, gamma] - 1|."""
     model = truncated_model(table, N)
     residuals = []
     for i in range(1, table.spec.n + 1):
         dst, src, w = model.shift((i,))
         residuals.append(np.abs(model.sqrt_b[dst] * w / model.sqrt_b[src] - 1.0))
-    return ConjugationReport(float(np.max(residuals, initial=0.0)))
+    return float(np.max(residuals, initial=0.0))

@@ -93,11 +93,9 @@ def gamma_kernel(F: PluriharmonicFunction, table: WeightTable, r: float,
 
 @dataclass
 class SchurPositivityReport:
-    radii: list[float]
     equality_residuals: list[float]    # Gamma vs compression of F(rW)^* + F(rW)
     min_eigenvalues: list[float]
     positive: bool
-    tol: float
 
 
 def schur_positivity_test(F: PluriharmonicFunction, table: WeightTable,
@@ -119,8 +117,7 @@ def schur_positivity_test(F: PluriharmonicFunction, table: WeightTable,
         residuals.append(float(np.max(np.abs(G - comp))))
         mins.append(float(np.min(np.linalg.eigvalsh((G + G.conj().T) / 2))))
     positive = all(v >= -PSD_TOL for v in mins)
-    return SchurPositivityReport([float(r) for r in radii], residuals, mins,
-                                 positive, PSD_TOL)
+    return SchurPositivityReport(residuals, mins, positive)
 
 
 def distance(F: PluriharmonicFunction, G: PluriharmonicFunction,
@@ -141,15 +138,14 @@ def distance(F: PluriharmonicFunction, G: PluriharmonicFunction,
 @dataclass
 class WeierstrassReport:
     converged: bool
-    limit: PluriharmonicFunction | None
     cauchy_profiles: dict[float, list[float]]  # per radius: ||F_{j+1}(rW)-F_j(rW)||
-    limit_distances: dict[float, list[float]]  # per radius: ||F_j(rW)-limit(rW)||
+    limit_distances: dict[float, list[float]]  # per radius: ||F_j(rW)-F_last(rW)||
 
 
 def weierstrass_limit(functions: Sequence[PluriharmonicFunction],
                       table: WeightTable, radii: Sequence[float], N: int) -> WeierstrassReport:
-    """Check Cauchy-ness of {F_j(rW_N)} per radius; on success return the
-    coefficientwise limit and verify it reproduces the operator limits."""
+    """Check Cauchy-ness of {F_j(rW_N)} per radius; on success take the last
+    function as the coefficientwise limit and measure each F_j's distance to it."""
     if len(functions) < 2:
         raise ValueError("need at least two functions")
     cauchy: dict[float, list[float]] = {}
@@ -162,14 +158,14 @@ def weierstrass_limit(functions: Sequence[PluriharmonicFunction],
     converged = all(diffs[-1] <= LIMIT_TOL or diffs[-1] < diffs[0]
                     for diffs in cauchy.values())
     if not converged:
-        return WeierstrassReport(False, None, cauchy, {})
+        return WeierstrassReport(False, cauchy, {})
     limit = functions[-1]
     dists: dict[float, list[float]] = {}
     for r in radii:
         dists[float(r)] = [
             symbol_to_operator(Fj.symbol - limit.symbol, table, float(r), N).norm()
             for Fj in functions]
-    return WeierstrassReport(True, limit, cauchy, dists)
+    return WeierstrassReport(True, cauchy, dists)
 
 
 def conjugate(G: PluriharmonicFunction) -> PluriharmonicFunction:

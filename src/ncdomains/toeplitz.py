@@ -112,7 +112,6 @@ class ToeplitzReport:
     is_toeplitz: bool
     worst_structure_residual: float
     worst_incomparable_entry: float
-    tolerance: float
     structure_witness: tuple[Word, Word, int] | None = None
     incomparable_witness: tuple[Word, Word] | None = None
 
@@ -173,7 +172,7 @@ def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
         p, i = np.unravel_index(np.argmax(residual), residual.shape)
         structure_witness = (words[rows[p]], words[cols[p]], int(i) + 1)
     ok = worst_structure <= tol * scale and worst_incomp <= tol * scale
-    return ToeplitzReport(ok, worst_structure, worst_incomp, tol,
+    return ToeplitzReport(ok, worst_structure, worst_incomp,
                           structure_witness, incomp_witness)
 
 

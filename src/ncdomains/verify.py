@@ -1,6 +1,8 @@
 """Verification suites: each numerically certifies a family of identities on
 one domain spec and appends pass/fail records to a report.
 
+weights_suite builds the weight table of (spec, N); every other suite takes
+that table and reads the spec and the depth N from it (table.spec, table.N).
 The CLI subcommands and the acceptance test module are thin wrappers around
 these functions, so a green `verify-all` and a green test suite certify the
 same computations.
@@ -20,7 +22,8 @@ from .cauchy import (analytic_functional_calculus, cauchy_kernel,
                      radius_inequality_check)
 from .corpus import (random_gated_tuple, random_hereditary,
                      random_nilpotent_tuple, random_symbol)
-from .fock import spectral_norm, verify_model_identities, weighted_space_conjugation
+from .fock import (COMMUTATION_TOL, MODEL_TOL, spectral_norm, verify_model_identities,
+                   weighted_space_conjugation)
 from .pluriharmonic import (PluriharmonicFunction, distance, scalar_holomorphic,
                             schur_positivity_test, weierstrass_limit)
 from .report import VerificationReport
@@ -65,30 +68,29 @@ def weights_suite(spec: DomainSpec, N: int, report: VerificationReport) -> Weigh
     return table
 
 
-def model_suite(spec: DomainSpec, table: WeightTable, N: int,
-                report: VerificationReport, tol: float = 1e-10) -> None:
-    ident = verify_model_identities(spec, table, N, tol)
+def model_suite(table: WeightTable, report: VerificationReport) -> None:
+    spec, N = table.spec, table.N
+    ident = verify_model_identities(spec, table, N)
     report.check("model.defect_left",
                  "(id - Phi at W)^m (I) equals the vacuum projection",
-                 ident.defect_residual_left, tol)
+                 ident.defect_residual_left, MODEL_TOL)
     report.check("model.defect_right",
                  "(id - Phi at Lambda, reversed coefficients)^m (I) equals the vacuum projection",
-                 ident.defect_residual_right, tol)
+                 ident.defect_residual_right, MODEL_TOL)
     report.check("model.contraction_left",
                  "Phi at W maps I below the identity",
-                 ident.phi_norm_left - 1.0, tol)
+                 ident.phi_norm_left - 1.0, MODEL_TOL)
     report.check("model.commutation",
                  "left and right weighted creation operators commute on interior words",
-                 ident.commutation_residual, 1e-12)
-    conj = weighted_space_conjugation(table, N)
+                 ident.commutation_residual, COMMUTATION_TOL)
     report.check("model.conjugation",
                  "diagonal sqrt-weight conjugation turns W_i into the unweighted shift",
-                 conj.shift_residual, tol)
+                 weighted_space_conjugation(table, N), MODEL_TOL)
 
 
-def toeplitz_suite(spec: DomainSpec, table: WeightTable, N: int,
-                   report: VerificationReport, seed: int = 0,
+def toeplitz_suite(table: WeightTable, report: VerificationReport, seed: int = 0,
                    n_symbols: int = 20) -> None:
+    spec, N = table.spec, table.N
     rng = np.random.default_rng(seed)
 
     roundtrip, structure = [], []
@@ -130,10 +132,14 @@ def toeplitz_suite(spec: DomainSpec, table: WeightTable, N: int,
                  decreases, 1e-10)
 
 
-def berezin_suite(spec: DomainSpec, table: WeightTable, N: int,
-                  report: VerificationReport, seed: int = 0,
+def berezin_suite(table: WeightTable, report: VerificationReport, seed: int = 0,
                   n_tuples: int = 5) -> None:
+    spec, N = table.spec, table.N
     rng = np.random.default_rng(seed)
+    # each monomial W_alpha W_beta^* is built once and transformed at every tuple
+    words = enumerate_words(spec.n, 2)
+    polys = [{(alpha, beta): 1} for alpha in words for beta in words]
+    monomials = [(poly, hereditary_model_operator(poly, table, N)) for poly in polys]
 
     repro, iso, inter, vn, mean = [], [], [], [], []
     for _ in range(n_tuples):
@@ -141,12 +147,9 @@ def berezin_suite(spec: DomainSpec, table: WeightTable, N: int,
         K = berezin_kernel(spec, X, table, N)
         iso.append(spectral_norm(K.conj().T @ K - np.eye(X.dim)))
         inter.append(intertwining_residual(K, X, table, N))
-        for alpha in enumerate_words(spec.n, 2):
-            for beta in enumerate_words(spec.n, 2):
-                poly = {(alpha, beta): 1}
-                g = hereditary_model_operator(poly, table, N)
-                got = berezin_transform(spec, X, g, table, K)
-                repro.append(spectral_norm(got - hereditary_eval(X, poly)))
+        for poly, g in monomials:
+            got = berezin_transform(spec, X, g, table, K)
+            repro.append(spectral_norm(got - hereditary_eval(X, poly)))
         poly = random_hereditary(rng, spec.n, max_deg=2)
         lhs = spectral_norm(hereditary_eval(X, poly))
         rhs = hereditary_model_operator(poly, table, N).norm()
@@ -173,8 +176,9 @@ def berezin_suite(spec: DomainSpec, table: WeightTable, N: int,
                  mean, 1e-8)
 
 
-def pluriharmonic_suite(spec: DomainSpec, table: WeightTable, N: int,
-                        report: VerificationReport, seed: int = 0) -> None:
+def pluriharmonic_suite(table: WeightTable, report: VerificationReport,
+                        seed: int = 0) -> None:
+    spec, N = table.spec, table.N
     rng = np.random.default_rng(seed)
     order = max(1, min(2, N - 2))
     radii = [0.3, 0.7, 0.95]
@@ -233,10 +237,13 @@ def pluriharmonic_suite(spec: DomainSpec, table: WeightTable, N: int,
                 wrep.converged and decreasing and rhos[-1] < rhos[0])
 
 
-def cauchy_suite(spec: DomainSpec, table: WeightTable, N: int,
-                 report: VerificationReport, seed: int = 0,
+def cauchy_suite(table: WeightTable, report: VerificationReport, seed: int = 0,
                  n_tuples: int = 10) -> None:
+    spec, N = table.spec, table.N
     rng = np.random.default_rng(seed)
+    # each W_alpha is built once and transformed at every tuple
+    polys = [{(alpha, EMPTY): 1} for alpha in enumerate_words(spec.n, min(3, N - 1))]
+    shifts = [(poly, hereditary_model_operator(poly, table, N)) for poly in polys]
 
     if spec.n == 1 and spec.degree == 1:
         lam = 0.37
@@ -255,9 +262,7 @@ def cauchy_suite(spec: DomainSpec, table: WeightTable, N: int,
 
         C = cauchy_kernel(spec, X, N, table)
         fourier.append(cauchy_kernel_fourier_residual(C, X, table))
-        for alpha in enumerate_words(spec.n, min(3, N - 1)):
-            poly = {(alpha, EMPTY): 1}
-            W_alpha = hereditary_model_operator(poly, table, N)
+        for poly, W_alpha in shifts:
             got = cauchy_transform(spec, X, W_alpha, N, table, C=C)
             transform.append(spectral_norm(got - hereditary_eval(X, poly)))
 
@@ -300,10 +305,10 @@ def full_suite(spec: DomainSpec, N: int, report: VerificationReport,
     """All six suites; `label` is appended to the check ids they record."""
     first = len(report.checks)
     table = weights_suite(spec, N, report)
-    model_suite(spec, table, N, report)
-    toeplitz_suite(spec, table, N, report, seed=seed, n_symbols=5)
-    berezin_suite(spec, table, N, report, seed=seed, n_tuples=3)
-    pluriharmonic_suite(spec, table, N, report, seed=seed)
-    cauchy_suite(spec, table, N, report, seed=seed, n_tuples=3)
+    model_suite(table, report)
+    toeplitz_suite(table, report, seed=seed, n_symbols=5)
+    berezin_suite(table, report, seed=seed, n_tuples=3)
+    pluriharmonic_suite(table, report, seed=seed)
+    cauchy_suite(table, report, seed=seed, n_tuples=3)
     for rec in report.checks[first:]:
         rec.check_id += label

@@ -44,6 +44,22 @@ calls = {name: f["calls"] for name, f in tracer.summary()["functions"].items()
 print(json.dumps({"codes": codes, "calls": calls}))
 """
 
+# each suite subcommand once, at depth 2; prints the exit codes and the
+# traced suite calls
+TRACED_SUITE_COMMANDS = """
+import json
+import spans
+import ncdomains.cli
+tracer = spans.Tracer()
+spans.install(tracer)
+names = ["model", "toeplitz", "berezin", "pluriharmonic", "cauchy"]
+codes = [ncdomains.cli.main([name, "--spec", "mixed_n2_m1", "--max-len", "2"])
+         for name in names]
+calls = {name: f["calls"] for name, f in tracer.summary()["functions"].items()
+         if name.startswith("verify.")}
+print(json.dumps({"codes": codes, "calls": calls}))
+"""
+
 
 def traced(script: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
     path = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -77,3 +93,15 @@ def test_traced_operator_file_commands_run(tmp_path):
                             "serialization.operator_from_json": 1,
                             "serialization.symbol_from_json": 1,
                             "serialization.tuple_from_json": 0}
+
+
+def test_traced_suite_commands_call_their_suite():
+    """Each suite subcommand runs its suite through the name the tracer
+    rebinds, so a traced run records exactly one call of it."""
+    proc = traced(TRACED_SUITE_COMMANDS)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0] * 5
+    assert got["calls"] == {f"verify.{name}_suite": 1 for name in
+                            ("model", "toeplitz", "berezin", "pluriharmonic", "cauchy")
+                            } | {"verify.weights_suite": 0}

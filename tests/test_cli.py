@@ -147,13 +147,59 @@ def test_subcommand_options():
     common = {"--spec", "--max-len", "--out"}
     assert got == {
         "weights": common | {"--format"},
-        "model": common | {"--tol"},
-        "toeplitz": common | {"--tol", "--seed", "--op", "--symbol", "--radius"},
-        "berezin": common | {"--tol", "--seed", "--tuple"},
+        "model": common,
+        "toeplitz": common | {"--seed", "--op", "--symbol", "--radius"},
+        "berezin": common | {"--seed", "--tuple"},
         "pluriharmonic": common | {"--seed"},
         "cauchy": common | {"--seed", "--tuple"},
         "verify-all": {"--max-len", "--seed", "--out"},
     }
+
+
+def test_toeplitz_op_and_symbol_exclusive(tmp_path, capsys):
+    """--op checks an operator file and --symbol assembles one; given both,
+    the command exits 2 with one error line instead of ignoring --symbol."""
+    sym = MultiToeplitzSymbol.scalar(A={(): 1.0, (1,): 2.0})
+    table = weights_by_factorization(mixed_spec(1), 2)
+    op_path, sym_path = tmp_path / "op.json", tmp_path / "sym.json"
+    dump_json(operator_to_json(symbol_to_operator(sym, table, 1.0, 2)), op_path)
+    dump_json(symbol_to_json(sym), sym_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["toeplitz", "--spec", "mixed_n2_m1", "--max-len", "2",
+              "--op", str(op_path), "--symbol", str(sym_path)])
+    assert exc.value.code == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and "not allowed with argument" in errors[0]
+
+
+SEEDED = {"command", "spec", "N", "seed", "environment"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["model"], SEEDED - {"seed"}),
+    (["toeplitz"], SEEDED),
+    (["berezin"], SEEDED),
+    (["pluriharmonic"], SEEDED),
+    (["cauchy"], SEEDED),
+    (["berezin", "--tuple", "X.json"], SEEDED - {"seed"}),
+    (["cauchy", "--tuple", "Xg.json"], SEEDED - {"seed"}),
+], ids=["model", "toeplitz", "berezin", "pluriharmonic", "cauchy", "berezin-tuple",
+        "cauchy-tuple"])
+def test_report_config_keys(tmp_path, monkeypatch, argv, keys):
+    """A written report's config names the command, the spec and N, and the
+    seed only where the mode reads one: the suites, not the tuple modes."""
+    rng = np.random.default_rng(3)
+    spec = builtin_corpus()["mixed_n2_m1"]
+    dump_json(tuple_to_json(random_nilpotent_tuple(rng, spec, dim=2)), tmp_path / "X.json")
+    dump_json(tuple_to_json(random_gated_tuple(rng, spec, dim=2, target_radius=0.6)),
+              tmp_path / "Xg.json")
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--spec", "mixed_n2_m1", "--max-len", "2",
+                 "--out", "report.json"]) == 0
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert set(config) == keys
+    assert (config["command"], config["N"]) == (argv[0], 2)
+    assert config["spec"] == spec.to_json()
 
 
 @pytest.mark.parametrize("field, value", [("word", 1), ("word", ["1"]), ("n", 2.0),

@@ -154,7 +154,7 @@ def _all_pairs_is_multi_toeplitz(T, table, tol):
                     worst_structure = res
                     structure_witness = (omega, gamma, i)
     ok = worst_structure <= tol * scale and worst_incomp <= tol * scale
-    return ToeplitzReport(ok, worst_structure, worst_incomp, tol,
+    return ToeplitzReport(ok, worst_structure, worst_incomp,
                           structure_witness, incomp_witness)
 
 
