@@ -136,20 +136,14 @@ def berezin_suite(table: WeightTable, report: VerificationReport, seed: int = 0,
                   n_tuples: int = 5) -> None:
     spec, N = table.spec, table.N
     rng = np.random.default_rng(seed)
-    # each monomial W_alpha W_beta^* is built once and transformed at every tuple
-    words = enumerate_words(spec.n, 2)
-    polys = [{(alpha, beta): 1} for alpha in words for beta in words]
-    monomials = [(poly, hereditary_model_operator(poly, table, N)) for poly in polys]
 
-    repro, iso, inter, vn, mean = [], [], [], [], []
+    repro, iso, inter, vn, mean, kernels = [], [], [], [], [], []
     for _ in range(n_tuples):
         X = random_nilpotent_tuple(rng, spec, dim=3)
         K = berezin_kernel(spec, X, table, N)
+        kernels.append((X, K))
         iso.append(spectral_norm(K.conj().T @ K - np.eye(X.dim)))
         inter.append(intertwining_residual(K, X, table, N))
-        for poly, g in monomials:
-            got = berezin_transform(spec, X, g, table, K)
-            repro.append(spectral_norm(got - hereditary_eval(X, poly)))
         poly = random_hereditary(rng, spec.n, max_deg=2)
         lhs = spectral_norm(hereditary_eval(X, poly))
         rhs = hereditary_model_operator(poly, table, N).norm()
@@ -158,6 +152,15 @@ def berezin_suite(table: WeightTable, report: VerificationReport, seed: int = 0,
         sym = random_symbol(rng, spec.n, max_len=2)
         for r in (0.5, 0.9):
             mean.append(mean_value_check(sym, spec, X.scaled(r), r, table, N))
+
+    # each monomial W_alpha W_beta^* is built once and transformed at every tuple
+    words = enumerate_words(spec.n, 2)
+    for alpha in words:
+        for beta in words:
+            poly = {(alpha, beta): 1}
+            g = hereditary_model_operator(poly, table, N)
+            repro += [spectral_norm(berezin_transform(spec, X, g, table, K)
+                                    - hereditary_eval(X, poly)) for X, K in kernels]
 
     report.check("berezin.reproducing",
                  "Berezin transform sends W_alpha W_beta^* to X_alpha X_beta^* at pure tuples",
@@ -241,9 +244,6 @@ def cauchy_suite(table: WeightTable, report: VerificationReport, seed: int = 0,
                  n_tuples: int = 10) -> None:
     spec, N = table.spec, table.N
     rng = np.random.default_rng(seed)
-    # each W_alpha is built once and transformed at every tuple
-    polys = [{(alpha, EMPTY): 1} for alpha in enumerate_words(spec.n, min(3, N - 1))]
-    shifts = [(poly, hereditary_model_operator(poly, table, N)) for poly in polys]
 
     if spec.n == 1 and spec.degree == 1:
         lam = 0.37
@@ -253,7 +253,7 @@ def cauchy_suite(table: WeightTable, report: VerificationReport, seed: int = 0,
                      "linearized joint spectral radius matches the scalar closed form",
                      abs(linearized_radius(spec, X) - sqrt(a1) * lam), 1e-12)
 
-    seq, fourier, transform, route, mult = [], [], [], [], []
+    seq, fourier, transform, route, mult, kernels = [], [], [], [], [], []
     zero_radius_viol = 0
     for _ in range(n_tuples):
         X = random_gated_tuple(rng, spec, dim=3, target_radius=0.6)
@@ -261,10 +261,8 @@ def cauchy_suite(table: WeightTable, report: VerificationReport, seed: int = 0,
         seq.append(abs(r.r_exact - r.last_sequence_value))
 
         C = cauchy_kernel(spec, X, N, table)
+        kernels.append((X, C))
         fourier.append(cauchy_kernel_fourier_residual(C, X, table))
-        for poly, W_alpha in shifts:
-            got = cauchy_transform(spec, X, W_alpha, N, table, C=C)
-            transform.append(spectral_norm(got - hereditary_eval(X, poly)))
 
         c1 = {w: complex(rng.standard_normal(), rng.standard_normal())
               for w in enumerate_words(spec.n, 2) if rng.random() < 0.6} or {EMPTY: 1.0}
@@ -279,6 +277,13 @@ def cauchy_suite(table: WeightTable, report: VerificationReport, seed: int = 0,
 
         ineq = radius_inequality_check(spec, X, N, table)
         zero_radius_viol += ineq.violations
+
+    # each W_alpha is built once and transformed at every tuple
+    for alpha in enumerate_words(spec.n, min(3, N - 1)):
+        poly = {(alpha, EMPTY): 1}
+        W_alpha = hereditary_model_operator(poly, table, N)
+        transform += [spectral_norm(cauchy_transform(spec, X, W_alpha, N, table, C=C)
+                                    - hereditary_eval(X, poly)) for X, C in kernels]
 
     report.check("cauchy.gelfand_sequence",
                  "||Phi^k(I)||^(1/2k) at k = 40 approaches the linearized radius",
