@@ -1,11 +1,9 @@
 """Command line entry point: orchestrates the verification suites and emits
 machine-readable reports.
 
-Every single-spec command starts with `start`, which resolves the spec and
-creates the report; its config holds the command, the spec and the depth N,
-plus the seed where the mode reads one (every suite but model's).  Without a
-file option, model, toeplitz, berezin, pluriharmonic and cauchy run their
-suite through `cmd_suite`.  Each check runs at its stated tolerance.
+Each single-spec command builds its report in `start`; without a file
+option, model, toeplitz, berezin, pluriharmonic and cauchy run their suite
+through `cmd_suite`.  Every check runs at its stated tolerance.
 
 Exit code is 0 iff every executed check passed, and 2 on malformed input.
 All randomized inputs come from a seeded generator whose seed is echoed in
