@@ -12,6 +12,7 @@ from .weights import DomainSpec, hyperball_spec
 from .words import Word, enumerate_words
 
 DOMAIN_SLACK = (1 - 0.9) * 0.05  # smallest defect eigenvalue scale_into_domain accepts
+GATE_RADIUS_SLACK = 0.05  # random_gated_tuple: accepted |r_q(X) - target_radius|
 
 
 def mixed_spec(m: int) -> DomainSpec:
@@ -86,7 +87,8 @@ def scale_into_domain(X: OperatorTuple) -> OperatorTuple:
 
 def random_gated_tuple(rng: np.random.Generator, spec: DomainSpec, dim: int = 3,
                        target_radius: float = 0.6) -> OperatorTuple:
-    """Random tuple rescaled so the joint spectral radius is about target_radius."""
+    """Random tuple rescaled so the joint spectral radius is within
+    GATE_RADIUS_SLACK of target_radius."""
     mats = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             for _ in range(spec.n)]
     X = OperatorTuple(spec, mats)
@@ -97,9 +99,20 @@ def random_gated_tuple(rng: np.random.Generator, spec: DomainSpec, dim: int = 3,
     for _ in range(8):
         X = X.scaled(target_radius / r if r > 0 else 1.0)
         r = linearized_radius(spec, X)
-        if abs(r - target_radius) < 0.05:
+        if abs(r - target_radius) < GATE_RADIUS_SLACK:
+            return X
+    # the rescale oscillates when a higher-degree term dominates; the
+    # coefficients are positive, so r_q(tX) is nondecreasing in t: bisect
+    lo, hi = 0.0, 1.0
+    while linearized_radius(spec, X.scaled(hi)) < target_radius:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(100):
+        t = (lo + hi) / 2
+        r = linearized_radius(spec, X.scaled(t))
+        if abs(r - target_radius) < GATE_RADIUS_SLACK:
             break
-    return X
+        lo, hi = (t, hi) if r < target_radius else (lo, t)
+    return X.scaled(t)
 
 
 def random_hereditary(rng: np.random.Generator, n: int, max_deg: int = 2

@@ -111,9 +111,9 @@ def schur_positivity_test(F: PluriharmonicFunction, table: WeightTable,
     for r in radii:
         G = gamma_kernel(F, table, float(r), order).matrix
         op = symbol_to_operator(F.symbol, table, float(r), N)
-        H = op.matrix + op.matrix.conj().T
         # words <= order sit first in the graded basis of the big truncation
-        comp = H[: len(G), : len(G)]
+        top = op.matrix[: len(G), : len(G)]
+        comp = top + top.conj().T
         residuals.append(float(np.max(np.abs(G - comp))))
         mins.append(float(np.min(np.linalg.eigvalsh((G + G.conj().T) / 2))))
     positive = all(v >= -PSD_TOL for v in mins)

@@ -194,11 +194,10 @@ def pluriharmonic_suite(table: WeightTable, report: VerificationReport,
         rep = schur_positivity_test(F, table, radii, order, N)
         eq += rep.equality_residuals
         op = symbol_to_operator(sym, table, radii[-1], N)
-        H = op.matrix + op.matrix.conj().T
-        d = sym.aux_dim
-        nw = len(enumerate_words(spec.n, order))
-        comp_min = float(np.min(np.linalg.eigvalsh(
-            (H[: nw * d, : nw * d] + H[: nw * d, : nw * d].conj().T) / 2)))
+        g = len(enumerate_words(spec.n, order)) * sym.aux_dim
+        top = op.matrix[:g, :g]
+        H = top + top.conj().T
+        comp_min = float(np.min(np.linalg.eigvalsh((H + H.conj().T) / 2)))
         eig.append(abs(comp_min - rep.min_eigenvalues[-1]))
     report.check("pluriharmonic.gamma_identity",
                  "Gamma kernel block matrix equals the compression of F(rW)^* + F(rW)",
@@ -207,10 +206,11 @@ def pluriharmonic_suite(table: WeightTable, report: VerificationReport,
                  "Gamma kernel and compression share their minimum eigenvalue",
                  eig, 1e-10)
 
-    F_pos = scalar_holomorphic({EMPTY: 1.0, (1,): 1.0})
+    # a_1 W_1 W_1^* <= Phi_{q,W}(I) <= I, so ||sqrt(a_1) W_1|| <= 1
+    F_pos = scalar_holomorphic({EMPTY: 1.0, (1,): sqrt(float(spec.coefficient((1,))))})
     rep = schur_positivity_test(F_pos, table, [0.5, 0.9], order, N)
     report.flag("pluriharmonic.psd_example",
-                "1 + Z_1 has positive real part at truncation", rep.positive)
+                "1 + sqrt(a_1) Z_1 has positive real part at truncation", rep.positive)
     F_zero = scalar_holomorphic({(1,): 1.0})
     rep = schur_positivity_test(F_zero, table, [0.5, 0.9], order, N)
     report.flag("pluriharmonic.non_psd_example",

@@ -181,3 +181,25 @@ def test_kernel_prefix_products_match_word_operator():
                                            for alpha, w in zip(model.basis.words,
                                                                model.sqrt_b)])
                     assert np.array_equal(berezin_kernel(spec, X, table, N), want), (name, k, N)
+
+
+def test_transform_plan_is_the_optimized_einsum():
+    """The contraction planned once per size gives, bit for bit, what
+    np.einsum(..., optimize=True) gives when it plans on every call."""
+    rng = np.random.default_rng(37)
+    for name, spec in builtin_corpus().items():
+        table = weights_by_convolution(spec, 4)
+        for N in (0, 2, 4):
+            for k in (1, 3):
+                X = random_nilpotent_tuple(rng, spec, dim=k)
+                K = berezin_kernel(spec, X, table, N)
+                basis = truncated_model(table, N).basis
+                D = basis.dimension
+                Kb = K.reshape(D, k, k)
+                for aux in (1, 2):
+                    g = TruncatedOperator(basis, rng.standard_normal((D * aux, D * aux))
+                                          + 1j * rng.standard_normal((D * aux, D * aux)), aux)
+                    want = np.einsum("wpa,wiuj,upb->iajb", Kb.conj(),
+                                     g.matrix.reshape(D, aux, D, aux), Kb, optimize=True)
+                    got = berezin_transform(spec, X, g, table, K)
+                    assert np.array_equal(got, want.reshape(aux * k, aux * k)), (name, N, k)

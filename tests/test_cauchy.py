@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import sqrt
 
 import numpy as np
@@ -15,7 +16,7 @@ from ncdomains.cauchy import (SpectralGateError,
 from ncdomains.corpus import builtin_corpus, random_gated_tuple, random_nilpotent_tuple
 from ncdomains.fock import (TruncatedFockBasis, TruncatedOperator, cp_map_apply,
                             cp_orbit_norms)
-from ncdomains.weights import hyperball_spec, weights_by_convolution
+from ncdomains.weights import DomainSpec, hyperball_spec, weights_by_convolution
 from ncdomains.words import EMPTY, enumerate_words
 
 
@@ -52,6 +53,17 @@ def test_gate_radius_is_the_reported_radius():
         assert linearized_radius(spec, X) == joint_spectral_radius(spec, X).r_exact
         with pytest.raises(SpectralGateError):
             spectral_gate(spec, X)
+
+
+def test_gated_tuple_reaches_target_radius():
+    """On q = Z/3 + 2Z^3 the rescale oscillates (r_q 14.0 -> 0.053 -> 1.70 ...);
+    the bisection on t still lands r_q within GATE_RADIUS_SLACK of the target."""
+    spec = DomainSpec(1, 2, {(1,): Fraction(1, 3), (1, 1, 1): Fraction(2)})
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        for target in (0.3, 0.6, 0.9):
+            X = random_gated_tuple(rng, spec, dim=3, target_radius=target)
+            assert abs(linearized_radius(spec, X) - target) < corpus.GATE_RADIUS_SLACK
 
 
 def test_gate_computes_no_cp_map_power(monkeypatch):

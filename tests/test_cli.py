@@ -2,6 +2,7 @@ import argparse
 import json
 import platform
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from ncdomains.fock import TruncatedFockBasis
 from ncdomains.serialization import (dump_json, operator_to_json, symbol_to_json,
                                      tuple_to_json)
 from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
-from ncdomains.weights import weights_by_factorization
+from ncdomains.weights import DomainSpec, weights_by_factorization
 from ncdomains.words import fock_dimension
 
 
@@ -219,6 +220,18 @@ def test_malformed_spec_exit_code(tmp_path, capsys, field, value):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, spec", [
+    # a ball of radius 2: ||W_1|| = 2, so 1 + Z_1 is not PSD at r = 0.9
+    ("pluriharmonic", DomainSpec(2, 1, {(1,): Fraction(1, 4), (2,): Fraction(1, 4)})),
+    # the degree-3 term dominates the rescale of random_gated_tuple
+    ("cauchy", DomainSpec(1, 2, {(1,): Fraction(1, 3), (1, 1, 1): Fraction(2)})),
+], ids=["quarter", "deg3"])
+def test_suite_passes_off_corpus_spec(tmp_path, command, spec):
+    path = tmp_path / "spec.json"
+    dump_json(spec.to_json(), path)
+    assert main([command, "--spec", str(path), "--max-len", "4"]) == 0
 
 
 def _tuple_file(field, value):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import dense_creation, dense_word
+from ncdomains import fock, lanczos
 from ncdomains.berezin import (OperatorTuple, berezin_kernel, berezin_transform,
                                intertwining_residual)
 from ncdomains.cauchy import cauchy_kernel, cauchy_transform, reconstruction_operator
@@ -18,7 +19,7 @@ from ncdomains.fock import (MODEL_TOL, TruncatedFockBasis, cp_map_apply, cp_map_
                             weighted_space_conjugation, word_operator)
 from ncdomains.cli import main
 from ncdomains.corpus import (builtin_corpus, random_gated_tuple, random_nilpotent_tuple,
-                              scale_into_domain)
+                              random_symbol, scale_into_domain)
 from ncdomains.report import VerificationReport
 from ncdomains.serialization import dump_json, tuple_to_json
 from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
@@ -330,6 +331,132 @@ def test_spectral_norm_matches_svd():
     M = np.eye(3, dtype=complex)
     M[1, 2] = np.nan
     assert not np.isfinite(spectral_norm(M))
+
+
+@pytest.fixture
+def krylov_runs(monkeypatch):
+    """The results of lanczos.top_singular_value, None when it fell back to
+    the dense path, recorded per call."""
+    runs = []
+    helper = lanczos.top_singular_value
+
+    def spy(*args):
+        runs.append(helper(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(lanczos, "top_singular_value", spy)
+    return runs
+
+
+@pytest.fixture
+def krylov_always(monkeypatch, krylov_runs):
+    """Every nonzero finite input takes the Krylov path."""
+    monkeypatch.setattr(fock, "KRYLOV_MIN_SIDE", 1)
+    monkeypatch.setattr(fock, "KRYLOV_MAX_DENSITY", 1.0)
+    return krylov_runs
+
+
+def _assert_matches_svd(M):
+    want = np.linalg.norm(M, 2)
+    assert np.isfinite(want) and want > 0
+    assert abs(spectral_norm(M) - want) <= 1e-13 * want, M.shape
+
+
+def test_krylov_norm_matches_svd(krylov_always):
+    """The Krylov path alone, on the dense path's cases: Gaussian, low rank,
+    nilpotent, zero rows and columns, 1 x 1, entries near 1e+-200 and a
+    near-degenerate top pair."""
+    cases = list(_spectral_cases())
+    for M in cases:
+        _assert_matches_svd(M)
+    assert len(krylov_always) == len(cases) and None not in krylov_always
+    for shape in ((1, 1), (4, 6)):
+        assert spectral_norm(np.zeros(shape)) == 0.0
+    assert len(krylov_always) == len(cases)
+
+
+def test_krylov_norm_on_model_operators(krylov_always):
+    """Symbol operators of every n = 2 corpus spec at depth 8, aux dim 1
+    (side 511) and 2 (side 1022)."""
+    rng = np.random.default_rng(19)
+    for name, spec in builtin_corpus().items():
+        if spec.n != 2:
+            continue
+        table = weights_by_factorization(spec, 8)
+        for aux in (1, 2):
+            sym = random_symbol(rng, 2, 2, aux_dim=aux)
+            _assert_matches_svd(symbol_to_operator(sym, table, 0.9, 8).matrix)
+    assert len(krylov_always) == 10 and None not in krylov_always
+
+
+def _sparse(rng, shape, density):
+    M = np.zeros(shape, dtype=complex)
+    mask = rng.random(shape) < density
+    M[mask] = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
+    return M
+
+
+def test_krylov_breakdown(monkeypatch, krylov_runs):
+    """A^* A a multiple of the identity breaks down at step 1; of rank 1, at
+    step 2, once the start vector and the top singular vector span the
+    Krylov space."""
+    rng = np.random.default_rng(23)
+    n = 600
+    monkeypatch.setattr(lanczos, "MAX_STEPS", 1)
+    for M in (2.5 * np.eye(n), 3j * np.eye(n)[rng.permutation(n)]):
+        _assert_matches_svd(M)
+    u, v = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    u[rng.choice(n, 20, replace=False)] = rng.standard_normal(20) + 1j
+    v[rng.choice(n, 20, replace=False)] = rng.standard_normal(20) - 1j
+    monkeypatch.setattr(lanczos, "MAX_STEPS", 2)
+    _assert_matches_svd(np.outer(u, v))
+    assert len(krylov_runs) == 3 and None not in krylov_runs
+
+
+def test_krylov_norm_sparse_cases(krylov_runs):
+    """Large sparse inputs under the default selection: a near-degenerate top
+    pair, zero rows and columns, entries near 1e+-200; NaN and inf entries
+    return before the Krylov path."""
+    rng = np.random.default_rng(29)
+    n = 600
+    d = rng.uniform(0.0, 0.9, n)
+    d[:2] = 1.0, 1.0 - 1e-15
+    M = _sparse(rng, (n + 100, n), 0.02)
+    M[[0, 10, n + 99]] = 0
+    M[:, [5, n - 1]] = 0
+    for A in (np.diag(d)[:, rng.permutation(n)], M, 1e-200 * M, 1e200 * M):
+        _assert_matches_svd(A)
+    assert len(krylov_runs) == 4 and None not in krylov_runs
+    M[3, 4] = np.inf
+    assert spectral_norm(M) == np.inf
+    M[5, 6] = np.nan
+    assert np.isnan(spectral_norm(M))
+    assert len(krylov_runs) == 4
+
+
+def test_krylov_falls_back_to_dense(monkeypatch, krylov_runs):
+    """A symbol operator at depth 8, aux dim 2, takes the Krylov path; cut at
+    two steps, it gives the dense path's norm."""
+    table = weights_by_factorization(builtin_corpus()["mixed_n2_m2"], 8)
+    sym = random_symbol(np.random.default_rng(31), 2, 2, aux_dim=2)
+    M = symbol_to_operator(sym, table, 0.9, 8).matrix
+    krylov = spectral_norm(M)
+    monkeypatch.setattr(lanczos, "MAX_STEPS", 2)
+    assert abs(spectral_norm(M) - krylov) <= 1e-13 * krylov
+    assert krylov_runs[0] is not None and krylov_runs[1:] == [None]
+
+
+def test_spectral_norm_selection(monkeypatch):
+    """The corpus reports and dense inputs never take the Krylov path."""
+    def forbidden(*args):
+        raise AssertionError("Krylov path taken")
+
+    monkeypatch.setattr(lanczos, "top_singular_value", forbidden)
+    report = VerificationReport({})
+    full_suite(builtin_corpus()["mixed_n2_m2"], 6, report)
+    assert report.passed
+    rng = np.random.default_rng(37)
+    _assert_matches_svd(rng.standard_normal((600, 600)))
 
 
 def _svd_calls(source: str) -> list[int]:
