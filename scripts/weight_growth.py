@@ -6,9 +6,51 @@ weighted right multi-Toeplitz operators; this experiment shows the trend on
 any builtin or user-supplied domain spec.
 """
 import argparse
+from dataclasses import dataclass
+from fractions import Fraction
 
 from ncdomains.cli import resolve_spec
-from ncdomains.weights import compactness_ratio_test, weights_by_factorization
+from ncdomains.weights import WeightTable, weights_by_factorization
+from ncdomains.words import enumerate_words
+
+
+@dataclass
+class CompactnessRatioReport:
+    """Per-letter max of b_{g_i alpha} / b_alpha plus the deepest-level trend.
+
+    Bounded ratios are the hypothesis under which no nonzero compact weighted
+    right multi-Toeplitz operator exists; a finite table can only exhibit
+    evidence, so the last two level maxima are reported as a trend.
+    """
+
+    max_ratio: dict[int, Fraction]
+    level_max: dict[int, list[Fraction]]  # per letter, max ratio at each |alpha|
+
+    def trend(self, letter: int) -> tuple[Fraction, Fraction] | None:
+        levels = self.level_max[letter]
+        if len(levels) < 2:
+            return None
+        return levels[-2], levels[-1]
+
+
+def compactness_ratio_test(table: WeightTable) -> CompactnessRatioReport:
+    n = table.spec.n
+    max_ratio: dict[int, Fraction] = {}
+    level_max: dict[int, list[Fraction]] = {}
+    for i in range(1, n + 1):
+        levels: list[Fraction] = []
+        for k in range(table.N):
+            best = Fraction(0)
+            for alpha in enumerate_words(n, k):
+                if len(alpha) != k:
+                    continue
+                ratio = table.b[(i,) + alpha] / table.b[alpha]
+                if ratio > best:
+                    best = ratio
+            levels.append(best)
+        level_max[i] = levels
+        max_ratio[i] = max(levels) if levels else Fraction(0)
+    return CompactnessRatioReport(max_ratio, level_max)
 
 
 def main():

@@ -12,7 +12,6 @@ the report.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -22,8 +21,9 @@ from .cauchy import joint_spectral_radius, radius_inequality_check
 from .corpus import builtin_corpus
 from .report import VerificationReport
 from .serialization import (dump_json, load_json, operator_from_json,
-                            operator_to_json, symbol_from_json,
-                            symbol_to_json, tuple_from_json)
+                            operator_to_json, spec_from_json, spec_to_json,
+                            symbol_from_json, symbol_to_json, table_to_csv,
+                            table_to_json, tuple_from_json)
 from .toeplitz import (MultiToeplitzSymbol, fourier_coefficients,
                        is_multi_toeplitz, max_block_difference,
                        symbol_to_operator)
@@ -34,7 +34,7 @@ def resolve_spec(name_or_path: str) -> DomainSpec:
     corpus = builtin_corpus()
     if name_or_path in corpus:
         return corpus[name_or_path]
-    return DomainSpec.from_json(load_json(name_or_path))
+    return spec_from_json(load_json(name_or_path))
 
 
 OPTIONS = {
@@ -65,7 +65,7 @@ def start(args, **config) -> tuple[DomainSpec, VerificationReport]:
     the command, the spec, the depth N and `config` (the seed, where the
     mode reads one)."""
     spec = resolve_spec(args.spec)
-    return spec, VerificationReport({"command": args.command, "spec": spec.to_json(),
+    return spec, VerificationReport({"command": args.command, "spec": spec_to_json(spec),
                                      "N": args.max_len, **config})
 
 
@@ -98,16 +98,9 @@ def cmd_weights(args) -> int:
     table = verify.weights_suite(spec, args.max_len, report)
     if args.out:
         if args.format == "csv":
-            table.to_csv(args.out)
+            table_to_csv(table, args.out)
         else:
-            dump_json({"spec": spec.to_json(), "N": table.N,
-                       "weights": [{"word": list(w),
-                                    "numerator": v.numerator,
-                                    "denominator": v.denominator,
-                                    "float_value": float(v)}
-                                   for w, v in sorted(table.b.items(),
-                                                      key=lambda t: (len(t[0]), t[0]))]},
-                      args.out)
+            dump_json(table_to_json(table), args.out)
         print(f"weight table written to {args.out}")
     return finish(report, None)
 
@@ -242,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ import numpy as np
 from .berezin import mean_value_check
 from .fock import TruncatedOperator, spectral_norm, truncated_model
 from .toeplitz import (MultiToeplitzSymbol, evaluate_symbol, max_block_difference,
-                       symbol_to_operator)
+                       norm_profile, symbol_to_operator)
 from .weights import WeightTable
 from .words import EMPTY, Word
 
@@ -125,12 +125,9 @@ def distance(F: PluriharmonicFunction, G: PluriharmonicFunction,
     """d_{r_k}(F, G) = ||F(r_k W_N) - G(r_k W_N)|| and the truncated metric
     rho = sum 2^-k d/(1+d).  d_r values are lower bounds nondecreasing in N;
     the rho tail beyond RHO_RADII_KMAX is bounded by 2^-RHO_RADII_KMAX."""
-    diff = F.symbol - G.symbol
-    d_vals = []
+    d_vals, _ = norm_profile(F.symbol - G.symbol, table, rho_radii(), N)
     rho = 0.0
-    for k, r in enumerate(rho_radii(), start=1):
-        d_r = symbol_to_operator(diff, table, r, N).norm()
-        d_vals.append(d_r)
+    for k, d_r in enumerate(d_vals, start=1):
         rho += 2.0 ** (-k) * d_r / (1.0 + d_r)
     return d_vals, rho
 
@@ -148,24 +145,20 @@ def weierstrass_limit(functions: Sequence[PluriharmonicFunction],
     function as the coefficientwise limit and measure each F_j's distance to it."""
     if len(functions) < 2:
         raise ValueError("need at least two functions")
-    cauchy: dict[float, list[float]] = {}
-    for r in radii:
-        diffs = []
-        for j in range(len(functions) - 1):
-            diff = functions[j + 1].symbol - functions[j].symbol
-            diffs.append(symbol_to_operator(diff, table, float(r), N).norm())
-        cauchy[float(r)] = diffs
+
+    def per_radius(symbols) -> dict[float, list[float]]:
+        """||S(rW_N)|| for each symbol S, grouped by radius."""
+        profiles = [norm_profile(sym, table, radii, N)[0] for sym in symbols]
+        return {float(r): [p[i] for p in profiles] for i, r in enumerate(radii)}
+
+    cauchy = per_radius(Fnext.symbol - Fj.symbol
+                        for Fj, Fnext in zip(functions, functions[1:]))
     converged = all(diffs[-1] <= LIMIT_TOL or diffs[-1] < diffs[0]
                     for diffs in cauchy.values())
     if not converged:
         return WeierstrassReport(False, cauchy, {})
-    limit = functions[-1]
-    dists: dict[float, list[float]] = {}
-    for r in radii:
-        dists[float(r)] = [
-            symbol_to_operator(Fj.symbol - limit.symbol, table, float(r), N).norm()
-            for Fj in functions]
-    return WeierstrassReport(True, cauchy, dists)
+    limit = functions[-1].symbol
+    return WeierstrassReport(True, cauchy, per_radius(Fj.symbol - limit for Fj in functions))
 
 
 def conjugate(G: PluriharmonicFunction) -> PluriharmonicFunction:

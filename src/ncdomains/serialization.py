@@ -1,9 +1,17 @@
-"""JSON file formats shared by the CLI and the library.
+"""Every file format of the CLI and the library: the JSON files, and the CSV
+form of a weight table.
 
-Words are integer arrays ([] is the empty word).  Matrices are
-{rows, cols, aux_dim, data} with data a row-major list of [re, im] pairs.
-Symbols are {aux_dim, A: [{word, block}], B: [{word, block}]} with blocks
-nested [re, im] arrays.  Operator tuples are {n, dim, matrices: [...]}.
+Words are integer arrays ([] is the empty word), and an exact rational is
+its {numerator, denominator} pair.  A domain spec is {n, m, coefficients:
+[{word, numerator, denominator}]}; a weight table is {spec, N, weights:
+[{word, numerator, denominator, float_value}]}, or a CSV file with the
+columns word, length, numerator, denominator, float_value, its word the
+JSON array.  Both list words in the graded order of enumerate_words.
+
+Matrices are {rows, cols, aux_dim, data} with data a row-major list of
+[re, im] pairs.  Symbols are {aux_dim, A: [{word, block}], B: [{word, block}]}
+with blocks nested [re, im] arrays.  Operator tuples are {n, dim, spec,
+matrices: [...]}.
 
 Operators are sparse: {n, N, aux_dim, rows, cols, index, data}, where index
 lists in ascending order the flat row-major position of every entry whose
@@ -23,19 +31,27 @@ reads back bit for bit (NaN as NaN).  Malformed input raises ValueError.
 """
 from __future__ import annotations
 
+import csv
 import json
+from fractions import Fraction
 
 import numpy as np
 
 from .berezin import OperatorTuple
 from .fock import TruncatedFockBasis, TruncatedOperator
 from .toeplitz import MultiToeplitzSymbol, check_basis
-from .weights import DomainSpec, WeightTable, _integer
-from .words import fock_dimension
+from .weights import DomainSpec, WeightTable
+from .words import Word, enumerate_words, fock_dimension
 
 # An operator file holds at most this many rows: the dense matrix is then at
 # most 256 MiB.  A sparse file is not bounded by its own size, as a dense one is.
 MAX_OPERATOR_ROWS = 4096
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _object(obj, what: str) -> dict:
@@ -173,11 +189,54 @@ def symbol_from_json(obj: dict) -> MultiToeplitzSymbol:
     return MultiToeplitzSymbol(d, part("A"), part("B"))
 
 
+def _rational(w: Word, v: Fraction) -> dict:
+    """One word-plus-rational entry: a spec coefficient or a table row."""
+    return {"word": list(w), "numerator": v.numerator, "denominator": v.denominator}
+
+
+def spec_to_json(spec: DomainSpec) -> dict:
+    coeffs = sorted(spec.coefficients.items(), key=lambda t: (len(t[0]), t[0]))
+    return {"n": spec.n, "m": spec.m, "coefficients": [_rational(w, a) for w, a in coeffs]}
+
+
+def spec_from_json(obj: dict) -> DomainSpec:
+    """Parse the spec_to_json() form; a missing denominator is 1."""
+    obj = _object(obj, "spec")
+    coeffs = {}
+    for entry in _list(obj["coefficients"], "coefficients"):
+        entry = _object(entry, "coefficient")
+        w = _word(entry["word"])
+        denominator = _integer(entry.get("denominator", 1), "denominator")
+        if denominator == 0:
+            raise ValueError(f"zero denominator at word {list(w)}")
+        coeffs[w] = Fraction(_integer(entry["numerator"], "numerator"), denominator)
+    return DomainSpec(_integer(obj["n"], "n"), _integer(obj["m"], "m"), coeffs)
+
+
+def _weights(table: WeightTable) -> list[dict]:
+    """The table's rows in the graded order of enumerate_words."""
+    return [{**_rational(w, table.b[w]), "float_value": float(table.b[w])}
+            for w in enumerate_words(table.spec.n, table.N)]
+
+
+def table_to_json(table: WeightTable) -> dict:
+    return {"spec": spec_to_json(table.spec), "N": table.N, "weights": _weights(table)}
+
+
+def table_to_csv(table: WeightTable, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["word", "length", "numerator", "denominator", "float_value"])
+        for row in _weights(table):
+            writer.writerow([json.dumps(row["word"]), len(row["word"]), row["numerator"],
+                             row["denominator"], row["float_value"]])
+
+
 def tuple_to_json(X: OperatorTuple) -> dict:
     return {
         "n": X.spec.n,
         "dim": X.dim,
-        "spec": X.spec.to_json(),
+        "spec": spec_to_json(X.spec),
         "matrices": [matrix_to_json(M) for M in X.matrices],
     }
 
@@ -185,7 +244,7 @@ def tuple_to_json(X: OperatorTuple) -> dict:
 def tuple_from_json(obj: dict, spec: DomainSpec | None = None) -> OperatorTuple:
     obj = _object(obj, "operator tuple")
     if spec is None:
-        spec = DomainSpec.from_json(obj["spec"])
+        spec = spec_from_json(obj["spec"])
     mats = [matrix_from_json(m)[0] for m in _list(obj["matrices"], "matrices")]
     return OperatorTuple(spec, mats)
 

@@ -13,16 +13,12 @@ floats appear only when matrices are built from a finished table.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Mapping
 
 from .words import EMPTY, Word, enumerate_words, reverse
-
-RationalLike = Fraction | int | str
 
 
 class InvalidDomainError(ValueError):
@@ -71,42 +67,6 @@ class DomainSpec:
         return DomainSpec(self.n, self.m,
                           {reverse(w): a for w, a in self.coefficients.items()})
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "coefficients": [
-                {"word": list(w), "numerator": a.numerator, "denominator": a.denominator}
-                for w, a in sorted(self.coefficients.items(), key=lambda t: (len(t[0]), t[0]))
-            ],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "DomainSpec":
-        """Parse the to_json() form; malformed fields raise ValueError."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"spec must be a JSON object, got {obj!r}")
-        entries = obj["coefficients"]
-        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
-            raise ValueError(f"coefficients must be a list of objects, got {entries!r}")
-        coeffs = {}
-        for entry in entries:
-            w = entry["word"]
-            if not isinstance(w, list):
-                raise ValueError(f"coefficient word must be a list of letters, got {w!r}")
-            denominator = _integer(entry.get("denominator", 1), "denominator")
-            if denominator == 0:
-                raise ValueError(f"zero denominator at word {w}")
-            coeffs[tuple(_integer(letter, "letter") for letter in w)] = Fraction(
-                _integer(entry["numerator"], "numerator"), denominator)
-        return DomainSpec(_integer(obj["n"], "n"), _integer(obj["m"], "m"), coeffs)
-
-
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
 
 def hyperball_spec(n: int, m: int) -> DomainSpec:
     """q = Z_1 + ... + Z_n."""
@@ -120,15 +80,6 @@ class WeightTable:
     b: dict[Word, Fraction] = field(repr=False)
     # truncated models by depth, filled by fock.truncated_model; b stays fixed
     _models: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["word", "length", "numerator", "denominator", "float_value"])
-            for w in enumerate_words(self.spec.n, self.N):
-                v = self.b[w]
-                writer.writerow([json.dumps(list(w)), len(w),
-                                 v.numerator, v.denominator, float(v)])
 
 
 class TruncationExceededError(ValueError):
@@ -260,42 +211,3 @@ def ratio_bound_check(table: WeightTable) -> RatioBoundReport:
             if worst is None or slack < worst:
                 worst = slack
     return RatioBoundReport(checked, violations, worst if worst is not None else Fraction(0))
-
-
-@dataclass
-class CompactnessRatioReport:
-    """Per-letter max of b_{g_i alpha} / b_alpha plus the deepest-level trend.
-
-    Bounded ratios are the hypothesis under which no nonzero compact weighted
-    right multi-Toeplitz operator exists; a finite table can only exhibit
-    evidence, so the last two level maxima are reported as a trend.
-    """
-
-    max_ratio: dict[int, Fraction]
-    level_max: dict[int, list[Fraction]]  # per letter, max ratio at each |alpha|
-
-    def trend(self, letter: int) -> tuple[Fraction, Fraction] | None:
-        levels = self.level_max[letter]
-        if len(levels) < 2:
-            return None
-        return levels[-2], levels[-1]
-
-
-def compactness_ratio_test(table: WeightTable) -> CompactnessRatioReport:
-    n = table.spec.n
-    max_ratio: dict[int, Fraction] = {}
-    level_max: dict[int, list[Fraction]] = {}
-    for i in range(1, n + 1):
-        levels: list[Fraction] = []
-        for k in range(table.N):
-            best = Fraction(0)
-            for alpha in enumerate_words(n, k):
-                if len(alpha) != k:
-                    continue
-                ratio = table.b[(i,) + alpha] / table.b[alpha]
-                if ratio > best:
-                    best = ratio
-            levels.append(best)
-        level_max[i] = levels
-        max_ratio[i] = max(levels) if levels else Fraction(0)
-    return CompactnessRatioReport(max_ratio, level_max)

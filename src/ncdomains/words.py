@@ -8,8 +8,7 @@ lexicographic order produced by :func:`enumerate_words`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import comb
+from itertools import product
 
 Word = tuple[int, ...]
 
@@ -70,22 +69,3 @@ def compare_right(omega: Word, gamma: Word) -> Comparability:
     if lg > lo and gamma[lg - lo:] == omega:
         return Comparability(LT, gamma[: lg - lo])
     return Comparability(INCOMPARABLE)
-
-
-def factorizations(alpha: Word, j: int) -> list[tuple[Word, ...]]:
-    """All ordered splittings alpha = gamma_1 ... gamma_j with |gamma_i| >= 1.
-
-    There are C(|alpha|-1, j-1) of them (one per cut-point subset).
-    """
-    k = len(alpha)
-    if not 1 <= j <= k:
-        raise ValueError(f"need 1 <= j <= |alpha|={k}, got j={j}")
-    out = []
-    for cuts in combinations(range(1, k), j - 1):
-        bounds = (0,) + cuts + (k,)
-        out.append(tuple(alpha[bounds[i]:bounds[i + 1]] for i in range(j)))
-    return out
-
-
-def n_factorizations(length: int, j: int) -> int:
-    return comb(length - 1, j - 1)

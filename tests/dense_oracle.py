@@ -1,7 +1,10 @@
-"""Dense reference operators for the tests, built entry by entry from exact
-weights and multiplied as plain numpy matrices; nothing here reads the
-model's shift maps or its operator assembly."""
-from math import sqrt
+"""Reference code for the tests.  Dense operators are built entry by entry
+from exact weights and multiplied as plain numpy matrices; nothing here reads
+the model's shift maps or its operator assembly.  Word factorizations are
+enumerated by cut points, the definition the weight tables are checked
+against."""
+from itertools import combinations
+from math import comb, sqrt
 
 import numpy as np
 
@@ -31,3 +34,22 @@ def dense_word(mats, alpha):
     for letter in alpha:
         out = out @ mats[letter - 1]
     return out
+
+
+def factorizations(alpha, j):
+    """All ordered splittings alpha = gamma_1 ... gamma_j with |gamma_i| >= 1.
+
+    There are C(|alpha|-1, j-1) of them (one per cut-point subset).
+    """
+    k = len(alpha)
+    if not 1 <= j <= k:
+        raise ValueError(f"need 1 <= j <= |alpha|={k}, got j={j}")
+    out = []
+    for cuts in combinations(range(1, k), j - 1):
+        bounds = (0,) + cuts + (k,)
+        out.append(tuple(alpha[bounds[i]:bounds[i + 1]] for i in range(j)))
+    return out
+
+
+def n_factorizations(length, j):
+    return comb(length - 1, j - 1)

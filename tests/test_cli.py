@@ -13,9 +13,12 @@ from ncdomains.cli import build_parser, main
 from ncdomains.corpus import (builtin_corpus, mixed_spec, random_gated_tuple,
                               random_nilpotent_tuple)
 from ncdomains.fock import TruncatedFockBasis
-from ncdomains.serialization import (dump_json, operator_to_json, symbol_to_json,
+from ncdomains.serialization import (dump_json, load_json, operator_to_json,
+                                     spec_from_json, spec_to_json,
+                                     symbol_from_json, symbol_to_json,
                                      tuple_to_json)
-from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
+from ncdomains.toeplitz import (MultiToeplitzSymbol, max_block_difference,
+                                symbol_to_operator)
 from ncdomains.weights import DomainSpec, weights_by_factorization
 from ncdomains.words import fock_dimension
 
@@ -27,6 +30,35 @@ def test_weights_csv_row_count(tmp_path):
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1 + 31
+
+
+# the exact files of `weights --spec mixed_n2_m1 --max-len 2`; the CSV word
+# column is the JSON array, quoted where it holds a comma
+WEIGHTS_CSV = (
+    "word,length,numerator,denominator,float_value\r\n"
+    "[],0,1,1,1.0\r\n[1],1,1,1,1.0\r\n[2],1,1,1,1.0\r\n"
+    '"[1, 1]",2,1,1,1.0\r\n"[1, 2]",2,2,1,2.0\r\n"[2, 1]",2,1,1,1.0\r\n'
+    '"[2, 2]",2,1,1,1.0\r\n')
+WEIGHTS_JSON = (
+    '{"N": 2, "spec": {"coefficients": [{"denominator": 1, "numerator": 1, "word": [1]}, '
+    '{"denominator": 1, "numerator": 1, "word": [2]}, '
+    '{"denominator": 1, "numerator": 1, "word": [1, 2]}], "m": 1, "n": 2}, '
+    '"weights": [{"denominator": 1, "float_value": 1.0, "numerator": 1, "word": []}, '
+    '{"denominator": 1, "float_value": 1.0, "numerator": 1, "word": [1]}, '
+    '{"denominator": 1, "float_value": 1.0, "numerator": 1, "word": [2]}, '
+    '{"denominator": 1, "float_value": 1.0, "numerator": 1, "word": [1, 1]}, '
+    '{"denominator": 1, "float_value": 2.0, "numerator": 2, "word": [1, 2]}, '
+    '{"denominator": 1, "float_value": 1.0, "numerator": 1, "word": [2, 1]}, '
+    '{"denominator": 1, "float_value": 1.0, "numerator": 1, "word": [2, 2]}]}\n')
+
+
+@pytest.mark.parametrize("fmt, text", [("csv", WEIGHTS_CSV), ("json", WEIGHTS_JSON)],
+                         ids=["csv", "json"])
+def test_weights_file_text(tmp_path, fmt, text):
+    out = tmp_path / f"w.{fmt}"
+    assert main(["weights", "--spec", "mixed_n2_m1", "--max-len", "2",
+                 "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
 
 
 def test_weights_out_prints_checks(tmp_path, capsys):
@@ -43,7 +75,7 @@ def test_weights_out_prints_checks(tmp_path, capsys):
 
 def test_weights_with_spec_file(tmp_path):
     spec_path = tmp_path / "spec.json"
-    dump_json(mixed_spec(2).to_json(), spec_path)
+    dump_json(spec_to_json(mixed_spec(2)), spec_path)
     rc = main(["weights", "--spec", str(spec_path), "--max-len", "3"])
     assert rc == 0
 
@@ -66,7 +98,7 @@ def test_toeplitz_check_rejects_perturbed(tmp_path):
     op.matrix[op.basis.index[(1,)], op.basis.index[(2,)]] += 0.1
     spec_path = tmp_path / "spec.json"
     op_path = tmp_path / "op.json"
-    dump_json(mixed_spec(1).to_json(), spec_path)
+    dump_json(spec_to_json(mixed_spec(1)), spec_path)
     dump_json(operator_to_json(op), op_path)
     rc = main(["toeplitz", "--spec", str(spec_path), "--max-len", "3",
                "--op", str(op_path)])
@@ -75,8 +107,6 @@ def test_toeplitz_check_rejects_perturbed(tmp_path):
 
 def test_toeplitz_op_symbol_at_operator_depth(tmp_path, capsys):
     # a depth-3 operator checked under the default --max-len 4
-    from ncdomains.serialization import load_json, symbol_from_json
-    from ncdomains.toeplitz import max_block_difference
     table = weights_by_factorization(mixed_spec(1), 3)
     sym = MultiToeplitzSymbol.scalar(A={(): 1.0, (1,): 2.0}, B={(2,): 1j})
     op_path = tmp_path / "op.json"
@@ -200,14 +230,15 @@ def test_report_config_keys(tmp_path, monkeypatch, argv, keys):
     config = json.loads((tmp_path / "report.json").read_text())["config"]
     assert set(config) == keys
     assert (config["command"], config["N"]) == (argv[0], 2)
-    assert config["spec"] == spec.to_json()
+    assert config["spec"] == spec_to_json(spec)
 
 
 @pytest.mark.parametrize("field, value", [("word", 1), ("word", ["1"]), ("n", 2.0),
                                           ("top", []), ("top", "x"),
-                                          ("coefficients", 5), ("coefficients", [5])])
+                                          ("coefficients", 5), ("coefficients", [5]),
+                                          ("denominator", 0)])
 def test_malformed_spec_exit_code(tmp_path, capsys, field, value):
-    spec = mixed_spec(1).to_json()
+    spec = spec_to_json(mixed_spec(1))
     if field == "top":
         spec = value
     elif field in ("n", "coefficients"):
@@ -230,7 +261,8 @@ def test_malformed_spec_exit_code(tmp_path, capsys, field, value):
 ], ids=["quarter", "deg3"])
 def test_suite_passes_off_corpus_spec(tmp_path, command, spec):
     path = tmp_path / "spec.json"
-    dump_json(spec.to_json(), path)
+    dump_json(spec_to_json(spec), path)
+    assert spec_from_json(load_json(path)) == spec
     assert main([command, "--spec", str(path), "--max-len", "4"]) == 0
 
 

@@ -1,6 +1,7 @@
 """Source guards: imports happen at module level in the library, no file
 imports a name it never uses, no library file folds residuals with
-`x = max(x, ...)`, and files are written by the C JSON encoder."""
+`x = max(x, ...)`, only serialization.py reads or writes files, and files
+are written by the C JSON encoder."""
 import ast
 import json
 import json.encoder
@@ -141,6 +142,46 @@ def test_no_max_folds_in_library():
         "    a = max(a, b, 0.0)\n") == [3, 8]
     src = ROOT / "src" / "ncdomains"
     found = {p.name: _max_folds(p.read_text()) for p in sorted(src.glob("*.py"))}
+    assert not any(found.values()), {k: v for k, v in found.items() if v}
+
+
+FORMAT_MODULES = {"json", "csv"}
+
+
+def _file_access(source: str) -> list[int]:
+    """Lines that import json or csv, in any form, or call open, as a
+    builtin or as a method."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] in FORMAT_MODULES for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module and node.module.split(".")[0] in FORMAT_MODULES:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "open":
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_only_serialization_touches_files():
+    """Every file format is decided in serialization.py alone."""
+    assert _file_access(
+        "import json\n"
+        "import os, csv as c\n"
+        "from json.decoder import JSONDecodeError\n"
+        "from .serialization import dump_json\n"
+        "import jsonschema\n"
+        "with open(path) as fh:\n"
+        "    fh.read()\n"
+        "path.open('w')\n"
+        "opened = reopen(path)\n") == [1, 2, 3, 6, 8]
+    src = ROOT / "src" / "ncdomains"
+    found = {p.name: _file_access(p.read_text()) for p in sorted(src.glob("*.py"))}
+    assert found.pop("serialization.py")
     assert not any(found.values()), {k: v for k, v in found.items() if v}
 
 

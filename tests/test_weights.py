@@ -1,18 +1,23 @@
+import runpy
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import factorizations
 from ncdomains.corpus import builtin_corpus, mixed_spec, random_spec
-from ncdomains.weights import (DomainSpec, InvalidDomainError,
-                               compactness_ratio_test, hyperball_spec,
+from ncdomains.serialization import spec_from_json, spec_to_json, table_to_csv
+from ncdomains.weights import (DomainSpec, InvalidDomainError, hyperball_spec,
                                hyperball_weights, omega_beta,
                                ratio_bound_check, weights_by_convolution,
                                weights_by_factorization)
-from ncdomains.words import EMPTY, enumerate_words, factorizations
+from ncdomains.words import EMPTY, enumerate_words
+
+WEIGHT_GROWTH = Path(__file__).resolve().parent.parent / "scripts" / "weight_growth.py"
 
 
 def test_spec_validation():
@@ -32,9 +37,10 @@ def test_spec_validation():
 
 
 def test_spec_json_roundtrip():
-    spec = mixed_spec(2)
-    again = DomainSpec.from_json(spec.to_json())
-    assert again == spec
+    # mixed_spec(2) is mixed_n2_m2; test_suite_passes_off_corpus_spec
+    # round-trips two specs with fractional coefficients
+    for name, spec in builtin_corpus().items():
+        assert spec_from_json(spec_to_json(spec)) == spec, name
 
 
 def test_oracles_agree_on_corpus():
@@ -136,6 +142,7 @@ def test_omega_beta_hyperball_letter(ball1_table):
 
 
 def test_compactness_ratios_bounded(ball2_table):
+    compactness_ratio_test = runpy.run_path(str(WEIGHT_GROWTH))["compactness_ratio_test"]
     report = compactness_ratio_test(ball2_table)
     # b_{g_i alpha} / b_alpha = (|alpha|+2)/(|alpha|+1) <= 2, decreasing in depth
     for i in (1, 2):
@@ -146,7 +153,7 @@ def test_compactness_ratios_bounded(ball2_table):
 
 def test_csv_export(tmp_path, ball1_table):
     path = tmp_path / "weights.csv"
-    ball1_table.to_csv(path)
+    table_to_csv(ball1_table, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "word,length,numerator,denominator,float_value"
     assert len(lines) == 1 + len(enumerate_words(2, 5))

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dense_oracle import factorizations, n_factorizations
 from ncdomains.words import (EMPTY, GEQ, INCOMPARABLE, LT, compare_right,
-                             enumerate_words, factorizations,
-                             fock_dimension, n_factorizations, reverse)
+                             enumerate_words, fock_dimension, reverse)
 
 words_st = st.lists(st.integers(1, 3), max_size=6).map(tuple)
 nonempty_words_st = st.lists(st.integers(1, 3), min_size=1, max_size=6).map(tuple)
