@@ -20,7 +20,7 @@ from .fock import (TruncatedOperator, cp_map_apply, cp_orbit_norms, defect_opera
                    spectral_norm, substitute, truncated_model, word_operator)
 from .toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_to_operator
 from .weights import DomainSpec, WeightTable
-from .words import Word
+from .words import EMPTY, Word
 
 
 class DomainMembershipError(ValueError):
@@ -165,16 +165,13 @@ def intertwining_residual(K: np.ndarray, X: OperatorTuple, table: WeightTable,
     """max_i || K X_i^* - (W_i^* (x) I) K || for the Berezin kernel K at X on
     the truncation at depth N."""
     k = X.dim
-    model = truncated_model(table, N)
-    Kb = K.reshape(model.basis.dimension, k, k)  # a K of another depth raises here
+    model = truncated_model(table, N)  # apply rejects a K of another depth
     residuals = []
     for i, Xi in enumerate(X.matrices, start=1):
-        # W_i^* e_{g_i gamma} = w e_gamma, so block gamma of (W_i^* (x) I) K is
-        # w K_{g_i gamma}; it is zero at the words of length N
-        dst, src, w = model.shift((i,))
-        rhs = np.zeros_like(Kb)
-        rhs[src] = w[:, None, None] * Kb[dst]
-        residuals.append(spectral_norm(K @ Xi.conj().T - rhs.reshape(K.shape)))
+        # block gamma of (W_i^* (x) I) K is w K_{g_i gamma}, zero at the words
+        # of length N
+        rhs = model.apply([(EMPTY, (i,), 1, 1)], K, k)
+        residuals.append(spectral_norm(K @ Xi.conj().T - rhs))
     return float(np.max(residuals, initial=0.0))
 
 

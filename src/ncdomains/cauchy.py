@@ -9,7 +9,12 @@ operator is nilpotent, so its own spectral radius is never used as a gate.
 
 The Cauchy kernel is kept as its vacuum column, the only one the transform
 reads: a (D*k) x k block column with word-major rows (flat index
-word_index * k + p), the layout of the Berezin kernel.
+word_index * k + p), the layout of the Berezin kernel.  Its Neumann sum
+never forms R: each step applies R to the k columns through the model's
+shift maps (TruncatedModel.apply), so the work and memory grow with the
+nonzeros of R, about |supp q| D k^2, not with (D k)^2.  Only
+radius_inequality_check forms the dense R, because it takes the norms of the
+powers R^k, and those need the matrices themselves.
 """
 from __future__ import annotations
 
@@ -75,30 +80,37 @@ def joint_spectral_radius(spec: DomainSpec, X: OperatorTuple,
     return SpectralRadiusReport(r_exact, seq, r_exact < 1 - GATE_MARGIN)
 
 
+def _reconstruction_terms(spec: DomainSpec, X: OperatorTuple) -> list:
+    """The terms of R, to be read with left=False: Lambda_{reverse(beta)}
+    appends beta on the right."""
+    return [(reverse(beta), EMPTY, float(a), X.word(beta).conj().T)
+            for beta, a in spec.coefficients.items()]
+
+
 def reconstruction_operator(spec: DomainSpec, X: OperatorTuple, N: int,
                             table: WeightTable) -> TruncatedOperator:
     """R = sum over supp(q) of a_beta Lambda_{reverse(beta)} (x) X_beta^*,
     strictly degree-raising on the truncation."""
-    # Lambda_{reverse(beta)} appends beta on the right
-    terms = [(reverse(beta), EMPTY, float(a), X.word(beta).conj().T)
-             for beta, a in spec.coefficients.items()]
-    return truncated_model(table, N).operator(terms, X.dim, left=False)
+    return truncated_model(table, N).operator(_reconstruction_terms(spec, X), X.dim,
+                                              left=False)
 
 
 def cauchy_kernel(spec: DomainSpec, X: OperatorTuple, N: int,
                   table: WeightTable) -> np.ndarray:
     """Vacuum column (sum_{j<=N} R^j)^m E of the Cauchy kernel, E embedding C^k
     at the empty word: a (D*k) x k block column with word-major rows, as
-    berezin_kernel.  Exact on the truncation since R is nilpotent."""
+    berezin_kernel.  Exact on the truncation since R is nilpotent; R is
+    applied through its shift maps and never formed."""
     spectral_gate(spec, X)
-    R = reconstruction_operator(spec, X, N, table).matrix
+    model = truncated_model(table, N)
+    terms = _reconstruction_terms(spec, X)
     k = X.dim
-    V = np.zeros((R.shape[0], k), dtype=complex)
+    V = np.zeros((model.basis.dimension * k, k), dtype=complex)
     V[:k] = np.eye(k)  # the empty word comes first in the graded basis
     for _ in range(spec.m):
         C = V
         for _ in range(N):
-            V = C + R @ V
+            V = C + model.apply(terms, V, k, left=False)
     return V
 
 

@@ -13,10 +13,14 @@ partial permutation, W_alpha e_gamma = sqrt(b_gamma / b_{alpha gamma})
 e_{alpha gamma} (Lambda_alpha appends reverse(alpha) on the right); its
 word-shift index maps are memoized on the model and read-only.
 Symbols and hereditary polynomials are term lists: (alpha, beta, c, B) is
-c Z_alpha Z_beta^* (x) B, B a d x d block or the scalar 1.  TruncatedModel.operator
-puts the model W in place of Z and is the one assembly of a production model
-operator, scattered from the shift maps; substitute puts a k x k tuple X in
-place of Z, on (aux space) (x) C^k, aux-major (flat index aux_index * k + p).
+c Z_alpha Z_beta^* (x) B, B a d x d block or a scalar b, read as b I_d.
+TruncatedModel.operator puts the model W in place of Z and is the one
+assembly of a production model operator, scattered from the shift maps;
+TruncatedModel.apply is its matrix-free counterpart, the product of that
+operator with a block of vectors in one pass over the same maps, for callers
+that need only such products (the Cauchy kernel, the intertwining residual).
+substitute puts a k x k tuple X in place of Z, on (aux space) (x) C^k,
+aux-major (flat index aux_index * k + p).
 
 A tuple X has one CP map, Phi_{q,X}(Y) = sum a_alpha X_alpha Y X_alpha^*: its
 terms come from cp_map_terms and its powers from cp_map_orbit (cp_map_apply is
@@ -137,9 +141,13 @@ def spectral_norm(M: np.ndarray) -> float:
         if sigma is not None:
             return scale * sigma
     rows, cols = mag.any(axis=1), mag.any(axis=0)
-    if not (rows.all() and cols.all()):
-        M = M[np.ix_(rows, cols)]
-    A = M / scale
+    del mag  # the largest arrays below need not coexist with it
+    if rows.all() and cols.all():
+        A = M / scale
+    else:
+        # the selection is a copy of M, so it is scaled in place
+        A = M[np.ix_(rows, cols)].astype(np.result_type(M, 1.0), copy=False)
+        A /= scale
     G = A @ A.conj().T if A.shape[0] <= A.shape[1] else A.conj().T @ A
     return scale * sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
 
@@ -187,8 +195,8 @@ class TruncatedModel:
 
     def operator(self, terms, d: int = 1, left: bool = True) -> TruncatedOperator:
         """sum c W_alpha W_beta^* (x) B over the terms (alpha, beta, c, B), with
-        Lambda in place of W when left is False; B is a d x d block or the
-        scalar 1.  W_alpha W_beta^* sends e_{beta gamma} to
+        Lambda in place of W when left is False; B is a d x d block or a
+        scalar b, read as b I_d.  W_alpha W_beta^* sends e_{beta gamma} to
         w_alpha(gamma) w_beta(gamma) e_{alpha gamma} for the gamma with
         |alpha gamma|, |beta gamma| <= N, and the other basis vectors to 0."""
         D = self.basis.dimension
@@ -200,8 +208,34 @@ class TruncatedModel:
             # both sources lead the graded basis, so the common gammas are the
             # shorter of the two
             g = min(len(src_a), len(src_b))
-            M[dst_a[:g], :, dst_b[:g], :] += (c * w_a[:g] * w_b[:g])[:, None, None] * B
+            M[dst_a[:g], :, dst_b[:g], :] += ((c * w_a[:g] * w_b[:g])[:, None, None]
+                                              * _block(B, d))
         return TruncatedOperator(self.basis, M.reshape(D * d, D * d), d)
+
+    def apply(self, terms, V: np.ndarray, d: int = 1, left: bool = True) -> np.ndarray:
+        """operator(terms, d, left).matrix @ V without forming the matrix: one
+        pass over the same shift maps, O(nonzeros * columns) work.  V has D*d
+        word-major rows and any number of columns (or is a vector)."""
+        D = self.basis.dimension
+        if V.shape[0] != D * d:
+            raise ValueError(f"V has {V.shape[0]} rows, expected {D} x aux_dim {d}")
+        V3 = V.reshape(D, d, -1)
+        out = np.zeros(V3.shape, dtype=complex)
+        for alpha, beta, c, B in terms:
+            dst_a, src_a, w_a = self.shift(alpha, left)
+            dst_b, src_b, w_b = self.shift(beta, left)
+            g = min(len(src_a), len(src_b))
+            scale = c * w_a[:g] * w_b[:g]
+            if np.ndim(B) == 0:
+                out[dst_a[:g]] += (scale * B)[:, None, None] * V3[dst_b[:g]]
+            else:
+                out[dst_a[:g]] += scale[:, None, None] * (B @ V3[dst_b[:g]])
+        return out.reshape(V.shape)
+
+
+def _block(B, d: int):
+    """A term's aux block: B itself, or b I_d for a scalar b."""
+    return B * np.eye(d) if np.ndim(B) == 0 else B
 
 
 def truncated_model(table: WeightTable, N: int) -> TruncatedModel:
@@ -226,9 +260,13 @@ def word_operator(ops: Sequence, alpha: Word):
     """
     wrapped = isinstance(ops[0], TruncatedOperator)
     mats = [op.matrix for op in ops] if wrapped else ops
-    out = np.eye(mats[0].shape[0], dtype=complex)
-    for letter in alpha:
-        out = out @ mats[letter - 1]
+    if not alpha:
+        out = np.eye(mats[0].shape[0], dtype=complex)
+    else:
+        # a complex copy of the first factor, equal to I @ X_{alpha[0]}
+        out = np.array(mats[alpha[0] - 1], dtype=complex)
+        for letter in alpha[1:]:
+            out = out @ mats[letter - 1]
     return TruncatedOperator(ops[0].basis, out, ops[0].aux_dim) if wrapped else out
 
 
@@ -246,7 +284,7 @@ def substitute(X: Sequence[np.ndarray], terms, d: int = 1) -> np.ndarray:
             M = word_operator(X, beta).conj().T
         else:
             M = word_operator(X, alpha) @ word_operator(X, beta).conj().T
-        out += np.reshape(B, (d, 1, d, 1)) * (c * M)[None, :, None, :]
+        out += np.reshape(_block(B, d), (d, 1, d, 1)) * (c * M)[None, :, None, :]
     return out.reshape(d * k, d * k)
 
 

@@ -27,7 +27,8 @@ Files are written as compact one-line JSON with sorted keys, through the C
 encoder of the json module; the keys are unchanged, and indented files load
 the same.  Complex arrays go to and from their [re, im] pairs as float views,
 never through arithmetic, so every value, -0.0 and the infinities included,
-reads back bit for bit (NaN as NaN).  Malformed input raises ValueError.
+reads back bit for bit (NaN as NaN).  Malformed input, a word repeated in
+a spec or in one part of a symbol included, raises ValueError.
 """
 from __future__ import annotations
 
@@ -183,8 +184,14 @@ def symbol_from_json(obj: dict) -> MultiToeplitzSymbol:
     d = _count(obj.get("aux_dim", 1), "aux_dim", least=1)
 
     def part(key: str) -> dict:
-        entries = [_object(e, "symbol entry") for e in _list(obj.get(key, []), key)]
-        return {_word(e["word"]): _complex(e["block"], (d, d), "block") for e in entries}
+        blocks = {}
+        for e in _list(obj.get(key, []), key):
+            e = _object(e, "symbol entry")
+            w = _word(e["word"])
+            if w in blocks:
+                raise ValueError(f"word {list(w)} repeats in symbol part {key}")
+            blocks[w] = _complex(e["block"], (d, d), "block")
+        return blocks
 
     return MultiToeplitzSymbol(d, part("A"), part("B"))
 
@@ -206,6 +213,8 @@ def spec_from_json(obj: dict) -> DomainSpec:
     for entry in _list(obj["coefficients"], "coefficients"):
         entry = _object(entry, "coefficient")
         w = _word(entry["word"])
+        if w in coeffs:
+            raise ValueError(f"word {list(w)} repeats in coefficients")
         denominator = _integer(entry.get("denominator", 1), "denominator")
         if denominator == 0:
             raise ValueError(f"zero denominator at word {list(w)}")

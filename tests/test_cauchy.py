@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import sqrt
 
@@ -16,7 +17,8 @@ from ncdomains.cauchy import (SpectralGateError,
 from ncdomains.corpus import builtin_corpus, random_gated_tuple, random_nilpotent_tuple
 from ncdomains.fock import (TruncatedFockBasis, TruncatedOperator, cp_map_apply,
                             cp_orbit_norms)
-from ncdomains.weights import DomainSpec, hyperball_spec, weights_by_convolution
+from ncdomains.weights import (DomainSpec, hyperball_spec, weights_by_convolution,
+                               weights_by_factorization)
 from ncdomains.words import EMPTY, enumerate_words
 
 
@@ -127,6 +129,22 @@ def test_cauchy_kernel_fourier_column(ball2_table, mixed_table):
         assert cauchy_kernel_fourier_residual(C, X, table) < 1e-10
         C[0, 0] = np.nan  # the vacuum block, compared first
         assert np.isnan(cauchy_kernel_fourier_residual(C, X, table))
+
+
+def test_cauchy_kernel_memory_scales_with_nonzeros():
+    """At depth 9 (D = 1023) with k = 3 the dense reconstruction operator
+    alone is 151 MB; the kernel, model build included, stays under 5 MB."""
+    spec = builtin_corpus()["mixed_n2_m2"]
+    table = weights_by_factorization(spec, 9)
+    X = random_gated_tuple(np.random.default_rng(47), spec, dim=3, target_radius=0.6)
+    tracemalloc.start()
+    try:
+        C = cauchy_kernel(spec, X, 9, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
+    assert cauchy_kernel_fourier_residual(C, X, table) < 1e-10
 
 
 def test_cauchy_kernel_gate(ball2_table):

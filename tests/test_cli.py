@@ -236,7 +236,11 @@ def test_report_config_keys(tmp_path, monkeypatch, argv, keys):
 @pytest.mark.parametrize("field, value", [("word", 1), ("word", ["1"]), ("n", 2.0),
                                           ("top", []), ("top", "x"),
                                           ("coefficients", 5), ("coefficients", [5]),
-                                          ("denominator", 0)])
+                                          ("denominator", 0),
+                                          pytest.param("coefficients", [
+                                              *spec_to_json(mixed_spec(1))["coefficients"],
+                                              {"word": [1], "numerator": 1}],
+                                              id="duplicate-word")])
 def test_malformed_spec_exit_code(tmp_path, capsys, field, value):
     spec = spec_to_json(mixed_spec(1))
     if field == "top":
@@ -318,6 +322,9 @@ MALFORMED_FILES["dense operator"] = (_dense_operator_file, MALFORMED_FILES["oper
     ("operator", "index", [0, 8, 8]), ("operator", "index", [8, 0, 15]),
     ("operator", "index", [0, 8]), ("operator", "index", [True, 8, 15]),
     ("dense operator", "data", [1, 0, 2]),
+    pytest.param("symbol", "A", [{"word": [1], "block": [[[1.0, 0.0]]]},
+                                 {"word": [1], "block": [[[3.0, 0.0]]]}],
+                 id="symbol-duplicate-word"),
 ])
 def test_malformed_file_exit_code(tmp_path, capsys, kind, field, value):
     """A malformed tuple, symbol or operator file: exit 2, one error line.

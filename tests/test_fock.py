@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import dense_creation, dense_word
-from ncdomains import fock, lanczos
+from ncdomains import cauchy, fock, lanczos
 from ncdomains.berezin import (OperatorTuple, berezin_kernel, berezin_transform,
                                intertwining_residual)
 from ncdomains.cauchy import cauchy_kernel, cauchy_transform, reconstruction_operator
@@ -67,6 +67,23 @@ def test_word_operator_orders_letters(ball2_table):
                     assert got.basis is ops[0].basis and got.aux_dim == 1
                     err = np.max(np.abs(got.matrix - dense_word(ref, alpha)))
                     assert err <= 1e-15, (name, N, left, alpha)
+
+
+def test_word_operator_starts_from_first_factor():
+    """A word product equals the chain started from the identity, bit for
+    bit, on real and complex finite matrices and every word up to length 3;
+    the result is a new array, so writing to it leaves the inputs alone."""
+    rng = np.random.default_rng(37)
+    for ops in ([rng.standard_normal((4, 4)) for _ in range(2)],
+                [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+                 for _ in range(3)]):
+        before = [M.copy() for M in ops]
+        for alpha in enumerate_words(len(ops), 3):
+            got = word_operator(ops, alpha)
+            assert np.array_equal(got, dense_word(ops, alpha)), alpha
+            assert got.dtype == complex
+            got[...] = np.nan
+            assert all(np.array_equal(M, B) for M, B in zip(ops, before)), alpha
 
 
 def test_defect_identity_on_corpus():
@@ -284,6 +301,60 @@ def test_block_columns_match_dense_references():
                     assert np.array_equal(got, berezin_transform(spec, Y, g, table, K))
 
 
+def test_apply_matches_operator():
+    """TruncatedModel.apply against the assembled operator times V: symbol
+    terms (block B), hereditary terms with both words nonempty and scalar or
+    block B, on W and Lambda, aux dim 1 and 2, a block of columns and a
+    vector; the reconstruction terms of the Cauchy kernel on Lambda."""
+    rng = np.random.default_rng(41)
+
+    def rand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for name, spec in builtin_corpus().items():
+        table = weights_by_factorization(spec, 4)
+        for N in range(5):
+            model = truncated_model(table, N)
+            D = model.basis.dimension
+            words = enumerate_words(spec.n, N)
+            for d in (1, 2):
+                sym = MultiToeplitzSymbol(d, {w: rand(d, d) for w in words},
+                                          {w: rand(d, d) for w in words if w})
+                hered = [(alpha, beta, complex(*rng.standard_normal(2)),
+                          1 if rng.random() < 0.5 else rand(d, d))
+                         for alpha in words[1:] for beta in words[1:]
+                         if len(alpha) + len(beta) <= N + 1]
+                for terms in (sym.terms(0.8), hered):
+                    for left in (True, False):
+                        M = model.operator(terms, d, left).matrix
+                        for V in (rand(D * d, 3), rand(D * d)):
+                            err = np.max(np.abs(model.apply(terms, V, d, left) - M @ V),
+                                         initial=0.0)
+                            assert err <= 1e-13, (name, N, d, left)
+            k = 3
+            X = OperatorTuple(spec, [rand(k, k) for _ in range(spec.n)])
+            R = reconstruction_operator(spec, X, N, table).matrix
+            V = rand(D * k, k)
+            got = model.apply(cauchy._reconstruction_terms(spec, X), V, k, left=False)
+            assert np.max(np.abs(got - R @ V)) <= 1e-13, (name, N)
+    with pytest.raises(ValueError, match="rows"):
+        model.apply([((1,), EMPTY, 1, 1)], np.zeros((D + 1, 2)))
+
+
+def test_scalar_term_block_is_identity(mixed_table):
+    """A scalar B in a term is b I_d, in the model operator and in the tuple
+    substitution."""
+    model = truncated_model(mixed_table, 3)
+    X = [np.eye(2), 2 * np.eye(2)]
+    for d in (1, 2):
+        for alpha, beta in (((1,), EMPTY), ((2,), (1, 2))):
+            M = model.operator([(alpha, beta, 0.5, 3)], d).matrix
+            B = model.operator([(alpha, beta, 0.5, 3 * np.eye(d))], d).matrix
+            assert np.array_equal(M, B), (d, alpha, beta)
+            assert np.array_equal(fock.substitute(X, [(alpha, beta, 0.5, 3)], d),
+                                  fock.substitute(X, [(alpha, beta, 0.5, 3 * np.eye(d))], d))
+
+
 def test_truncated_model_kept_per_depth(ball2_table):
     model = truncated_model(ball2_table, 3)
     assert truncated_model(ball2_table, 3) is model
@@ -360,6 +431,17 @@ def _assert_matches_svd(M):
     want = np.linalg.norm(M, 2)
     assert np.isfinite(want) and want > 0
     assert abs(spectral_norm(M) - want) <= 1e-13 * want, M.shape
+
+
+def test_spectral_norm_leaves_input_unchanged():
+    """The dense path scales its copy of the nonzero block in place, never
+    the input; integer input is promoted, not truncated."""
+    for M in _spectral_cases():
+        before = M.copy()
+        spectral_norm(M)
+        assert np.array_equal(M, before)
+    M = np.array([[0, 3, 0], [0, 0, 0], [0, 0, -4]])
+    assert spectral_norm(M) == 4.0 and spectral_norm(M.T.copy()) == 4.0
 
 
 def test_krylov_norm_matches_svd(krylov_always):
@@ -444,6 +526,24 @@ def test_krylov_falls_back_to_dense(monkeypatch, krylov_runs):
     monkeypatch.setattr(lanczos, "MAX_STEPS", 2)
     assert abs(spectral_norm(M) - krylov) <= 1e-13 * krylov
     assert krylov_runs[0] is not None and krylov_runs[1:] == [None]
+
+
+def test_krylov_sparse_stopping_checks(monkeypatch, krylov_runs):
+    """The stopping rule evaluated every CHECK_EVERY steps gives the norm of
+    the rule evaluated at every step, within 1e-15 relative, on symbol
+    operators of the n = 2 corpus specs at depth 8, aux dim 2."""
+    rng = np.random.default_rng(43)
+    for name, spec in builtin_corpus().items():
+        if spec.n != 2:
+            continue
+        table = weights_by_factorization(spec, 8)
+        M = symbol_to_operator(random_symbol(rng, 2, 2, aux_dim=2), table, 0.9, 8).matrix
+        sparse = spectral_norm(M)
+        with monkeypatch.context() as m:
+            m.setattr(lanczos, "CHECK_EVERY", 1)
+            every = spectral_norm(M)
+        assert abs(sparse - every) <= 1e-15 * every, name
+    assert len(krylov_runs) == 10 and None not in krylov_runs
 
 
 def test_spectral_norm_selection(monkeypatch):

@@ -1,15 +1,16 @@
 import json
 
 import numpy as np
+import pytest
 
 from ncdomains.berezin import OperatorTuple
 from ncdomains.corpus import mixed_spec, random_symbol
 from ncdomains.fock import TruncatedFockBasis, TruncatedOperator, creation_tuple
 from ncdomains.serialization import (dump_json, load_json, matrix_from_json,
                                      matrix_to_json, operator_from_json,
-                                     operator_to_json, symbol_from_json,
-                                     symbol_to_json, tuple_from_json,
-                                     tuple_to_json)
+                                     operator_to_json, spec_from_json, spec_to_json,
+                                     symbol_from_json, symbol_to_json,
+                                     tuple_from_json, tuple_to_json)
 from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from ncdomains.weights import weights_by_factorization
 
@@ -47,6 +48,22 @@ def test_symbol_roundtrip():
     assert set(back.A) == set(sym.A) and set(back.B) == set(sym.B)
     for w in sym.A:
         assert np.array_equal(sym.A[w], back.A[w])
+
+
+def test_repeated_word_rejected():
+    """A word given twice in a spec or in one part of a symbol raises
+    ValueError naming it; the same word in both symbol parts is allowed."""
+    spec = spec_to_json(mixed_spec(1))
+    spec["coefficients"].append({"word": [1, 2], "numerator": 3})
+    with pytest.raises(ValueError, match=r"word \[1, 2\] repeats"):
+        spec_from_json(spec)
+    sym = symbol_to_json(MultiToeplitzSymbol.scalar(A={(2,): 1.0}, B={(2,): 2.0}))
+    assert set(symbol_from_json(sym).B) == {(2,)}
+    for part in ("A", "B"):
+        bad = json.loads(json.dumps(sym))
+        bad[part].append(bad[part][0])
+        with pytest.raises(ValueError, match=rf"word \[2\] repeats in symbol part {part}"):
+            symbol_from_json(bad)
 
 
 def test_tuple_roundtrip(tmp_path):
