@@ -33,7 +33,8 @@ the all-zero rows and columns (which carry no singular value).  A large
 sparse input, smaller side >= KRYLOV_MIN_SIDE and nonzeros at most
 KRYLOV_MAX_DENSITY of the entries (a model operator at depth 8 with aux
 dim 2 is about 1% nonzero), takes the Krylov path instead: Lanczos on A^* A
-over the nonzeros of A (lanczos.py), with the dense path as its fallback.
+over the nonzeros of A (lanczos.py), found without a dense |A| copy, with
+the dense path as its fallback.
 A Ritz value lower-bounds sigma_max^2, as reported norms of compressions
 P_N T P_N lower-bound the untruncated norms, nondecreasing in N.
 """
@@ -125,21 +126,27 @@ def spectral_norm(M: np.ndarray) -> float:
     When the smaller side of M is >= KRYLOV_MIN_SIDE and at most
     KRYLOV_MAX_DENSITY of its entries are nonzero, the norm comes from
     Lanczos over the nonzeros (lanczos.top_singular_value), which errs low,
-    like the norms of compressions.  Otherwise, or when Lanczos has not
-    converged, the all-zero rows and columns are dropped, since they carry
-    no singular value, and the norm is the square root of the largest
+    like the norms of compressions; that path reads M only through
+    np.count_nonzero and np.nonzero and takes the scale from the nonzero
+    values, so it makes no dense copy of M.  Otherwise, or when Lanczos has
+    not converged, the all-zero rows and columns are dropped, since they
+    carry no singular value, and the norm is the square root of the largest
     eigenvalue of the smaller Gram matrix.
     """
+    if (min(M.shape) >= KRYLOV_MIN_SIDE
+            and np.count_nonzero(M) <= KRYLOV_MAX_DENSITY * M.size):
+        rows, cols = np.nonzero(M)
+        vals = M[rows, cols]
+        scale = float(np.abs(vals).max(initial=0.0))
+        if scale == 0.0 or not np.isfinite(scale):
+            return scale
+        sigma = lanczos.top_singular_value(rows, cols, vals / scale, M.shape)
+        if sigma is not None:
+            return scale * sigma
     mag = np.abs(M)
     scale = float(mag.max(initial=0.0))
     if scale == 0.0 or not np.isfinite(scale):
         return scale
-    if (min(M.shape) >= KRYLOV_MIN_SIDE
-            and np.count_nonzero(mag) <= KRYLOV_MAX_DENSITY * M.size):
-        rows, cols = np.nonzero(mag)
-        sigma = lanczos.top_singular_value(rows, cols, M[rows, cols] / scale, M.shape)
-        if sigma is not None:
-            return scale * sigma
     rows, cols = mag.any(axis=1), mag.any(axis=0)
     del mag  # the largest arrays below need not coexist with it
     if rows.all() and cols.all():

@@ -28,14 +28,15 @@ def top_singular_value(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     within MAX_STEPS steps.
 
     Each step applies A and A^* with np.bincount over the nonzeros and
-    orthogonalizes against the whole basis, twice.  The Ritz values come from
-    the tridiagonal T_k; the run stops when the top pair's residual
-    beta_k |s_k| is <= TOL theta, which breakdown (beta_k = 0) meets.  That
-    rule costs a dense eigh of T_k, so it is evaluated only every CHECK_EVERY
-    steps, at the last step, and whenever beta_k <= TOL max(alpha) already
-    meets it (breakdown, or the roundoff level at which an exhausted Krylov
-    space leaves beta_k).  A Ritz value is at most sigma_max^2, so the
-    result errs low.
+    orthogonalizes against the whole basis, twice; the basis grows in place,
+    CHUNK rows at a time, so it holds about steps x n complex entries and
+    is never copied.  The Ritz values come from the tridiagonal T_k; the
+    run stops when the top pair's residual beta_k |s_k| is <= TOL theta,
+    which breakdown (beta_k = 0) meets.  That rule costs a dense eigh of
+    T_k, so it is evaluated only every CHECK_EVERY steps, at the last step,
+    and whenever beta_k <= TOL max(alpha) already meets it (breakdown, or
+    the roundoff level at which an exhausted Krylov space leaves beta_k).
+    A Ritz value is at most sigma_max^2, so the result errs low.
     """
     m, n = shape
     vals_adj = vals.conj()
@@ -51,13 +52,17 @@ def top_singular_value(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     betas: list[float] = []
     for k in range(MAX_STEPS):
         if k == len(basis):
-            basis = np.vstack([basis, np.empty((CHUNK, n), dtype=complex)])
+            # grown in place (realloc), not copied into a larger array
+            # beside it; no view of the basis outlives a step
+            basis.resize((k + CHUNK, n), refcheck=False)
         basis[k] = q
         w = apply(cols, rows, vals_adj, apply(rows, cols, vals, q, m), n)
         alphas.append(float(np.vdot(q, w).real))
         Q = basis[:k + 1]
         for _ in range(2):
-            w -= (Q.conj() @ w) @ Q
+            # Q^H w as the conjugate of Q w^*, so Q is never copied
+            w -= (Q @ w.conj()).conj() @ Q
+        del Q
         beta = float(np.linalg.norm(w))
         # theta >= every alpha, so beta <= TOL max(alphas) meets the rule:
         # (near) breakdown, where the next q would be roundoff

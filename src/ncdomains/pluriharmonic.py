@@ -83,11 +83,14 @@ def gamma_kernel(F: PluriharmonicFunction, table: WeightTable, r: float,
     model = truncated_model(table, order)
     D, sqrt_b = model.basis.dimension, model.sqrt_b
     zero = np.zeros((d, d), dtype=complex)
+    long, short, sigma = model.basis.comparable_pairs()
+    coef = sqrt_b[short] / sqrt_b[long] * np.array([r ** len(alpha) for alpha in sigma])
+    blk = coef[:, None, None] * np.array([A.get(alpha, zero) for alpha in sigma])
+    # each unordered pair appears once, so neither scatter repeats an index;
+    # the diagonal (alpha = ()) gets A_(()) first and A_(())^* second
     M = np.zeros((D, d, D, d), dtype=complex)
-    for i, j, alpha in zip(*model.basis.comparable_pairs()):
-        blk = sqrt_b[j] / sqrt_b[i] * (r ** len(alpha)) * A.get(alpha, zero)
-        M[i, :, j, :] += blk
-        M[j, :, i, :] += blk.conj().T
+    M[long, :, short, :] += blk
+    M[short, :, long, :] += blk.conj().transpose(0, 2, 1)
     return TruncatedOperator(model.basis, M.reshape(D * d, D * d), d)
 
 
@@ -101,21 +104,33 @@ class SchurPositivityReport:
 def schur_positivity_test(F: PluriharmonicFunction, table: WeightTable,
                           radii: Sequence[float], order: int, N: int) -> SchurPositivityReport:
     """Certify Re F >= 0 at truncation: the Gamma block matrix must equal the
-    words-<=order compression of F(rW_N)^* + F(rW_N) and be PSD per radius."""
+    words-<=order compression of F(rW_N)^* + F(rW_N) and be PSD per radius.
+
+    The words of length <= order lead the graded basis and the weights do
+    not depend on the depth, so that compression of F(rW_N) is the operator
+    of the depth-order model, bitwise; it is assembled there, and F(rW_N)
+    itself never is."""
     if F.symbol.B:
         raise ValueError("schur test expects a holomorphic (A-part only) symbol")
     if F.max_order > N - order:
         raise ValueError("need symbol support <= N - order for an exact compression")
+    if N > table.N:
+        raise ValueError(f"truncation {N} exceeds table depth {table.N}")
     residuals = []
     mins = []
     for r in radii:
         G = gamma_kernel(F, table, float(r), order).matrix
-        op = symbol_to_operator(F.symbol, table, float(r), N)
-        # words <= order sit first in the graded basis of the big truncation
-        top = op.matrix[: len(G), : len(G)]
-        comp = top + top.conj().T
-        residuals.append(float(np.max(np.abs(G - comp))))
-        mins.append(float(np.min(np.linalg.eigvalsh((G + G.conj().T) / 2))))
+        comp = truncated_model(table, order).operator(F.symbol.terms(float(r)),
+                                                      F.aux_dim).matrix
+        # in place, as top + top^* and then its difference from G: the
+        # adjoint is a copy, and |comp - G| is |G - comp| bit for bit
+        comp += comp.conj().T
+        comp -= G
+        residuals.append(float(np.max(np.abs(comp))))
+        del comp  # the eigenvalue step below need not coexist with it
+        G += G.conj().T
+        G /= 2
+        mins.append(float(np.min(np.linalg.eigvalsh(G))))
     positive = all(v >= -PSD_TOL for v in mins)
     return SchurPositivityReport(residuals, mins, positive)
 

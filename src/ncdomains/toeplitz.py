@@ -27,6 +27,7 @@ from .weights import TruncationExceededError, WeightTable
 from .words import EMPTY, Word, fock_dimension
 
 MONOTONE_TOL = 1e-10  # norm_profile: allowed decrease of ||phi(r W_N)|| in r
+SCAN_ROWS = 32        # is_multi_toeplitz: block rows per pass of the magnitude scan
 
 
 @dataclass
@@ -129,23 +130,28 @@ def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
     """Check the weighted shift-invariance relations of the operator matrix.
 
     Residuals are absolute, compared against tol scaled by the largest
-    block magnitude of T.
+    block magnitude of T.  The block magnitudes are taken SCAN_ROWS block
+    rows at a time, so the largest array made is the D x D table of them,
+    not a copy of |T|.
     """
     basis = T.basis
     check_basis(basis.n, basis.N, table)
     n, D, d, words = basis.n, basis.dimension, T.aux_dim, basis.words
-    magnitude = np.abs(T.matrix)
-    scale = max(float(np.max(magnitude)), 1.0)
     model = truncated_model(table, basis.N)
     sqrt_b = model.sqrt_b
     M = T.matrix.reshape(D, d, D, d)
+    # the largest entry magnitude of each (omega, gamma) block
+    incomp = np.empty((D, D))
+    for i in range(0, D, SCAN_ROWS):
+        incomp[i:i + SCAN_ROWS] = np.abs(M[i:i + SCAN_ROWS]).max(axis=(1, 3))
+    scale = max(float(np.max(incomp)), 1.0)
 
-    comparable = np.zeros((D, D), dtype=bool)
     long, short, _ = basis.comparable_pairs()
+    comparable = np.zeros((D, D), dtype=bool)
     comparable[long, short] = comparable[short, long] = True
 
     # witnesses are the first worst pair in row-major (omega, gamma[, i]) order
-    incomp = np.where(comparable, 0.0, magnitude.reshape(D, d, D, d).max(axis=(1, 3)))
+    incomp[comparable] = 0.0
     worst_incomp = float(incomp.max())
     incomp_witness = None
     if worst_incomp > 0:

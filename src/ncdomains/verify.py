@@ -22,8 +22,8 @@ from .cauchy import (analytic_functional_calculus, cauchy_kernel,
                      radius_inequality_check)
 from .corpus import (random_gated_tuple, random_hereditary,
                      random_nilpotent_tuple, random_symbol)
-from .fock import (COMMUTATION_TOL, MODEL_TOL, spectral_norm, verify_model_identities,
-                   weighted_space_conjugation)
+from .fock import (COMMUTATION_TOL, MODEL_TOL, spectral_norm, truncated_model,
+                   verify_model_identities, weighted_space_conjugation)
 from .pluriharmonic import (PluriharmonicFunction, distance, scalar_holomorphic,
                             schur_positivity_test, weierstrass_limit)
 from .report import VerificationReport
@@ -193,9 +193,9 @@ def pluriharmonic_suite(table: WeightTable, report: VerificationReport,
         F = PluriharmonicFunction(sym)
         rep = schur_positivity_test(F, table, radii, order, N)
         eq += rep.equality_residuals
-        op = symbol_to_operator(sym, table, radii[-1], N)
-        g = len(enumerate_words(spec.n, order)) * sym.aux_dim
-        top = op.matrix[:g, :g]
+        # the words-<=order block of F(rW_N), read from the depth-order model
+        top = truncated_model(table, order).operator(sym.terms(radii[-1]),
+                                                     sym.aux_dim).matrix
         H = top + top.conj().T
         comp_min = float(np.min(np.linalg.eigvalsh((H + H.conj().T) / 2)))
         eig.append(abs(comp_min - rep.min_eigenvalues[-1]))

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import pytest
 
-from ncdomains.corpus import mixed_spec
+from ncdomains.corpus import builtin_corpus, mixed_spec
 from ncdomains.weights import hyperball_spec, weights_by_factorization
 
 
@@ -20,3 +22,24 @@ def ball1_table():
 def mixed_table():
     """q = Z_1 + Z_2 + Z_1 Z_2, m = 1, depth 5."""
     return weights_by_factorization(mixed_spec(1), 5)
+
+
+@pytest.fixture(scope="session")
+def deep_table():
+    """mixed_n2_m2 at depth 8 (D = 511), the benchmark's deep session."""
+    return weights_by_factorization(builtin_corpus()["mixed_n2_m2"], 8)
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn, *args) calls fn(*args) under tracemalloc and returns
+    (peak traced bytes during the call, fn's result)."""
+    def run(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, result
+    return run

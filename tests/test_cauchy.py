@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 from math import sqrt
 
@@ -131,18 +130,13 @@ def test_cauchy_kernel_fourier_column(ball2_table, mixed_table):
         assert np.isnan(cauchy_kernel_fourier_residual(C, X, table))
 
 
-def test_cauchy_kernel_memory_scales_with_nonzeros():
+def test_cauchy_kernel_memory_scales_with_nonzeros(traced_peak):
     """At depth 9 (D = 1023) with k = 3 the dense reconstruction operator
     alone is 151 MB; the kernel, model build included, stays under 5 MB."""
     spec = builtin_corpus()["mixed_n2_m2"]
     table = weights_by_factorization(spec, 9)
     X = random_gated_tuple(np.random.default_rng(47), spec, dim=3, target_radius=0.6)
-    tracemalloc.start()
-    try:
-        C = cauchy_kernel(spec, X, 9, table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, C = traced_peak(cauchy_kernel, spec, X, 9, table)
     assert peak < 5e6, peak
     assert cauchy_kernel_fourier_residual(C, X, table) < 1e-10
 

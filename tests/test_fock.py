@@ -355,6 +355,25 @@ def test_scalar_term_block_is_identity(mixed_table):
                                   fock.substitute(X, [(alpha, beta, 0.5, 3 * np.eye(d))], d))
 
 
+@pytest.mark.parametrize("name", sorted(builtin_corpus()))
+def test_operator_at_lower_depth_is_leading_block(name):
+    """The words of length <= order lead the graded basis and the weights do
+    not depend on the depth, so the depth-order assembly is the leading block
+    of the depth-N one, bit for bit, also for symbols supported above order."""
+    spec = builtin_corpus()[name]
+    table = weights_by_factorization(spec, 6)
+    rng = np.random.default_rng(sorted(builtin_corpus()).index(name))
+    for N in range(7):
+        for d in (1, 2):
+            terms = random_symbol(rng, spec.n, max_len=min(N, 3), aux_dim=d).terms(0.7)
+            for left in (True, False):
+                full = truncated_model(table, N).operator(terms, d, left).matrix
+                for order in range(N + 1):
+                    top = truncated_model(table, order).operator(terms, d, left).matrix
+                    g = len(top)
+                    assert top.tobytes() == full[:g, :g].tobytes(), (N, d, left, order)
+
+
 def test_truncated_model_kept_per_depth(ball2_table):
     model = truncated_model(ball2_table, 3)
     assert truncated_model(ball2_table, 3) is model
@@ -516,12 +535,39 @@ def test_krylov_norm_sparse_cases(krylov_runs):
     assert len(krylov_runs) == 4
 
 
-def test_krylov_falls_back_to_dense(monkeypatch, krylov_runs):
+def test_krylov_path_special_values(traced_peak, krylov_runs):
+    """Large sparse inputs that are zero (negative zeros included), or have
+    an inf or a NaN entry, return 0.0, inf and NaN from their nonzero values
+    alone: Lanczos never runs, and no dense |M| (8.4 MB at side 1024) is made."""
+    M = np.zeros((1024, 1024), dtype=complex)
+    M[[0, 5], [3, 700]] = -0.0, complex(0.0, -0.0)
+    peak, got = traced_peak(spectral_norm, M)
+    assert got == 0.0 and peak < 1e6, peak
+    M[[2, 9], [4, 11]] = 1.5, np.inf
+    peak, got = traced_peak(spectral_norm, M)
+    assert got == np.inf and peak < 1e6, peak
+    M[20, 30] = complex(0.0, np.nan)
+    peak, got = traced_peak(spectral_norm, M)
+    assert np.isnan(got) and peak < 1e6, peak
+    assert krylov_runs == []
+
+
+def test_krylov_norm_memory(deep_table, traced_peak, krylov_runs):
+    """The Krylov path on a symbol operator at depth 8, aux dim 2 (side 1022,
+    17 MB): the nonzeros and the Lanczos basis, under 4 MB."""
+    sym = random_symbol(np.random.default_rng(59), 2, 2, aux_dim=2)
+    M = symbol_to_operator(sym, deep_table, 0.9, 8).matrix
+    peak, got = traced_peak(spectral_norm, M)
+    assert peak < 4e6, peak
+    assert len(krylov_runs) == 1 and krylov_runs[0] is not None
+    assert got >= np.abs(M).max() * (1 - 1e-12)
+
+
+def test_krylov_falls_back_to_dense(monkeypatch, deep_table, krylov_runs):
     """A symbol operator at depth 8, aux dim 2, takes the Krylov path; cut at
     two steps, it gives the dense path's norm."""
-    table = weights_by_factorization(builtin_corpus()["mixed_n2_m2"], 8)
     sym = random_symbol(np.random.default_rng(31), 2, 2, aux_dim=2)
-    M = symbol_to_operator(sym, table, 0.9, 8).matrix
+    M = symbol_to_operator(sym, deep_table, 0.9, 8).matrix
     krylov = spectral_norm(M)
     monkeypatch.setattr(lanczos, "MAX_STEPS", 2)
     assert abs(spectral_norm(M) - krylov) <= 1e-13 * krylov

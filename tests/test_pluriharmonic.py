@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ncdomains.berezin import OperatorTuple
-from ncdomains.corpus import random_gated_tuple, random_nilpotent_tuple, random_symbol
+from ncdomains.corpus import (builtin_corpus, random_gated_tuple, random_nilpotent_tuple,
+                              random_symbol)
+from ncdomains.fock import truncated_model
 from ncdomains.pluriharmonic import (PluriharmonicFunction, bounded_roundtrip,
                                      conjugate, distance, gamma_kernel,
                                      evaluate_symbol, holomorphic_completion,
@@ -10,6 +12,7 @@ from ncdomains.pluriharmonic import (PluriharmonicFunction, bounded_roundtrip,
                                      scalar_holomorphic, schur_positivity_test,
                                      weierstrass_limit)
 from ncdomains.toeplitz import MultiToeplitzSymbol
+from ncdomains.weights import weights_by_factorization
 from ncdomains.words import EMPTY
 
 
@@ -64,10 +67,57 @@ def test_gamma_kernel_constant_diagonal(ball2_table):
     assert abs(G.block((1,), EMPTY)[0, 0]) == 0.0
 
 
+def _gamma_kernel_by_pairs(F, table, r, order):
+    """Reference: gamma_kernel as one loop over the comparable pairs."""
+    d = F.aux_dim
+    model = truncated_model(table, order)
+    D, sqrt_b = model.basis.dimension, model.sqrt_b
+    zero = np.zeros((d, d), dtype=complex)
+    M = np.zeros((D, d, D, d), dtype=complex)
+    for i, j, alpha in zip(*model.basis.comparable_pairs()):
+        blk = sqrt_b[j] / sqrt_b[i] * (r ** len(alpha)) * F.symbol.A.get(alpha, zero)
+        M[i, :, j, :] += blk
+        M[j, :, i, :] += blk.conj().T
+    return M.reshape(D * d, D * d)
+
+
+@pytest.mark.parametrize("name", sorted(builtin_corpus()))
+def test_gamma_kernel_scatter_matches_pair_loop(name):
+    spec = builtin_corpus()[name]
+    table = weights_by_factorization(spec, 5)
+    rng = np.random.default_rng(sorted(builtin_corpus()).index(name))
+    for order in range(6):
+        for d in (1, 2):
+            F = PluriharmonicFunction(random_symbol(rng, spec.n, max_len=min(order + 1, 3),
+                                                    aux_dim=d, antianalytic=False))
+            for r in (1.0, 0.7):
+                got = gamma_kernel(F, table, r, order).matrix
+                assert got.tobytes() == _gamma_kernel_by_pairs(F, table, r, order).tobytes()
+
+
+def test_schur_test_memory(deep_table, traced_peak):
+    """At N = 8, aux dim 2, order 6 the compared blocks are 254 x 254 (1 MB
+    each); F(rW_8), 1022 x 1022 (16.7 MB), is never assembled."""
+    rng = np.random.default_rng(53)
+    F = PluriharmonicFunction(random_symbol(rng, 2, 2, aux_dim=2, antianalytic=False))
+    peak, report = traced_peak(schur_positivity_test, F, deep_table, [0.5, 0.9], 6, 8)
+    assert peak < 4e6, peak
+    assert max(report.equality_residuals) < 1e-12
+
+
 def test_schur_requires_holomorphic(ball2_table):
     F = PluriharmonicFunction(MultiToeplitzSymbol.scalar(B={(1,): 1.0}))
     with pytest.raises(ValueError):
         schur_positivity_test(F, ball2_table, [0.5], 2, 5)
+
+
+def test_schur_checks_depths(ball2_table):
+    """The support must fit in N - order, and N in the table."""
+    F = scalar_holomorphic({(1, 2): 1.0})
+    with pytest.raises(ValueError, match="support"):
+        schur_positivity_test(F, ball2_table, [0.5], 4, 5)
+    with pytest.raises(ValueError, match="exceeds table depth"):
+        schur_positivity_test(F, ball2_table, [0.5], 2, 6)
 
 
 def test_metric_axioms(ball2_table):

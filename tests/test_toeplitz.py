@@ -207,3 +207,14 @@ def test_pair_enumeration_matches_all_pairs_scan(name):
             for r in (1.0, 0.7):
                 assert np.array_equal(gamma_kernel(F, table, r, N).matrix,
                                       _all_pairs_gamma_kernel(F, table, r, N))
+
+
+def test_toeplitz_scan_memory(deep_table, traced_peak):
+    """At N = 8, aux dim 2 (side 1022) |T| alone would be 8.4 MB; the scan
+    keeps the 511 x 511 table of block magnitudes (2.1 MB) and a few block
+    rows of |T| at a time."""
+    sym = random_symbol(np.random.default_rng(61), 2, 2, aux_dim=2)
+    T = symbol_to_operator(sym, deep_table, 0.9, 8)
+    peak, report = traced_peak(is_multi_toeplitz, T, deep_table, 1e-12)
+    assert peak < 5e6, peak
+    assert report.is_toeplitz
