@@ -8,8 +8,8 @@ from .cauchy import (analytic_functional_calculus, cauchy_kernel,
                      cauchy_transform, joint_spectral_radius,
                      reconstruction_operator)
 from .corpus import builtin_corpus
-from .fock import (TruncatedFockBasis, TruncatedOperator, creation_tuple,
-                   verify_model_identities, word_operator)
+from .fock import (TruncatedOperator, creation_tuple, verify_model_identities,
+                   word_operator)
 from .pluriharmonic import (PluriharmonicFunction, conjugate, distance,
                             gamma_kernel, rho_radii, schur_positivity_test)
 from .toeplitz import (MultiToeplitzSymbol, fourier_coefficients,
@@ -24,7 +24,7 @@ __all__ = [
     "analytic_functional_calculus", "cauchy_kernel", "cauchy_transform",
     "joint_spectral_radius", "reconstruction_operator",
     "builtin_corpus",
-    "TruncatedFockBasis", "TruncatedOperator", "creation_tuple",
+    "TruncatedOperator", "creation_tuple",
     "verify_model_identities", "word_operator",
     "PluriharmonicFunction", "conjugate", "distance", "gamma_kernel",
     "rho_radii", "schur_positivity_test",

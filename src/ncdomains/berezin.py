@@ -17,7 +17,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fock import (TruncatedOperator, cp_map_apply, cp_orbit_norms, defect_operator,
-                   spectral_norm, substitute, truncated_model, word_operator)
+                   spectral_norm, substitute, truncated_model, word_operator,
+                   word_products)
 from .toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_to_operator
 from .weights import DomainSpec, WeightTable
 from .words import EMPTY, Word
@@ -113,18 +114,10 @@ def berezin_kernel(spec: DomainSpec, X: OperatorTuple, table: WeightTable,
     """K h = sum_{|alpha| <= N} sqrt(b_alpha) e_alpha (x) Delta X_alpha^* h,
     as a (D*k) x k matrix with word-major rows."""
     delta = defect_sqrt(spec, X)
-    k = X.dim
-    model = truncated_model(table, N)
-    basis = model.basis
-    K = np.zeros((basis.dimension * k, k), dtype=complex)
-    # X_alpha = X_{alpha[:-1]} X_{alpha[-1]}, the prefix coming earlier in the
-    # graded basis: one product per word, in the order of word_operator
-    Xw = [np.eye(k, dtype=complex)]
-    for idx, (alpha, w) in enumerate(zip(basis.words, model.sqrt_b)):
-        if alpha:
-            Xw.append(Xw[basis.index[alpha[:-1]]] @ X.matrices[alpha[-1] - 1])
-        K[idx * k:(idx + 1) * k, :] = w * (delta @ Xw[idx].conj().T)
-    return K
+    sqrt_b = truncated_model(table, N).sqrt_b
+    Xw = word_products(X.matrices, N)
+    K = sqrt_b[:, None, None] * (delta @ Xw.conj().transpose(0, 2, 1))
+    return K.reshape(-1, X.dim)
 
 
 def berezin_transform(spec: DomainSpec, X: OperatorTuple, g: TruncatedOperator,
@@ -136,11 +129,11 @@ def berezin_transform(spec: DomainSpec, X: OperatorTuple, g: TruncatedOperator,
     Output is (aux_dim*k) x (aux_dim*k), aux-major; for aux_dim = 1 this is
     the plain transform on C^k.
     """
-    if g.basis.n != spec.n:
+    if g.model.n != spec.n:
         raise ValueError("operator alphabet mismatch")
     if K is None:
-        K = berezin_kernel(spec, X, table, g.basis.N)
-    D, k, d = g.basis.dimension, X.dim, g.aux_dim
+        K = berezin_kernel(spec, X, table, g.model.N)
+    D, k, d = g.model.dimension, X.dim, g.aux_dim
     Kb = K.reshape(D, k, k)
     out = np.einsum(_TRANSFORM, Kb.conj(), g.matrix.reshape(D, d, D, d), Kb,
                     optimize=_transform_path(D, k, d))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .berezin import OperatorTuple
 from .fock import (TruncatedOperator, cp_map_terms, cp_orbit_norms, spectral_norm,
-                   truncated_model)
+                   truncated_model, word_products)
 from .toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_to_operator
 from .weights import DomainSpec, WeightTable
 from .words import EMPTY, Word, fock_dimension, reverse
@@ -105,7 +105,7 @@ def cauchy_kernel(spec: DomainSpec, X: OperatorTuple, N: int,
     model = truncated_model(table, N)
     terms = _reconstruction_terms(spec, X)
     k = X.dim
-    V = np.zeros((model.basis.dimension * k, k), dtype=complex)
+    V = np.zeros((model.dimension * k, k), dtype=complex)
     V[:k] = np.eye(k)  # the empty word comes first in the graded basis
     for _ in range(spec.m):
         C = V
@@ -120,12 +120,11 @@ def cauchy_kernel_fourier_residual(C: np.ndarray, X: OperatorTuple,
     through the vacuum column: block omega must be sqrt(b_omega) X_omega^*."""
     k = X.dim
     # the graded basis lists the words of length <= N first
-    model = truncated_model(table, table.N)
     D = C.shape[0] // k
-    diffs = [np.max(np.abs(blk - w * X.word(omega).conj().T))
-             for omega, w, blk in zip(model.basis.words[:D], model.sqrt_b[:D],
-                                      C.reshape(D, k, k))]
-    return float(np.max(diffs, initial=0.0))
+    sqrt_b = truncated_model(table, table.N).sqrt_b[:D, None, None]
+    Xw = word_products(X.matrices, table.N)[:D]
+    return float(np.max(np.abs(C.reshape(D, k, k) - sqrt_b * Xw.conj().transpose(0, 2, 1)),
+                        initial=0.0))
 
 
 def cauchy_transform(spec: DomainSpec, X: OperatorTuple, A: TruncatedOperator,
@@ -138,7 +137,7 @@ def cauchy_transform(spec: DomainSpec, X: OperatorTuple, A: TruncatedOperator,
     if A.aux_dim != 1:
         raise ValueError("cauchy transform expects a scalar-coefficient operator")
     k = X.dim
-    a = A.matrix[:, A.basis.index[EMPTY]]
+    a = A.matrix[:, A.model.index[EMPTY]]
     return np.einsum("w,wpq->qp", a, C.reshape(-1, k, k).conj())
 
 

@@ -124,7 +124,7 @@ def cmd_toeplitz(args) -> int:
                      "incomparable_witness": [list(w) for w in rep.incomparable_witness]
                      if rep.incomparable_witness else None})
         if rep.is_toeplitz and args.out:
-            sym = fourier_coefficients(T, table, T.basis.N)
+            sym = fourier_coefficients(T, table, T.model.N)
             dump_json(symbol_to_json(sym), args.out)
             print(f"symbol written to {args.out}")
         return finish(report, None)

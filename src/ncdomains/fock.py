@@ -8,10 +8,12 @@ matrix is the d x d coefficient C_{omega,gamma} with
 <T(x (x) e_gamma), y (x) e_omega> = <C_{omega,gamma} x, y>.
 
 A TruncatedModel, built once per (table, N) and kept on the table, holds the
-basis and sqrt(b_alpha) in basis order.  Each word operator is a weighted
-partial permutation, W_alpha e_gamma = sqrt(b_gamma / b_{alpha gamma})
-e_{alpha gamma} (Lambda_alpha appends reverse(alpha) on the right); its
-word-shift index maps are memoized on the model and read-only.
+basis words, their index, the comparable word pairs and sqrt(b_alpha) in
+basis order; a TruncatedOperator keeps the model it was built on.  Each word
+operator is a weighted partial permutation, W_alpha e_gamma =
+sqrt(b_gamma / b_{alpha gamma}) e_{alpha gamma} (Lambda_alpha appends
+reverse(alpha) on the right); its word-shift index maps are memoized on the
+model and read-only.
 Symbols and hereditary polynomials are term lists: (alpha, beta, c, B) is
 c Z_alpha Z_beta^* (x) B, B a d x d block or a scalar b, read as b I_d.
 TruncatedModel.operator puts the model W in place of Z and is the one
@@ -20,7 +22,8 @@ TruncatedModel.apply is its matrix-free counterpart, the product of that
 operator with a block of vectors in one pass over the same maps, for callers
 that need only such products (the Cauchy kernel, the intertwining residual).
 substitute puts a k x k tuple X in place of Z, on (aux space) (x) C^k,
-aux-major (flat index aux_index * k + p).
+aux-major (flat index aux_index * k + p); word_products forms the words X_alpha
+of a tuple for a whole basis, in its graded order.
 
 A tuple X has one CP map, Phi_{q,X}(Y) = sum a_alpha X_alpha Y X_alpha^*: its
 terms come from cp_map_terms and its powers from cp_map_orbit (cp_map_apply is
@@ -40,7 +43,7 @@ P_N T P_N lower-bound the untruncated norms, nondecreasing in N.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from math import sqrt
 from typing import Iterator, Sequence
@@ -52,54 +55,25 @@ from .weights import DomainSpec, WeightTable
 from .words import EMPTY, Word, enumerate_words, fock_dimension
 
 
-@dataclass(frozen=True)
-class TruncatedFockBasis:
-    n: int
-    N: int
-    words: tuple[Word, ...] = field(repr=False)
-    index: dict[Word, int] = field(repr=False)
-
-    @staticmethod
-    def build(n: int, N: int) -> "TruncatedFockBasis":
-        ws = tuple(enumerate_words(n, N))
-        return TruncatedFockBasis(n, N, ws, {w: i for i, w in enumerate(ws)})
-
-    @property
-    def dimension(self) -> int:
-        return len(self.words)
-
-    def comparable_pairs(self) -> tuple[np.ndarray, np.ndarray, list[Word]]:
-        """Right-comparable word pairs as index arrays (long, short) and
-        quotients sigma with words[long] == sigma + words[short].  Each
-        unordered pair appears once; sigma == () gives the diagonal."""
-        long, short, sigma = [], [], []
-        for j, gamma in enumerate(self.words):
-            for s in self.words[:fock_dimension(self.n, self.N - len(gamma))]:
-                long.append(self.index[s + gamma])
-                short.append(j)
-                sigma.append(s)
-        return np.array(long, dtype=np.intp), np.array(short, dtype=np.intp), sigma
-
-
 @dataclass
 class TruncatedOperator:
     """Dense operator on (truncated Fock) tensor (aux_dim-dimensional space)."""
 
-    basis: TruncatedFockBasis
+    model: TruncatedModel
     matrix: np.ndarray
     aux_dim: int = 1
 
     def __post_init__(self):
-        d = self.basis.dimension * self.aux_dim
+        d = self.model.dimension * self.aux_dim
         if self.matrix.shape != (d, d):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} inconsistent with "
-                f"dimension {self.basis.dimension} x aux_dim {self.aux_dim}")
+                f"dimension {self.model.dimension} x aux_dim {self.aux_dim}")
 
     def block(self, omega: Word, gamma: Word) -> np.ndarray:
         d = self.aux_dim
-        i = self.basis.index[omega] * d
-        j = self.basis.index[gamma] * d
+        i = self.model.index[omega] * d
+        j = self.model.index[gamma] * d
         return self.matrix[i:i + d, j:j + d]
 
     def norm(self) -> float:
@@ -160,23 +134,40 @@ def spectral_norm(M: np.ndarray) -> float:
 
 
 class TruncatedModel:
-    """Weighted Fock space of one weight table at depth N: the basis and
-    sqrt_b, the array of sqrt(b_alpha) in basis order."""
+    """Weighted Fock space of one weight table at depth N on n letters: the
+    basis words, their index, and sqrt_b, sqrt(b_alpha) in basis order."""
 
     def __init__(self, table: WeightTable, N: int):
         if N > table.N:
             raise ValueError(f"truncation {N} exceeds table depth {table.N}")
-        n = table.spec.n
-        self.basis = TruncatedFockBasis.build(n, N)
-        self.sqrt_b = np.sqrt([float(table.b[w]) for w in self.basis.words])
+        n = self.n = table.spec.n
+        self.N = N
+        self.words = tuple(enumerate_words(n, N))
+        self.index = {w: i for i, w in enumerate(self.words)}
+        self.dimension = len(self.words)
+        self.sqrt_b = np.sqrt([float(table.b[w]) for w in self.words])
         # _next[left][i - 1][j]: index of g_i gamma (left) or gamma g_i (right)
         # for the word gamma at index j, defined for |gamma| < N
-        inner = self.basis.words[:fock_dimension(n, N - 1)]
-        self._next = {left: [np.array([self.basis.index[(i,) + g if left else g + (i,)]
+        inner = self.words[:fock_dimension(n, N - 1)]
+        self._next = {left: [np.array([self.index[(i,) + g if left else g + (i,)]
                                        for g in inner], dtype=np.intp)
                              for i in range(1, n + 1)]
                       for left in (True, False)}
         self._shifts: dict[tuple[Word, bool], tuple[np.ndarray, ...]] = {}
+
+    def comparable_pairs(self) -> tuple[np.ndarray, np.ndarray, list[Word]]:
+        """Right-comparable word pairs as index arrays (long, short) and
+        quotients sigma with words[long] == sigma + words[short].  Each
+        unordered pair appears once; sigma == () gives the diagonal.  Read
+        from the words and their index, not from the shift maps, so that the
+        checks built on it stay independent of the assembly they check."""
+        long, short, sigma = [], [], []
+        for j, gamma in enumerate(self.words):
+            for s in self.words[:fock_dimension(self.n, self.N - len(gamma))]:
+                long.append(self.index[s + gamma])
+                short.append(j)
+                sigma.append(s)
+        return np.array(long, dtype=np.intp), np.array(short, dtype=np.intp), sigma
 
     def shift(self, alpha: Word, left: bool = True
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,7 +178,7 @@ class TruncatedModel:
         1..n raises ValueError."""
         key = (alpha, left)
         if key not in self._shifts:
-            n, N = self.basis.n, self.basis.N
+            n, N = self.n, self.N
             if not all(1 <= letter <= n for letter in alpha):
                 raise ValueError(f"word {alpha} has letters outside 1..{n}")
             src = np.arange(fock_dimension(n, N - len(alpha)) if len(alpha) <= N else 0)
@@ -206,7 +197,7 @@ class TruncatedModel:
         scalar b, read as b I_d.  W_alpha W_beta^* sends e_{beta gamma} to
         w_alpha(gamma) w_beta(gamma) e_{alpha gamma} for the gamma with
         |alpha gamma|, |beta gamma| <= N, and the other basis vectors to 0."""
-        D = self.basis.dimension
+        D = self.dimension
         # (row word, row aux, column word, column aux): the word-major layout
         M = np.zeros((D, d, D, d), dtype=complex)
         for alpha, beta, c, B in terms:
@@ -217,13 +208,13 @@ class TruncatedModel:
             g = min(len(src_a), len(src_b))
             M[dst_a[:g], :, dst_b[:g], :] += ((c * w_a[:g] * w_b[:g])[:, None, None]
                                               * _block(B, d))
-        return TruncatedOperator(self.basis, M.reshape(D * d, D * d), d)
+        return TruncatedOperator(self, M.reshape(D * d, D * d), d)
 
     def apply(self, terms, V: np.ndarray, d: int = 1, left: bool = True) -> np.ndarray:
         """operator(terms, d, left).matrix @ V without forming the matrix: one
         pass over the same shift maps, O(nonzeros * columns) work.  V has D*d
         word-major rows and any number of columns (or is a vector)."""
-        D = self.basis.dimension
+        D = self.dimension
         if V.shape[0] != D * d:
             raise ValueError(f"V has {V.shape[0]} rows, expected {D} x aux_dim {d}")
         V3 = V.reshape(D, d, -1)
@@ -274,7 +265,20 @@ def word_operator(ops: Sequence, alpha: Word):
         out = np.array(mats[alpha[0] - 1], dtype=complex)
         for letter in alpha[1:]:
             out = out @ mats[letter - 1]
-    return TruncatedOperator(ops[0].basis, out, ops[0].aux_dim) if wrapped else out
+    return TruncatedOperator(ops[0].model, out, ops[0].aux_dim) if wrapped else out
+
+
+def word_products(X: Sequence[np.ndarray], N: int) -> np.ndarray:
+    """X_alpha for every word of length <= N, stacked in graded order, by the
+    prefix chain X_alpha = X_{alpha[:-1]} X_{alpha[-1]}: one batched product
+    per length, each word bitwise equal to word_operator(X, alpha)."""
+    k = X[0].shape[0]
+    letters = np.array(X, dtype=complex)
+    levels = [np.eye(k, dtype=complex)[None], letters]
+    for _ in range(2, N + 1):
+        # graded order puts alpha + (i,) at n * index(alpha) + i - 1 in its length
+        levels.append(np.matmul(levels[-1][:, None], letters).reshape(-1, k, k))
+    return np.concatenate(levels[:N + 1])
 
 
 def substitute(X: Sequence[np.ndarray], terms, d: int = 1) -> np.ndarray:
@@ -381,9 +385,9 @@ def _diagonal_cp_map(model: TruncatedModel, spec: DomainSpec, y: np.ndarray,
 def verify_model_identities(spec: DomainSpec, table: WeightTable,
                             N: int) -> ModelIdentityReport:
     model = truncated_model(table, N)
-    D = model.basis.dimension
+    D = model.dimension
     vacuum = np.zeros(D)
-    vacuum[model.basis.index[EMPTY]] = 1.0
+    vacuum[model.index[EMPTY]] = 1.0
     residuals, norms = [], []
     for s, left in ((spec, True), (spec.reversed(), False)):
         y = np.ones(D)

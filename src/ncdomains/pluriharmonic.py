@@ -81,9 +81,9 @@ def gamma_kernel(F: PluriharmonicFunction, table: WeightTable, r: float,
     d = F.aux_dim
     A = F.symbol.A
     model = truncated_model(table, order)
-    D, sqrt_b = model.basis.dimension, model.sqrt_b
+    D, sqrt_b = model.dimension, model.sqrt_b
     zero = np.zeros((d, d), dtype=complex)
-    long, short, sigma = model.basis.comparable_pairs()
+    long, short, sigma = model.comparable_pairs()
     coef = sqrt_b[short] / sqrt_b[long] * np.array([r ** len(alpha) for alpha in sigma])
     blk = coef[:, None, None] * np.array([A.get(alpha, zero) for alpha in sigma])
     # each unordered pair appears once, so neither scatter repeats an index;
@@ -91,7 +91,7 @@ def gamma_kernel(F: PluriharmonicFunction, table: WeightTable, r: float,
     M = np.zeros((D, d, D, d), dtype=complex)
     M[long, :, short, :] += blk
     M[short, :, long, :] += blk.conj().transpose(0, 2, 1)
-    return TruncatedOperator(model.basis, M.reshape(D * d, D * d), d)
+    return TruncatedOperator(model, M.reshape(D * d, D * d), d)
 
 
 @dataclass
@@ -136,44 +136,35 @@ def schur_positivity_test(F: PluriharmonicFunction, table: WeightTable,
 
 
 def distance(F: PluriharmonicFunction, G: PluriharmonicFunction,
-             table: WeightTable, N: int) -> tuple[list[float], float]:
-    """d_{r_k}(F, G) = ||F(r_k W_N) - G(r_k W_N)|| and the truncated metric
-    rho = sum 2^-k d/(1+d).  d_r values are lower bounds nondecreasing in N;
-    the rho tail beyond RHO_RADII_KMAX is bounded by 2^-RHO_RADII_KMAX."""
+             table: WeightTable, N: int) -> float:
+    """The truncated metric rho = sum 2^-k d/(1+d), d = ||F(r_k W_N) - G(r_k W_N)||.
+    d values are lower bounds nondecreasing in N; the rho tail beyond
+    RHO_RADII_KMAX is bounded by 2^-RHO_RADII_KMAX."""
     d_vals, _ = norm_profile(F.symbol - G.symbol, table, rho_radii(), N)
     rho = 0.0
     for k, d_r in enumerate(d_vals, start=1):
         rho += 2.0 ** (-k) * d_r / (1.0 + d_r)
-    return d_vals, rho
+    return rho
 
 
 @dataclass
 class WeierstrassReport:
     converged: bool
     cauchy_profiles: dict[float, list[float]]  # per radius: ||F_{j+1}(rW)-F_j(rW)||
-    limit_distances: dict[float, list[float]]  # per radius: ||F_j(rW)-F_last(rW)||
 
 
 def weierstrass_limit(functions: Sequence[PluriharmonicFunction],
                       table: WeightTable, radii: Sequence[float], N: int) -> WeierstrassReport:
-    """Check Cauchy-ness of {F_j(rW_N)} per radius; on success take the last
-    function as the coefficientwise limit and measure each F_j's distance to it."""
+    """Check Cauchy-ness of {F_j(rW_N)} per radius: the last step must be at
+    most LIMIT_TOL or below the first (distance measures rho to a limit)."""
     if len(functions) < 2:
         raise ValueError("need at least two functions")
-
-    def per_radius(symbols) -> dict[float, list[float]]:
-        """||S(rW_N)|| for each symbol S, grouped by radius."""
-        profiles = [norm_profile(sym, table, radii, N)[0] for sym in symbols]
-        return {float(r): [p[i] for p in profiles] for i, r in enumerate(radii)}
-
-    cauchy = per_radius(Fnext.symbol - Fj.symbol
-                        for Fj, Fnext in zip(functions, functions[1:]))
+    profiles = [norm_profile(Fnext.symbol - Fj.symbol, table, radii, N)[0]
+                for Fj, Fnext in zip(functions, functions[1:])]
+    cauchy = {float(r): [p[i] for p in profiles] for i, r in enumerate(radii)}
     converged = all(diffs[-1] <= LIMIT_TOL or diffs[-1] < diffs[0]
                     for diffs in cauchy.values())
-    if not converged:
-        return WeierstrassReport(False, cauchy, {})
-    limit = functions[-1].symbol
-    return WeierstrassReport(True, cauchy, per_radius(Fj.symbol - limit for Fj in functions))
+    return WeierstrassReport(converged, cauchy)
 
 
 def conjugate(G: PluriharmonicFunction) -> PluriharmonicFunction:

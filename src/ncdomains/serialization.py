@@ -11,7 +11,7 @@ JSON array.  Both list words in the graded order of enumerate_words.
 Matrices are {rows, cols, aux_dim, data} with data a row-major list of
 [re, im] pairs.  Symbols are {aux_dim, A: [{word, block}], B: [{word, block}]}
 with blocks nested [re, im] arrays.  Operator tuples are {n, dim, spec,
-matrices: [...]}.
+matrices: [...]}, the headers n and dim matching the matrices.
 
 Operators are sparse: {n, N, aux_dim, rows, cols, index, data}, where index
 lists in ascending order the flat row-major position of every entry whose
@@ -19,9 +19,10 @@ bits are not all zero, and data holds their [re, im] pairs.  A weighted
 multi-Toeplitz operator has entries only at comparable word pairs, so the
 file grows with its nonzeros, not with D^2; -0.0, the infinities and NaN are
 kept.  Operator files in the dense matrix form, with n and N added, still
-load.  An operator file of either form holds at most MAX_OPERATOR_ROWS rows,
-checked before the matrix is allocated.  Tuple matrices are k x k and stay
-dense: their reader allocates no more than the file itself holds.
+load.  An operator file is read against the weight table of its spec, onto
+its model, and holds at most MAX_OPERATOR_ROWS rows; the header is checked
+before the matrix is allocated.  Tuple matrices are k x k and stay dense:
+their reader allocates no more than the file itself holds.
 
 Files are written as compact one-line JSON with sorted keys, through the C
 encoder of the json module; the keys are unchanged, and indented files load
@@ -39,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .berezin import OperatorTuple
-from .fock import TruncatedFockBasis, TruncatedOperator
+from .fock import TruncatedOperator, truncated_model
 from .toeplitz import MultiToeplitzSymbol, check_basis
 from .weights import DomainSpec, WeightTable
 from .words import Word, enumerate_words, fock_dimension
@@ -119,7 +120,7 @@ def operator_to_json(T: TruncatedOperator) -> dict:
     rows, cols = T.matrix.shape
     flat = np.ascontiguousarray(T.matrix, dtype=complex).reshape(-1)
     index = np.flatnonzero(flat.view(np.uint64).reshape(-1, 2).any(axis=1))
-    return {"n": T.basis.n, "N": T.basis.N, "aux_dim": T.aux_dim,
+    return {"n": T.model.n, "N": T.model.N, "aux_dim": T.aux_dim,
             "rows": rows, "cols": cols, "index": index.tolist(),
             "data": _pairs(flat[index])}
 
@@ -140,11 +141,11 @@ def _positions(value, size: int) -> np.ndarray:
     return index
 
 
-def operator_from_json(obj: dict, table: WeightTable | None = None) -> TruncatedOperator:
-    """Parse either operator form.  The header is checked, against the basis
-    dimension, MAX_OPERATOR_ROWS and, when given, the weight table, before
-    the matrix is allocated or the basis built: a small sparse file can
-    declare a huge shape."""
+def operator_from_json(obj: dict, table: WeightTable) -> TruncatedOperator:
+    """Parse either operator form onto the model truncated_model(table, N).
+    The header is checked, against the basis dimension, MAX_OPERATOR_ROWS
+    and the weight table, before the matrix is allocated or the model built:
+    a small sparse file can declare a huge shape."""
     obj = _object(obj, "operator")
     rows, cols = _count(obj["rows"], "rows"), _count(obj["cols"], "cols")
     aux = _count(obj.get("aux_dim", 1), "aux_dim", least=1)
@@ -155,8 +156,7 @@ def operator_from_json(obj: dict, table: WeightTable | None = None) -> Truncated
             or fock_dimension(n, N) * aux != rows):
         raise ValueError(f"matrix shape {(rows, cols)} inconsistent with n = {n}, "
                          f"N = {N}, aux_dim = {aux}")
-    if table is not None:
-        check_basis(n, N, table)
+    check_basis(n, N, table)
     if rows > MAX_OPERATOR_ROWS:
         raise ValueError(f"operator has {rows} rows, more than the "
                          f"{MAX_OPERATOR_ROWS} an operator file may hold")
@@ -168,7 +168,7 @@ def operator_from_json(obj: dict, table: WeightTable | None = None) -> Truncated
         M = M.reshape(rows, cols)
     else:
         M, _ = matrix_from_json(obj)
-    return TruncatedOperator(TruncatedFockBasis.build(n, N), M, aux)
+    return TruncatedOperator(truncated_model(table, N), M, aux)
 
 
 def symbol_to_json(sym: MultiToeplitzSymbol) -> dict:
@@ -251,10 +251,18 @@ def tuple_to_json(X: OperatorTuple) -> dict:
 
 
 def tuple_from_json(obj: dict, spec: DomainSpec | None = None) -> OperatorTuple:
+    """Parse the tuple_to_json() form; the n and dim headers must match the
+    matrices."""
     obj = _object(obj, "operator tuple")
+    n, dim = _count(obj["n"], "n"), _count(obj["dim"], "dim")
     if spec is None:
         spec = spec_from_json(obj["spec"])
     mats = [matrix_from_json(m)[0] for m in _list(obj["matrices"], "matrices")]
+    if len(mats) != n:
+        raise ValueError(f"tuple declares n = {n} but holds {len(mats)} matrices")
+    for M in mats:
+        if M.shape != (dim, dim):
+            raise ValueError(f"tuple declares dim = {dim} but holds a {M.shape} matrix")
     return OperatorTuple(spec, mats)
 
 

@@ -134,11 +134,10 @@ def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
     rows at a time, so the largest array made is the D x D table of them,
     not a copy of |T|.
     """
-    basis = T.basis
-    check_basis(basis.n, basis.N, table)
-    n, D, d, words = basis.n, basis.dimension, T.aux_dim, basis.words
-    model = truncated_model(table, basis.N)
-    sqrt_b = model.sqrt_b
+    check_basis(T.model.n, T.model.N, table)
+    model = truncated_model(table, T.model.N)
+    n, N, D, d, words, sqrt_b = (model.n, model.N, model.dimension, T.aux_dim,
+                                 model.words, model.sqrt_b)
     M = T.matrix.reshape(D, d, D, d)
     # the largest entry magnitude of each (omega, gamma) block
     incomp = np.empty((D, D))
@@ -146,7 +145,7 @@ def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
         incomp[i:i + SCAN_ROWS] = np.abs(M[i:i + SCAN_ROWS]).max(axis=(1, 3))
     scale = max(float(np.max(incomp)), 1.0)
 
-    long, short, _ = basis.comparable_pairs()
+    long, short, _ = model.comparable_pairs()
     comparable = np.zeros((D, D), dtype=bool)
     comparable[long, short] = comparable[short, long] = True
 
@@ -160,7 +159,7 @@ def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
 
     # pairs (omega, gamma) whose letter extensions stay inside the truncation;
     # the words of length < N lead the graded basis
-    interior = fock_dimension(n, basis.N - 1)
+    interior = fock_dimension(n, N - 1)
     rows, cols = np.nonzero(comparable[:interior, :interior])
     # comparable words of different lengths: the longer one has the larger index
     lng, sht = np.maximum(rows, cols), np.minimum(rows, cols)
@@ -185,13 +184,13 @@ def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
 def fourier_coefficients(T: TruncatedOperator, table: WeightTable,
                          max_order: int) -> MultiToeplitzSymbol:
     """A_(alpha) = sqrt(b_alpha) C_{alpha, ()},  B_(alpha) = sqrt(b_alpha) C_{(), alpha}."""
-    basis = T.basis
-    if max_order > basis.N:
-        raise ValueError(f"max_order {max_order} exceeds truncation {basis.N}")
-    sqrt_b = truncated_model(table, basis.N).sqrt_b
+    if max_order > T.model.N:
+        raise ValueError(f"max_order {max_order} exceeds truncation {T.model.N}")
+    check_basis(T.model.n, T.model.N, table)
+    model = truncated_model(table, T.model.N)
     A: dict[Word, np.ndarray] = {}
     B: dict[Word, np.ndarray] = {}
-    for alpha, w in zip(basis.words, sqrt_b):
+    for alpha, w in zip(model.words, model.sqrt_b):
         if len(alpha) > max_order:
             continue
         A[alpha] = w * T.block(alpha, EMPTY)

@@ -112,8 +112,8 @@ def toeplitz_suite(table: WeightTable, report: VerificationReport, seed: int = 0
     if spec.n >= 2:
         sym = random_symbol(rng, spec.n, max_len=1)
         op = symbol_to_operator(sym, table, 1.0, N)
-        i = op.basis.index[(1,)]
-        j = op.basis.index[(2,)]
+        i = op.model.index[(1,)]
+        j = op.model.index[(2,)]
         op.matrix[i, j] += 0.1
         rep = is_multi_toeplitz(op, table, tol=1e-10)
         report.flag("toeplitz.perturbation_rejected",
@@ -220,9 +220,9 @@ def pluriharmonic_suite(table: WeightTable, report: VerificationReport,
     for _ in range(20):
         F, G, H = (PluriharmonicFunction(random_symbol(rng, spec.n, 2))
                    for _ in range(3))
-        _, rho_fg = distance(F, G, table, N)
-        _, rho_fh = distance(F, H, table, N)
-        _, rho_hg = distance(H, G, table, N)
+        rho_fg = distance(F, G, table, N)
+        rho_fh = distance(F, H, table, N)
+        rho_hg = distance(H, G, table, N)
         excess.append(rho_fg - (rho_fh + rho_hg))
     report.check("pluriharmonic.metric_axioms",
                  "rho is symmetric, vanishes on the diagonal, and obeys the triangle inequality",
@@ -233,7 +233,7 @@ def pluriharmonic_suite(table: WeightTable, report: VerificationReport,
         A={(1,): 1.0 - 1.0 / j})) for j in range(1, 9)]
     wrep = weierstrass_limit(family, table, [0.5, 0.9], N)
     limit = PluriharmonicFunction(MultiToeplitzSymbol.scalar(A={(1,): 1.0}))
-    rhos = [distance(Fj, limit, table, N)[1] for Fj in family]
+    rhos = [distance(Fj, limit, table, N) for Fj in family]
     decreasing = all(rhos[i + 1] <= rhos[i] + 1e-12 for i in range(len(rhos) - 1))
     report.flag("pluriharmonic.weierstrass",
                 "a convergent family is Cauchy per radius and rho-converges monotonically",

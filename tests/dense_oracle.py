@@ -8,21 +8,22 @@ from math import comb, sqrt
 
 import numpy as np
 
-from ncdomains.fock import TruncatedFockBasis
+from ncdomains.words import enumerate_words
 
 
 def dense_creation(table, N, left):
     """W_1, ..., W_n (left) or Lambda_1, ..., Lambda_n (right) at depth N:
     e_gamma goes to sqrt(b_gamma / b_target) e_target for |gamma| < N, with
     target g_i gamma (left) or gamma g_i (right)."""
-    basis = TruncatedFockBasis.build(table.spec.n, N)
+    words = enumerate_words(table.spec.n, N)
+    index = {w: j for j, w in enumerate(words)}
     out = []
     for i in range(1, table.spec.n + 1):
-        M = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-        for gamma in basis.words:
+        M = np.zeros((len(words), len(words)), dtype=complex)
+        for gamma in words:
             if len(gamma) < N:
                 target = (i,) + gamma if left else gamma + (i,)
-                M[basis.index[target], basis.index[gamma]] = sqrt(
+                M[index[target], index[gamma]] = sqrt(
                     float(table.b[gamma] / table.b[target]))
         out.append(M)
     return out

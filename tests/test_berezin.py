@@ -9,8 +9,7 @@ from ncdomains.berezin import (DomainMembershipError, OperatorTuple,
                                intertwining_residual, mean_value_check)
 from ncdomains.corpus import (builtin_corpus, random_hereditary, random_nilpotent_tuple,
                               random_symbol, scale_into_domain)
-from ncdomains.fock import (TruncatedFockBasis, TruncatedOperator, cp_map_apply,
-                            truncated_model)
+from ncdomains.fock import TruncatedOperator, cp_map_apply, truncated_model
 from ncdomains.weights import hyperball_spec, weights_by_convolution
 from ncdomains.words import enumerate_words
 
@@ -93,12 +92,12 @@ def test_reproducing_property(ball2_table, mixed_table):
     rng = np.random.default_rng(4)
     for table in (ball2_table, mixed_table):
         spec = table.spec
-        basis = TruncatedFockBasis.build(spec.n, 5)
+        model = truncated_model(table, 5)
         W = dense_creation(table, 5, left=True)
         X = random_nilpotent_tuple(rng, spec, dim=3)
         for alpha in enumerate_words(2, 2):
             for beta in enumerate_words(2, 2):
-                g = TruncatedOperator(basis, dense_word(W, alpha) @ dense_word(W, beta).conj().T)
+                g = TruncatedOperator(model, dense_word(W, alpha) @ dense_word(W, beta).conj().T)
                 got = berezin_transform(spec, X, g, table)
                 want = X.word(alpha) @ X.word(beta).conj().T
                 assert np.linalg.norm(got - want, 2) < 1e-10
@@ -178,7 +177,7 @@ def test_kernel_prefix_products_match_word_operator():
                 for N in range(5):
                     model = truncated_model(table, N)
                     want = np.concatenate([w * (delta @ X.word(alpha).conj().T)
-                                           for alpha, w in zip(model.basis.words,
+                                           for alpha, w in zip(model.words,
                                                                model.sqrt_b)])
                     assert np.array_equal(berezin_kernel(spec, X, table, N), want), (name, k, N)
 
@@ -193,11 +192,11 @@ def test_transform_plan_is_the_optimized_einsum():
             for k in (1, 3):
                 X = random_nilpotent_tuple(rng, spec, dim=k)
                 K = berezin_kernel(spec, X, table, N)
-                basis = truncated_model(table, N).basis
-                D = basis.dimension
+                model = truncated_model(table, N)
+                D = model.dimension
                 Kb = K.reshape(D, k, k)
                 for aux in (1, 2):
-                    g = TruncatedOperator(basis, rng.standard_normal((D * aux, D * aux))
+                    g = TruncatedOperator(model, rng.standard_normal((D * aux, D * aux))
                                           + 1j * rng.standard_normal((D * aux, D * aux)), aux)
                     want = np.einsum("wpa,wiuj,upb->iajb", Kb.conj(),
                                      g.matrix.reshape(D, aux, D, aux), Kb, optimize=True)

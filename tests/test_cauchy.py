@@ -14,8 +14,7 @@ from ncdomains.cauchy import (SpectralGateError,
                               multiply_symbols, radius_inequality_check,
                               reconstruction_operator, spectral_gate)
 from ncdomains.corpus import builtin_corpus, random_gated_tuple, random_nilpotent_tuple
-from ncdomains.fock import (TruncatedFockBasis, TruncatedOperator, cp_map_apply,
-                            cp_orbit_norms)
+from ncdomains.fock import TruncatedOperator, cp_map_apply, cp_orbit_norms, truncated_model
 from ncdomains.weights import (DomainSpec, hyperball_spec, weights_by_convolution,
                                weights_by_factorization)
 from ncdomains.words import EMPTY, enumerate_words
@@ -151,16 +150,16 @@ def test_cauchy_kernel_gate(ball2_table):
 def test_transform_identity_and_words(ball2_table):
     spec = ball2_table.spec
     rng = np.random.default_rng(29)
-    basis = TruncatedFockBasis.build(2, 4)
+    model = truncated_model(ball2_table, 4)
     W = dense_creation(ball2_table, 4, left=True)
     for _ in range(3):
         X = random_gated_tuple(rng, spec, dim=3, target_radius=0.5)
         C = cauchy_kernel(spec, X, 4, ball2_table)
-        I = TruncatedOperator(basis, np.eye(basis.dimension, dtype=complex))
+        I = TruncatedOperator(model, np.eye(model.dimension, dtype=complex))
         got = cauchy_transform(spec, X, I, 4, ball2_table, C=C)
         assert np.linalg.norm(got - np.eye(3), 2) < 1e-10
         for alpha in enumerate_words(2, 3):
-            got = cauchy_transform(spec, X, TruncatedOperator(basis, dense_word(W, alpha)), 4,
+            got = cauchy_transform(spec, X, TruncatedOperator(model, dense_word(W, alpha)), 4,
                                    ball2_table, C=C)
             assert np.linalg.norm(got - X.word(alpha), 2) < 1e-10
 

@@ -12,7 +12,7 @@ from ncdomains.berezin import OperatorTuple
 from ncdomains.cli import build_parser, main
 from ncdomains.corpus import (builtin_corpus, mixed_spec, random_gated_tuple,
                               random_nilpotent_tuple)
-from ncdomains.fock import TruncatedFockBasis
+from ncdomains.fock import TruncatedModel
 from ncdomains.serialization import (dump_json, load_json, operator_to_json,
                                      spec_from_json, spec_to_json,
                                      symbol_from_json, symbol_to_json,
@@ -95,7 +95,7 @@ def test_toeplitz_check_rejects_perturbed(tmp_path):
     table = weights_by_factorization(mixed_spec(1), 3)
     sym = MultiToeplitzSymbol.scalar(A={(1,): 1.0})
     op = symbol_to_operator(sym, table, 1.0, 3)
-    op.matrix[op.basis.index[(1,)], op.basis.index[(2,)]] += 0.1
+    op.matrix[op.model.index[(1,)], op.model.index[(2,)]] += 0.1
     spec_path = tmp_path / "spec.json"
     op_path = tmp_path / "op.json"
     dump_json(spec_to_json(mixed_spec(1)), spec_path)
@@ -325,6 +325,7 @@ MALFORMED_FILES["dense operator"] = (_dense_operator_file, MALFORMED_FILES["oper
     pytest.param("symbol", "A", [{"word": [1], "block": [[[1.0, 0.0]]]},
                                  {"word": [1], "block": [[[3.0, 0.0]]]}],
                  id="symbol-duplicate-word"),
+    ("tuple", "dim", 7), ("tuple", "n", 5),
 ])
 def test_malformed_file_exit_code(tmp_path, capsys, kind, field, value):
     """A malformed tuple, symbol or operator file: exit 2, one error line.
@@ -341,13 +342,13 @@ def test_malformed_file_exit_code(tmp_path, capsys, kind, field, value):
 
 def test_operator_file_depth_checked_before_basis(tmp_path, capsys, monkeypatch):
     """An operator file whose N does not match its matrix is rejected before
-    the depth-N basis, 2^61 words here, is enumerated."""
-    def no_basis(n, N):
-        raise AssertionError(f"basis of depth {N} enumerated")
+    the depth-N model, with a basis of 2^61 words here, is built."""
+    def no_model(self, table, N):
+        raise AssertionError(f"model of depth {N} built")
 
     path = tmp_path / "op.json"
     dump_json(_operator_file("N", 60), path)
-    monkeypatch.setattr(TruncatedFockBasis, "build", staticmethod(no_basis))
+    monkeypatch.setattr(TruncatedModel, "__init__", no_model)
     rc = main([*MALFORMED_FILES["operator"][1], str(path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: matrix shape (7, 7) inconsistent")
@@ -365,16 +366,16 @@ def test_operator_file_header_checked_before_allocation(tmp_path, capsys, monkey
                                                         n, N, aux, rows, error):
     """A sparse operator file with no entries can declare any shape; its n,
     N and shape, and the row bound, are checked before the matrix is
-    allocated or the basis is enumerated, and a depth too large for its rows
+    allocated or the model is built, and a depth too large for its rows
     before 3^N is formed."""
     def refuse(*args, **kwargs):
-        raise AssertionError("allocated or enumerated")
+        raise AssertionError("allocated or model built")
 
     path = tmp_path / "op.json"
     dump_json({"n": n, "N": N, "aux_dim": aux, "rows": rows, "cols": rows,
                "index": [], "data": []}, path)
     monkeypatch.setattr(np, "zeros", refuse)
-    monkeypatch.setattr(TruncatedFockBasis, "build", staticmethod(refuse))
+    monkeypatch.setattr(TruncatedModel, "__init__", refuse)
     rc = main(["toeplitz", "--spec", "mixed_n2_m1", "--max-len", "3", "--op", str(path)])
     assert rc == 2
     err = capsys.readouterr().err

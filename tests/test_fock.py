@@ -13,10 +13,10 @@ from ncdomains import cauchy, fock, lanczos
 from ncdomains.berezin import (OperatorTuple, berezin_kernel, berezin_transform,
                                intertwining_residual)
 from ncdomains.cauchy import cauchy_kernel, cauchy_transform, reconstruction_operator
-from ncdomains.fock import (MODEL_TOL, TruncatedFockBasis, cp_map_apply, cp_map_orbit,
+from ncdomains.fock import (MODEL_TOL, cp_map_apply, cp_map_orbit,
                             cp_orbit_norms, creation_tuple, defect_operator, spectral_norm,
                             truncated_model, verify_model_identities,
-                            weighted_space_conjugation, word_operator)
+                            weighted_space_conjugation, word_operator, word_products)
 from ncdomains.cli import main
 from ncdomains.corpus import (builtin_corpus, random_gated_tuple, random_nilpotent_tuple,
                               random_symbol, scale_into_domain)
@@ -30,31 +30,31 @@ from ncdomains.words import EMPTY, enumerate_words, reverse
 
 def test_creation_matrix_entries(ball2_table):
     W1 = creation_tuple(ball2_table, 3)[0]
-    basis = W1.basis
+    index = W1.model.index
     # W_1 e_() = sqrt(b_()/b_(1)) e_(1) = (1/sqrt(2)) e_(1) for m = 2
-    col = W1.matrix[:, basis.index[EMPTY]]
-    assert abs(col[basis.index[(1,)]] - 1 / sqrt(2)) < 1e-15
+    col = W1.matrix[:, index[EMPTY]]
+    assert abs(col[index[(1,)]] - 1 / sqrt(2)) < 1e-15
     assert np.count_nonzero(col) == 1
     # boundary words map to zero
-    assert np.all(W1.matrix[:, basis.index[(1, 1, 1)]] == 0)
+    assert np.all(W1.matrix[:, index[(1, 1, 1)]] == 0)
 
 
 def test_unweighted_shift_for_m1(ball1_table):
     # m = 1 hyperball weights are all 1: W_i is the plain left shift
     W1 = creation_tuple(ball1_table, 3)[0]
-    basis = W1.basis
-    for gamma in basis.words:
+    model = W1.model
+    for gamma in model.words:
         if len(gamma) < 3:
-            assert W1.matrix[basis.index[(1,) + gamma], basis.index[gamma]] == 1.0
+            assert W1.matrix[model.index[(1,) + gamma], model.index[gamma]] == 1.0
 
 
 def test_word_operator_orders_letters(ball2_table):
     W = creation_tuple(ball2_table, 3, left=True)
-    basis = W[0].basis
-    v = word_operator(W, (1, 2)).matrix[:, basis.index[EMPTY]]
+    index = W[0].model.index
+    v = word_operator(W, (1, 2)).matrix[:, index[EMPTY]]
     # W_1 W_2 e_() lands on e_(1,2), not e_(2,1)
-    assert v[basis.index[(1, 2)]] != 0
-    assert v[basis.index[(2, 1)]] == 0
+    assert v[index[(1, 2)]] != 0
+    assert v[index[(2, 1)]] == 0
     # the product of creation operators against the chained dense oracle
     for name, spec in builtin_corpus().items():
         table = weights_by_factorization(spec, 4)
@@ -64,7 +64,7 @@ def test_word_operator_orders_letters(ball2_table):
                 ref = dense_creation(table, N, left)
                 for alpha in enumerate_words(spec.n, N):
                     got = word_operator(ops, alpha)
-                    assert got.basis is ops[0].basis and got.aux_dim == 1
+                    assert got.model is ops[0].model and got.aux_dim == 1
                     err = np.max(np.abs(got.matrix - dense_word(ref, alpha)))
                     assert err <= 1e-15, (name, N, left, alpha)
 
@@ -86,14 +86,30 @@ def test_word_operator_starts_from_first_factor():
             assert all(np.array_equal(M, B) for M, B in zip(ops, before)), alpha
 
 
+def test_word_products_match_word_operator():
+    """The prefix chain gives every word of length <= N in graded order, each
+    bitwise equal to word_operator's product, at nilpotent and dense tuples."""
+    rng = np.random.default_rng(43)
+    for name, spec in builtin_corpus().items():
+        for k in (1, 2, 3):
+            dense = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+                     for _ in range(spec.n)]
+            for X in (random_nilpotent_tuple(rng, spec, dim=k).matrices, dense):
+                for N in range(6):
+                    words = enumerate_words(spec.n, N)
+                    got = word_products(X, N)
+                    assert got.shape == (len(words), k, k)
+                    for alpha, Xa in zip(words, got):
+                        assert Xa.tobytes() == word_operator(X, alpha).tobytes(), (name, k, N)
+
+
 def test_defect_identity_on_corpus():
     for name, spec in builtin_corpus().items():
         table = weights_by_factorization(spec, 3)
         W = [op.matrix for op in creation_tuple(table, 3, left=True)]
         defect = defect_operator(spec, W, spec.m)
-        basis = TruncatedFockBasis.build(spec.n, 3)
         P = np.zeros_like(defect)
-        P[basis.index[EMPTY], basis.index[EMPTY]] = 1.0
+        P[0, 0] = 1.0  # the vacuum is the first graded basis vector
         assert np.max(np.abs(defect - P)) < 1e-10, name
 
 
@@ -115,7 +131,7 @@ def test_model_folds_keep_nan():
     residuals as NaN, whichever letter pair meets it first."""
     table = weights_by_factorization(builtin_corpus()["mixed_n2_m1"], 3)
     model = truncated_model(table, 3)
-    model.sqrt_b[model.basis.index[(2,)]] = np.nan
+    model.sqrt_b[model.index[(2,)]] = np.nan
     ident = verify_model_identities(table.spec, table, 3)
     assert np.isnan(ident.commutation_residual) and not ident.passed
     assert np.isnan(weighted_space_conjugation(table, 3))
@@ -191,14 +207,14 @@ def test_conjugation_matches_dense_product():
     for name, spec in builtin_corpus().items():
         table = weights_by_factorization(spec, 4)
         for N in range(5):
-            basis = TruncatedFockBasis.build(spec.n, N)
-            sqrt_b = np.array([sqrt(table.b[w]) for w in basis.words])
-            inner = [j for j, g in enumerate(basis.words) if len(g) < N]
+            words = enumerate_words(spec.n, N)
+            sqrt_b = np.array([sqrt(table.b[w]) for w in words])
+            inner = [j for j, g in enumerate(words) if len(g) < N]
             want = 0.0
             for i, Wi in enumerate(dense_creation(table, N, left=True), start=1):
                 shift = np.zeros_like(Wi)
                 for j in inner:
-                    shift[basis.index[(i,) + basis.words[j]], j] = 1.0
+                    shift[words.index((i,) + words[j]), j] = 1.0
                 conj = np.diag(sqrt_b) @ Wi @ np.diag(1.0 / sqrt_b)
                 cols = np.linalg.norm((conj - shift)[:, inner], axis=0)
                 want = max(want, float(cols.max(initial=0.0)))
@@ -315,7 +331,7 @@ def test_apply_matches_operator():
         table = weights_by_factorization(spec, 4)
         for N in range(5):
             model = truncated_model(table, N)
-            D = model.basis.dimension
+            D = model.dimension
             words = enumerate_words(spec.n, N)
             for d in (1, 2):
                 sym = MultiToeplitzSymbol(d, {w: rand(d, d) for w in words},
@@ -378,7 +394,7 @@ def test_truncated_model_kept_per_depth(ball2_table):
     model = truncated_model(ball2_table, 3)
     assert truncated_model(ball2_table, 3) is model
     assert truncated_model(ball2_table, 4) is not model
-    assert creation_tuple(ball2_table, 3)[0].basis is model.basis
+    assert creation_tuple(ball2_table, 3)[0].model is model
     maps = model.shift((1, 2), left=False)
     assert all(a is b for a, b in zip(model.shift((1, 2), left=False), maps))
     for a in maps:

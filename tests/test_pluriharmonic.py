@@ -61,7 +61,7 @@ def test_gamma_psd_examples(ball2_table):
 def test_gamma_kernel_constant_diagonal(ball2_table):
     F = scalar_holomorphic({EMPTY: 1.5})
     G = gamma_kernel(F, ball2_table, 0.7, 2)
-    for w in G.basis.words:
+    for w in G.model.words:
         assert abs(G.block(w, w)[0, 0] - 3.0) < 1e-15
     # off-diagonal comparable blocks vanish for a constant symbol
     assert abs(G.block((1,), EMPTY)[0, 0]) == 0.0
@@ -71,10 +71,10 @@ def _gamma_kernel_by_pairs(F, table, r, order):
     """Reference: gamma_kernel as one loop over the comparable pairs."""
     d = F.aux_dim
     model = truncated_model(table, order)
-    D, sqrt_b = model.basis.dimension, model.sqrt_b
+    D, sqrt_b = model.dimension, model.sqrt_b
     zero = np.zeros((d, d), dtype=complex)
     M = np.zeros((D, d, D, d), dtype=complex)
-    for i, j, alpha in zip(*model.basis.comparable_pairs()):
+    for i, j, alpha in zip(*model.comparable_pairs()):
         blk = sqrt_b[j] / sqrt_b[i] * (r ** len(alpha)) * F.symbol.A.get(alpha, zero)
         M[i, :, j, :] += blk
         M[j, :, i, :] += blk.conj().T
@@ -125,11 +125,11 @@ def test_metric_axioms(ball2_table):
     for _ in range(20):
         F, G, H = (PluriharmonicFunction(random_symbol(rng, 2, 2))
                    for _ in range(3))
-        _, fg = distance(F, G, ball2_table, 4)
-        _, gf = distance(G, F, ball2_table, 4)
-        _, fh = distance(F, H, ball2_table, 4)
-        _, hg = distance(H, G, ball2_table, 4)
-        _, ff = distance(F, F, ball2_table, 4)
+        fg = distance(F, G, ball2_table, 4)
+        gf = distance(G, F, ball2_table, 4)
+        fh = distance(F, H, ball2_table, 4)
+        hg = distance(H, G, ball2_table, 4)
+        ff = distance(F, F, ball2_table, 4)
         assert fg >= 0 and ff == 0.0
         assert fg == gf
         assert fg <= fh + hg + 1e-12
@@ -138,7 +138,7 @@ def test_metric_axioms(ball2_table):
 def test_metric_separates(ball2_table):
     F = scalar_holomorphic({(1,): 1.0})
     G = scalar_holomorphic({(1,): 1.0 + 1e-6})
-    _, rho = distance(F, G, ball2_table, 4)
+    rho = distance(F, G, ball2_table, 4)
     assert rho > 0
 
 
@@ -147,9 +147,9 @@ def test_weierstrass_limit(ball2_table):
         A={(1,): 1.0 - 1.0 / j})) for j in range(1, 9)]
     report = weierstrass_limit(family, ball2_table, [0.5, 0.9], 4)
     assert report.converged
-    for r, dists in report.limit_distances.items():
-        assert dists[-1] == 0.0
-        assert dists == sorted(dists, reverse=True)
+    rhos = [distance(Fj, family[-1], ball2_table, 4) for Fj in family]
+    assert rhos[-1] == 0.0
+    assert rhos == sorted(rhos, reverse=True)
 
 
 def test_conjugate_properties(ball2_table):

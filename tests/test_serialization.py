@@ -5,14 +5,14 @@ import pytest
 
 from ncdomains.berezin import OperatorTuple
 from ncdomains.corpus import mixed_spec, random_symbol
-from ncdomains.fock import TruncatedFockBasis, TruncatedOperator, creation_tuple
+from ncdomains.fock import TruncatedOperator, creation_tuple, truncated_model
 from ncdomains.serialization import (dump_json, load_json, matrix_from_json,
                                      matrix_to_json, operator_from_json,
                                      operator_to_json, spec_from_json, spec_to_json,
                                      symbol_from_json, symbol_to_json,
                                      tuple_from_json, tuple_to_json)
 from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
-from ncdomains.weights import weights_by_factorization
+from ncdomains.weights import hyperball_spec, weights_by_factorization
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
 
@@ -35,9 +35,11 @@ def test_empty_matrix_roundtrip():
 
 
 def test_operator_roundtrip(ball2_table):
+    """An operator read against a table is built on that table's model at
+    the file's depth, the one truncated_model keeps."""
     W1 = creation_tuple(ball2_table, 3)[0]
-    back = operator_from_json(operator_to_json(W1))
-    assert back.basis.n == 2 and back.basis.N == 3
+    back = operator_from_json(operator_to_json(W1), ball2_table)
+    assert back.model is truncated_model(ball2_table, 3)
     assert np.array_equal(W1.matrix, back.matrix)
 
 
@@ -77,6 +79,21 @@ def test_tuple_roundtrip(tmp_path):
         assert np.array_equal(M, Mb)
 
 
+@pytest.mark.parametrize("field, value, error", [
+    ("dim", 7, r"tuple declares dim = 7 but holds a \(2, 2\) matrix"),
+    ("n", 5, "tuple declares n = 5 but holds 2 matrices"),
+])
+def test_tuple_headers_must_match_matrices(field, value, error):
+    """A tuple file's n and dim headers are checked against its matrices,
+    whether the spec comes from the file or from the caller."""
+    spec = mixed_spec(2)
+    obj = tuple_to_json(OperatorTuple(spec, [np.eye(2) * 0.1, np.eye(2) * 0.2]))
+    obj[field] = value
+    for given in (None, spec):
+        with pytest.raises(ValueError, match=error):
+            tuple_from_json(obj, given)
+
+
 def test_special_values_roundtrip_bitwise(tmp_path):
     """Signed zeros, infinities and NaN in both parts survive a file round
     trip bit for bit, as matrix entries and as symbol blocks."""
@@ -88,11 +105,12 @@ def test_special_values_roundtrip_bitwise(tmp_path):
     back, _ = matrix_from_json(load_json(path))
     assert np.array_equal(_bits(back), _bits(M))
 
-    T = TruncatedOperator(TruncatedFockBasis.build(4, 1), M)    # 5 words
+    table = weights_by_factorization(hyperball_spec(4, 1), 1)
+    T = TruncatedOperator(truncated_model(table, 1), M)    # 5 words
     dump_json(operator_to_json(T), path)
     obj = load_json(path)
     assert obj["index"] == [i for i in range(25) if i != 0]   # only +0.0+0.0j left out
-    back = operator_from_json(obj)
+    back = operator_from_json(obj, table)
     assert np.array_equal(_bits(back.matrix), _bits(M))
 
     sym = MultiToeplitzSymbol(5, {(): M, (1, 2): M.T}, {(2,): M[::-1]})
@@ -131,18 +149,18 @@ def test_large_operator_file_roundtrip(tmp_path):
     assert path.read_text().count("\n") == 1
     nonzero = np.count_nonzero(_bits(T.matrix).reshape(-1, 2).any(axis=1))
     assert 0 < nonzero and len(load_json(path)["index"]) == nonzero
-    back = operator_from_json(load_json(path))
-    assert (back.basis.n, back.basis.N, back.aux_dim) == (2, 7, 2)
+    back = operator_from_json(load_json(path), table)
+    assert (back.model, back.aux_dim) == (truncated_model(table, 7), 2)
     assert np.array_equal(_bits(back.matrix), _bits(T.matrix))
 
     with open(indented, "w") as fh:
         json.dump(operator_to_json(T), fh, indent=2, sort_keys=True)
     assert load_json(indented) == load_json(path)
-    old = operator_from_json(load_json(indented))
+    old = operator_from_json(load_json(indented), table)
     assert np.array_equal(_bits(old.matrix), _bits(T.matrix))
 
     dump_json({**matrix_to_json(T.matrix, T.aux_dim), "n": 2, "N": 7}, dense)
     assert path.stat().st_size < dense.stat().st_size / 10
-    old = operator_from_json(load_json(dense))
-    assert (old.basis.n, old.basis.N, old.aux_dim) == (2, 7, 2)
+    old = operator_from_json(load_json(dense), table)
+    assert (old.model, old.aux_dim) == (truncated_model(table, 7), 2)
     assert np.array_equal(_bits(old.matrix), _bits(T.matrix))

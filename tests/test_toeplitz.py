@@ -8,14 +8,14 @@ from ncdomains.toeplitz import (MultiToeplitzSymbol, ToeplitzReport,
                                 fourier_coefficients, is_multi_toeplitz,
                                 max_block_difference, norm_profile,
                                 symbol_to_operator)
-from ncdomains.fock import TruncatedFockBasis, TruncatedOperator, truncated_model
-from ncdomains.weights import weights_by_convolution
+from ncdomains.fock import TruncatedOperator, truncated_model
+from ncdomains.weights import hyperball_spec, weights_by_convolution, weights_by_factorization
 from ncdomains.words import EMPTY, GEQ, compare_right
 
 
 def test_identity_is_toeplitz(ball2_table):
-    basis = TruncatedFockBasis.build(2, 3)
-    I = TruncatedOperator(basis, np.eye(basis.dimension, dtype=complex))
+    model = truncated_model(ball2_table, 3)
+    I = TruncatedOperator(model, np.eye(model.dimension, dtype=complex))
     report = is_multi_toeplitz(I, ball2_table)
     assert report.is_toeplitz
     sym = fourier_coefficients(I, ball2_table, 3)
@@ -25,7 +25,7 @@ def test_identity_is_toeplitz(ball2_table):
 
 
 def test_creation_operator_is_toeplitz(ball2_table):
-    W1 = TruncatedOperator(TruncatedFockBasis.build(2, 4),
+    W1 = TruncatedOperator(truncated_model(ball2_table, 4),
                            dense_creation(ball2_table, 4, left=True)[0])
     report = is_multi_toeplitz(W1, ball2_table)
     assert report.is_toeplitz, (report.worst_structure_residual,
@@ -50,11 +50,23 @@ def test_roundtrip_matrix_blocks(ball2_table, mixed_table):
         assert max_block_difference(sym, rec) < 1e-10
 
 
+def test_operator_of_another_alphabet_rejected(ball2_table):
+    """Detection and the Fourier coefficients read the words and weights of
+    the table they are given, so an operator on three letters is rejected
+    with a two-letter table, not read with the wrong words."""
+    table3 = weights_by_factorization(hyperball_spec(3, 1), 3)
+    T = symbol_to_operator(MultiToeplitzSymbol.scalar(A={(3,): 1.0}), table3, 1.0, 3)
+    with pytest.raises(ValueError, match="operator has n = 3 letters, the spec has 2"):
+        is_multi_toeplitz(T, ball2_table)
+    with pytest.raises(ValueError, match="operator has n = 3 letters, the spec has 2"):
+        fourier_coefficients(T, ball2_table, 1)
+
+
 def test_perturbation_detected(ball2_table):
     sym = MultiToeplitzSymbol.scalar(A={(1,): 1.0})
     op = symbol_to_operator(sym, ball2_table, 1.0, 3)
-    i = op.basis.index[(1,)]
-    j = op.basis.index[(2,)]
+    i = op.model.index[(1,)]
+    j = op.model.index[(2,)]
     op.matrix[i, j] += 0.1
     report = is_multi_toeplitz(op, ball2_table, tol=1e-10)
     assert not report.is_toeplitz
@@ -66,8 +78,8 @@ def test_structure_perturbation_detected(ball2_table):
     # bump a comparable entry instead: the extension relation must flag it
     sym = MultiToeplitzSymbol.scalar(A={(1,): 1.0})
     op = symbol_to_operator(sym, ball2_table, 1.0, 3)
-    i = op.basis.index[(1, 2)]
-    j = op.basis.index[(2,)]
+    i = op.model.index[(1, 2)]
+    j = op.model.index[(2,)]
     op.matrix[i, j] += 0.1
     report = is_multi_toeplitz(op, ball2_table, tol=1e-10)
     assert not report.is_toeplitz
@@ -106,13 +118,14 @@ def test_symbol_support_exceeds_truncation(ball2_table):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_comparable_pairs_match_compare_right(n):
+    table = weights_by_factorization(hyperball_spec(n, 1), 5)
     for N in range(6):
-        basis = TruncatedFockBasis.build(n, N)
-        long, short, sigma = basis.comparable_pairs()
-        got = [(basis.words[i], basis.words[j], s) for i, j, s in zip(long, short, sigma)]
+        model = truncated_model(table, N)
+        long, short, sigma = model.comparable_pairs()
+        got = [(model.words[i], model.words[j], s) for i, j, s in zip(long, short, sigma)]
         want = set()
-        for omega in basis.words:
-            for gamma in basis.words:
+        for omega in model.words:
+            for gamma in model.words:
                 cmp = compare_right(omega, gamma)
                 if cmp.comparable:
                     want.add((omega, gamma, cmp.quotient) if cmp.relation == GEQ
@@ -123,18 +136,18 @@ def test_comparable_pairs_match_compare_right(n):
 
 def _all_pairs_is_multi_toeplitz(T, table, tol):
     """Reference: the scan of every word pair through compare_right."""
-    basis = T.basis
-    n = basis.n
-    interior = basis.N - 1
+    model = T.model
+    n = model.n
+    interior = model.N - 1
     scale = max(float(np.max(np.abs(T.matrix))), 1.0)
-    sqrt_b = truncated_model(table, basis.N).sqrt_b
-    index = basis.index
+    sqrt_b = truncated_model(table, model.N).sqrt_b
+    index = model.index
     worst_structure = 0.0
     worst_incomp = 0.0
     structure_witness = None
     incomp_witness = None
-    for omega in basis.words:
-        for gamma in basis.words:
+    for omega in model.words:
+        for gamma in model.words:
             cmp = compare_right(omega, gamma)
             if not cmp.comparable:
                 entry = float(np.max(np.abs(T.block(omega, gamma))))
@@ -164,7 +177,7 @@ def _all_pairs_gamma_kernel(F, table, r, order):
     A = F.symbol.A
     A0 = F.symbol.constant
     model = truncated_model(table, order)
-    words, sqrt_b = model.basis.words, model.sqrt_b
+    words, sqrt_b = model.words, model.sqrt_b
     zero = np.zeros((d, d), dtype=complex)
     M = np.zeros((len(words) * d, len(words) * d), dtype=complex)
     for i, omega in enumerate(words):
@@ -199,7 +212,7 @@ def test_pair_enumeration_matches_all_pairs_scan(name):
             gaussian = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             signs = rng.choice([-1.0, 1.0], size)  # ties: the first worst pair wins
             for M in (T.matrix, bumped, gaussian, signs, np.zeros(size)):
-                op = TruncatedOperator(T.basis, M.astype(complex), d)
+                op = TruncatedOperator(T.model, M.astype(complex), d)
                 assert (is_multi_toeplitz(op, table, 1e-12)
                         == _all_pairs_is_multi_toeplitz(op, table, 1e-12))
             F = PluriharmonicFunction(random_symbol(rng, spec.n, max_len=min(2, N),
