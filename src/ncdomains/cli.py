@@ -28,6 +28,7 @@ from .toeplitz import (MultiToeplitzSymbol, fourier_coefficients,
                        is_multi_toeplitz, max_block_difference,
                        symbol_to_operator)
 from .weights import DomainSpec
+from .words import fock_dimension
 
 
 def resolve_spec(name_or_path: str) -> DomainSpec:
@@ -62,11 +63,14 @@ def add_options(p: argparse.ArgumentParser, *names: str) -> None:
 
 def start(args, **config) -> tuple[DomainSpec, VerificationReport]:
     """The spec of a single-spec command and its report, whose config holds
-    the command, the spec, the depth N and `config` (the seed, where the
-    mode reads one)."""
+    the command, the spec, the depth N, the number of letters n, the Fock
+    dimension D at N and `config` (the seed, where the mode reads one).
+    The file modes add the dimension they read: the tuple dimension k, or
+    the operator's or symbol's aux_dim."""
     spec = resolve_spec(args.spec)
     return spec, VerificationReport({"command": args.command, "spec": spec_to_json(spec),
-                                     "N": args.max_len, **config})
+                                     "N": args.max_len, "n": spec.n,
+                                     "D": fock_dimension(spec.n, args.max_len), **config})
 
 
 def finish(report: VerificationReport, out: str | None) -> int:
@@ -113,6 +117,7 @@ def cmd_toeplitz(args) -> int:
     table = verify.build_table(spec, N)
     if args.op:
         T = operator_from_json(load_json(args.op), table)
+        report.config["aux_dim"] = T.aux_dim
         rep = is_multi_toeplitz(T, table)
         report.flag("toeplitz.check",
                     "operator satisfies the weighted shift-invariance relations",
@@ -129,6 +134,7 @@ def cmd_toeplitz(args) -> int:
             print(f"symbol written to {args.out}")
         return finish(report, None)
     sym = symbol_from_json(load_json(args.symbol))
+    report.config["aux_dim"] = sym.aux_dim
     T = symbol_to_operator(sym, table, args.radius, N)
     rec = fourier_coefficients(T, table, N)
     scaled = MultiToeplitzSymbol(
@@ -149,6 +155,7 @@ def cmd_berezin(args) -> int:
         return cmd_suite(args)
     spec, report = start(args)
     X = tuple_from_json(load_json(args.tuple), spec)
+    report.config["k"] = X.dim
     mem = domain_membership(spec, X)
     report.flag("berezin.membership",
                 "all defect operators of the tuple are positive semidefinite",
@@ -163,6 +170,7 @@ def cmd_cauchy(args) -> int:
     spec, report = start(args)
     table = verify.build_table(spec, args.max_len)
     X = tuple_from_json(load_json(args.tuple), spec)
+    report.config["k"] = X.dim
     r = joint_spectral_radius(spec, X)
     report.flag("cauchy.gate", "joint spectral radius below the calculus gate",
                 r.gate, {"r_exact": r.r_exact,

@@ -35,9 +35,10 @@ largest eigenvalue of the Gram matrix of the nonzero block, after dropping
 the all-zero rows and columns (which carry no singular value).  A large
 sparse input, smaller side >= KRYLOV_MIN_SIDE and nonzeros at most
 KRYLOV_MAX_DENSITY of the entries (a model operator at depth 8 with aux
-dim 2 is about 1% nonzero), takes the Krylov path instead: Lanczos on A^* A
-over the nonzeros of A (lanczos.py), found without a dense |A| copy, with
-the dense path as its fallback.
+dim 2 is about 1% nonzero), takes the Krylov path instead: krylov_nonzeros
+reads the nonzeros of A without a dense |A| copy, and Lanczos on A^* A
+(lanczos.py) takes A only through the nonzero_products x -> A x and
+y -> A^* y, with the dense path as its fallback.
 A Ritz value lower-bounds sigma_max^2, as reported norms of compressions
 P_N T P_N lower-bound the untruncated norms, nondecreasing in N.
 """
@@ -89,6 +90,34 @@ KRYLOV_MIN_SIDE = 512
 KRYLOV_MAX_DENSITY = 0.05
 
 
+def krylov_nonzeros(M: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(rows, cols, vals), the nonzero entries of M, when M takes the Krylov
+    path of spectral_norm: its smaller side is >= KRYLOV_MIN_SIDE and at
+    most KRYLOV_MAX_DENSITY of its entries are nonzero.  None otherwise.
+    M is read only through np.count_nonzero and np.nonzero, never copied."""
+    if (min(M.shape) >= KRYLOV_MIN_SIDE
+            and np.count_nonzero(M) <= KRYLOV_MAX_DENSITY * M.size):
+        rows, cols = np.nonzero(M)
+        return rows, cols, M[rows, cols]
+    return None
+
+
+def nonzero_products(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                     shape: tuple[int, int]):
+    """x -> A x and y -> A^* y, by np.bincount over the nonzeros, for the
+    matrix A of the given shape whose nonzero entries are vals at (rows, cols)."""
+    m, n = shape
+    vals_adj = vals.conj()
+
+    def apply(dst, src, v, x, size):
+        p = v * x[src]
+        return np.bincount(dst, p.real, size) + 1j * np.bincount(dst, p.imag, size)
+
+    return (lambda x: apply(rows, cols, vals, x, m),
+            lambda y: apply(cols, rows, vals_adj, y, n))
+
+
 def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value of M, the operator 2-norm.
 
@@ -97,24 +126,22 @@ def spectral_norm(M: np.ndarray) -> float:
     a matrix with a NaN entry gives NaN, and one with an infinite entry (and
     no NaN) gives inf.
 
-    When the smaller side of M is >= KRYLOV_MIN_SIDE and at most
-    KRYLOV_MAX_DENSITY of its entries are nonzero, the norm comes from
-    Lanczos over the nonzeros (lanczos.top_singular_value), which errs low,
-    like the norms of compressions; that path reads M only through
-    np.count_nonzero and np.nonzero and takes the scale from the nonzero
-    values, so it makes no dense copy of M.  Otherwise, or when Lanczos has
-    not converged, the all-zero rows and columns are dropped, since they
-    carry no singular value, and the norm is the square root of the largest
-    eigenvalue of the smaller Gram matrix.
+    When krylov_nonzeros selects M, the norm comes from Lanczos over the
+    nonzeros (lanczos.top_singular_value on the nonzero_products), which
+    errs low, like the norms of compressions; that path takes the scale
+    from the nonzero values, so it makes no dense copy of M.  Otherwise, or
+    when Lanczos has not converged, the all-zero rows and columns are
+    dropped, since they carry no singular value, and the norm is the square
+    root of the largest eigenvalue of the smaller Gram matrix.
     """
-    if (min(M.shape) >= KRYLOV_MIN_SIDE
-            and np.count_nonzero(M) <= KRYLOV_MAX_DENSITY * M.size):
-        rows, cols = np.nonzero(M)
-        vals = M[rows, cols]
+    nonzeros = krylov_nonzeros(M)
+    if nonzeros is not None:
+        rows, cols, vals = nonzeros
         scale = float(np.abs(vals).max(initial=0.0))
         if scale == 0.0 or not np.isfinite(scale):
             return scale
-        sigma = lanczos.top_singular_value(rows, cols, vals / scale, M.shape)
+        sigma = lanczos.top_singular_value(
+            *nonzero_products(rows, cols, vals / scale, M.shape), M.shape)
         if sigma is not None:
             return scale * sigma
     mag = np.abs(M)

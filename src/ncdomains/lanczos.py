@@ -1,7 +1,11 @@
-"""Largest singular value of a sparse matrix, by Lanczos on A^* A.
+"""Largest singular value of a matrix A given by its products, by Lanczos
+on A^* A.
 
-The Krylov path of fock.spectral_norm: A is given by its nonzeros, and each
-step touches only those.  Symbol operators of the two-letter corpus specs at
+A is given only by x -> A x and y -> A^* y, so its cost and memory are
+those of the products.  fock.spectral_norm passes products over the
+nonzeros of A (fock.nonzero_products); cauchy.radius_inequality_check passes
+k-fold products over the nonzeros of the reconstruction operator, so no
+power of it is formed.  Symbol operators of the two-letter corpus specs at
 depths 8 and 9 (sides 511-2046) took 22-222 steps.  The stopping rule needs
 the eigenvalues of the growing tridiagonal, a dense eigh whose cost grows as
 k^3, so it is evaluated every CHECK_EVERY steps and not at every step; on
@@ -11,6 +15,7 @@ rule, and bitwise equal on the deep_n8 benchmark's (seeds 0 and 41).
 from __future__ import annotations
 
 from math import sqrt
+from typing import Callable
 
 import numpy as np
 
@@ -21,30 +26,25 @@ CHUNK = 32    # basis vectors added at a time
 SEED = 0      # start vector, so norms are deterministic
 
 
-def top_singular_value(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+def top_singular_value(matvec: Callable[[np.ndarray], np.ndarray],
+                       rmatvec: Callable[[np.ndarray], np.ndarray],
                        shape: tuple[int, int]) -> float | None:
-    """sigma_max of the matrix A of the given shape whose nonzero entries are
-    vals at (rows, cols), or None when Lanczos on A^* A has not converged
+    """sigma_max of the matrix A of the given shape with A x = matvec(x) and
+    A^* y = rmatvec(y), or None when Lanczos on A^* A has not converged
     within MAX_STEPS steps.
 
-    Each step applies A and A^* with np.bincount over the nonzeros and
-    orthogonalizes against the whole basis, twice; the basis grows in place,
-    CHUNK rows at a time, so it holds about steps x n complex entries and
-    is never copied.  The Ritz values come from the tridiagonal T_k; the
-    run stops when the top pair's residual beta_k |s_k| is <= TOL theta,
-    which breakdown (beta_k = 0) meets.  That rule costs a dense eigh of
-    T_k, so it is evaluated only every CHECK_EVERY steps, at the last step,
-    and whenever beta_k <= TOL max(alpha) already meets it (breakdown, or
-    the roundoff level at which an exhausted Krylov space leaves beta_k).
-    A Ritz value is at most sigma_max^2, so the result errs low.
+    Each step applies A and A^* once and orthogonalizes against the whole
+    basis, twice; the basis grows in place, CHUNK rows at a time, so it
+    holds about steps x n complex entries and is never copied.  The Ritz
+    values come from the tridiagonal T_k; the run stops when the top pair's
+    residual beta_k |s_k| is <= TOL theta, which breakdown (beta_k = 0)
+    meets.  That rule costs a dense eigh of T_k, so it is evaluated only
+    every CHECK_EVERY steps, at the last step, and whenever
+    beta_k <= TOL max(alpha) already meets it (breakdown, or the roundoff
+    level at which an exhausted Krylov space leaves beta_k).  A Ritz value
+    is at most sigma_max^2, so the result errs low.
     """
-    m, n = shape
-    vals_adj = vals.conj()
-
-    def apply(dst, src, v, x, size):
-        p = v * x[src]
-        return np.bincount(dst, p.real, size) + 1j * np.bincount(dst, p.imag, size)
-
+    n = shape[1]
     q = np.random.default_rng(SEED).standard_normal(n).astype(complex)
     q /= np.linalg.norm(q)
     basis = np.empty((0, n), dtype=complex)
@@ -56,7 +56,7 @@ def top_singular_value(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
             # beside it; no view of the basis outlives a step
             basis.resize((k + CHUNK, n), refcheck=False)
         basis[k] = q
-        w = apply(cols, rows, vals_adj, apply(rows, cols, vals, q, m), n)
+        w = rmatvec(matvec(q))
         alphas.append(float(np.vdot(q, w).real))
         Q = basis[:k + 1]
         for _ in range(2):

@@ -255,6 +255,7 @@ def cauchy_suite(table: WeightTable, report: VerificationReport, seed: int = 0,
 
     seq, fourier, transform, route, mult, kernels = [], [], [], [], [], []
     zero_radius_viol = 0
+    radius_margins: list[float] = []
     for _ in range(n_tuples):
         X = random_gated_tuple(rng, spec, dim=3, target_radius=0.6)
         r = joint_spectral_radius(spec, X, k_max=40)
@@ -277,6 +278,7 @@ def cauchy_suite(table: WeightTable, report: VerificationReport, seed: int = 0,
 
         ineq = radius_inequality_check(spec, X, N, table)
         zero_radius_viol += ineq.violations
+        radius_margins += ineq.margins
 
     # each W_alpha is built once and transformed at every tuple
     for alpha in enumerate_words(spec.n, min(3, N - 1)):
@@ -302,7 +304,9 @@ def cauchy_suite(table: WeightTable, report: VerificationReport, seed: int = 0,
                  mult, 1e-8)
     report.flag("cauchy.radius_inequality",
                 "||R_N^k|| <= ||Phi^k(I)||^(1/2) for k <= N, zero violations",
-                zero_radius_viol == 0)
+                zero_radius_viol == 0,
+                # the smallest ||Phi^k(I)||^(1/2) - ||R_N^k|| over tuples and k
+                {"min_margin": float(np.min(radius_margins)) if radius_margins else None})
 
 
 def full_suite(spec: DomainSpec, N: int, report: VerificationReport,

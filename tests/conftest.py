@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from ncdomains import lanczos
 from ncdomains.corpus import builtin_corpus, mixed_spec
 from ncdomains.weights import hyperball_spec, weights_by_factorization
 
@@ -43,3 +44,18 @@ def traced_peak():
             tracemalloc.stop()
         return peak, result
     return run
+
+
+@pytest.fixture
+def krylov_runs(monkeypatch):
+    """The results of lanczos.top_singular_value, None where it did not
+    converge (and its caller fell back to a dense path), recorded per call."""
+    runs = []
+    helper = lanczos.top_singular_value
+
+    def spy(*args):
+        runs.append(helper(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(lanczos, "top_singular_value", spy)
+    return runs

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ncdomains.corpus import random_symbol
-from ncdomains.serialization import dump_json, symbol_to_json
+from ncdomains.corpus import builtin_corpus, random_gated_tuple, random_symbol
+from ncdomains.serialization import dump_json, symbol_to_json, tuple_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,6 +61,27 @@ print(json.dumps({"codes": codes, "calls": calls}))
 """
 
 
+# cauchy --tuple at the depth of the cli_files_n7 workload, where the radius
+# inequality takes its Krylov path; prints the exit code, the traced cauchy
+# calls and the number of Lanczos runs
+TRACED_CAUCHY_TUPLE = """
+import json
+import spans
+import ncdomains.cli
+from ncdomains import lanczos
+runs = []
+helper = lanczos.top_singular_value
+lanczos.top_singular_value = lambda *args: runs.append(1) or helper(*args)
+tracer = spans.Tracer()
+spans.install(tracer)
+code = ncdomains.cli.main(["cauchy", "--spec", "mixed_n2_m2", "--max-len", "7",
+                           "--tuple", "Xg.json"])
+calls = {name: f["calls"] for name, f in tracer.summary()["functions"].items()
+         if name.startswith("cauchy.")}
+print(json.dumps({"code": code, "calls": calls, "lanczos_runs": len(runs)}))
+"""
+
+
 def traced(script: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
     path = [str(ROOT / "src"), str(ROOT / "perfbench")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONDONTWRITEBYTECODE="1")
@@ -105,3 +126,19 @@ def test_traced_suite_commands_call_their_suite():
     assert got["calls"] == {f"verify.{name}_suite": 1 for name in
                             ("model", "toeplitz", "berezin", "pluriharmonic", "cauchy")
                             } | {"verify.weights_suite": 0}
+
+
+def test_traced_cauchy_tuple_calls_the_listed_functions(tmp_path):
+    """cauchy --tuple at N = 7 with tuple dim 3 takes the radius inequality's
+    Krylov path and still assembles R once through the listed
+    reconstruction_operator, the one caller the spans list relies on."""
+    spec = builtin_corpus()["mixed_n2_m2"]
+    X = random_gated_tuple(np.random.default_rng(0), spec, dim=3, target_radius=0.6)
+    dump_json(tuple_to_json(X), tmp_path / "Xg.json")
+    proc = traced(TRACED_CAUCHY_TUPLE, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["code"] == 0
+    assert got["calls"]["cauchy.reconstruction_operator"] == 1
+    assert got["calls"]["cauchy.radius_inequality_check"] == 1
+    assert got["lanczos_runs"] == 7

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import dense_creation, dense_word
-from ncdomains import berezin, cauchy, corpus, fock
+from ncdomains import berezin, cauchy, corpus, fock, lanczos
 from ncdomains.berezin import OperatorTuple
 from ncdomains.cauchy import (SpectralGateError,
                               analytic_functional_calculus, cauchy_kernel,
@@ -250,3 +250,98 @@ def test_radius_inequality_zero_tuple(ball2_table):
     report = radius_inequality_check(spec, X, 3, ball2_table)
     assert report.passed
     assert all(m == 0.0 for m in report.margins)
+
+
+# At depth 7 with tuple dim 3 R has side 765 and is about 1% nonzero, so
+# radius_inequality_check takes the Krylov path; q = Z_1 + Z_2 with m = 1
+# holds the inequality with equality, and mixed_n2_m2 is the benchmark's spec.
+DEPTH7_SPECS = ("hyperball_n2_m1", "mixed_n2_m2")
+
+
+def _dense_products_check(case):
+    """radius_inequality_check on the dense products path, forced by a
+    Krylov cut-over that no matrix reaches."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fock, "KRYLOV_MIN_SIDE", 10 ** 9)
+        return radius_inequality_check(*case)
+
+
+@pytest.fixture(scope="module")
+def depth7_cases():
+    """(spec, X, N, table) at N = 7, a gated and a nilpotent tuple of dim 3
+    per spec of DEPTH7_SPECS, each with its dense products report."""
+    rng = np.random.default_rng(71)
+    cases = []
+    for name in DEPTH7_SPECS:
+        spec = builtin_corpus()[name]
+        table = weights_by_factorization(spec, 7)
+        cases += [(spec, random_gated_tuple(rng, spec, dim=3, target_radius=0.6), 7, table),
+                  (spec, random_nilpotent_tuple(rng, spec, dim=3), 7, table)]
+    return [(case, _dense_products_check(case)) for case in cases]
+
+
+def _assert_margins_match(got, want):
+    assert len(got) == len(want)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (got, want)
+
+
+def test_radius_inequality_krylov_matches_dense_products(depth7_cases, krylov_runs):
+    """At N = 7 every power takes Lanczos over R's nonzeros, and the margins
+    match the dense products'; the zero powers of a nilpotent tuple
+    (X_alpha = 0 for |alpha| >= 3) give 0.0."""
+    for i, (case, dense) in enumerate(depth7_cases):
+        krylov = radius_inequality_check(*case)
+        assert len(krylov_runs) == 7 * (i + 1) and None not in krylov_runs
+        _assert_margins_match(krylov.margins, dense.margins)
+        assert krylov.passed and dense.passed
+        if i % 2:
+            assert krylov.margins[2:] == [0.0] * 5
+
+
+def test_radius_inequality_krylov_fallback(monkeypatch, depth7_cases, krylov_runs):
+    """Lanczos cut at two steps: the powers it leaves unconverged take the
+    dense answer, rebuilt from R's nonzeros."""
+    case, dense = depth7_cases[2]
+    monkeypatch.setattr(lanczos, "MAX_STEPS", 2)
+    _assert_margins_match(radius_inequality_check(*case).margins, dense.margins)
+    assert len(krylov_runs) == 7 and None in krylov_runs
+
+
+def test_radius_inequality_krylov_nan_entry(depth7_cases, krylov_runs):
+    """A NaN tuple entry makes every power a violation, on the Krylov path
+    too, and Lanczos never runs."""
+    spec, X, N, table = depth7_cases[2][0]
+    X = OperatorTuple(spec, [M.copy() for M in X.matrices])
+    X.matrices[0][0, 0] = np.nan
+    report = radius_inequality_check(spec, X, N, table)
+    assert np.isnan(report.margins).all()
+    assert report.violations == N and not report.passed
+    assert krylov_runs == []
+
+
+def test_radius_inequality_designed_failure(monkeypatch, depth7_cases, krylov_runs):
+    """With ||Phi^k(I)|| halved both paths report the same violations."""
+    orbit_norms = cauchy.cp_orbit_norms
+    monkeypatch.setattr(cauchy, "cp_orbit_norms",
+                        lambda *args: [v / 2 for v in orbit_norms(*args)])
+    for case, _ in depth7_cases[::2]:
+        krylov = radius_inequality_check(*case)
+        assert krylov.violations == _dense_products_check(case).violations > 0
+    assert len(krylov_runs) == 14
+
+
+def test_radius_inequality_memory(depth7_cases, traced_peak):
+    """At N = 7, k = 3 the dense R is 9.4 MB and is the peak: no power of R
+    and no R @ Q is formed (21.0 MB with the dense products).  At N = 5
+    (side 189) the dense products are all formed before R is released, so
+    the largest norm is taken without R beside it (1.27 MB when R was kept)."""
+    case, dense = depth7_cases[2]
+    peak, got = traced_peak(radius_inequality_check, *case)
+    assert peak < 11e6, peak
+    _assert_margins_match(got.margins, dense.margins)
+    spec, X = case[:2]
+    small = weights_by_factorization(spec, 5)
+    radius_inequality_check(spec, X, 5, small)  # the model's shift maps are built
+    peak, got = traced_peak(radius_inequality_check, spec, X, 5, small)
+    assert peak < 1.15e6, peak
+    assert got.passed

@@ -11,7 +11,7 @@ from ncdomains import cli
 from ncdomains.berezin import OperatorTuple
 from ncdomains.cli import build_parser, main
 from ncdomains.corpus import (builtin_corpus, mixed_spec, random_gated_tuple,
-                              random_nilpotent_tuple)
+                              random_nilpotent_tuple, random_symbol)
 from ncdomains.fock import TruncatedModel
 from ncdomains.serialization import (dump_json, load_json, operator_to_json,
                                      spec_from_json, spec_to_json,
@@ -203,7 +203,7 @@ def test_toeplitz_op_and_symbol_exclusive(tmp_path, capsys):
     assert len(errors) == 1 and "not allowed with argument" in errors[0]
 
 
-SEEDED = {"command", "spec", "N", "seed", "environment"}
+SEEDED = {"command", "spec", "N", "n", "D", "seed", "environment"}
 
 
 @pytest.mark.parametrize("argv, keys", [
@@ -212,13 +212,15 @@ SEEDED = {"command", "spec", "N", "seed", "environment"}
     (["berezin"], SEEDED),
     (["pluriharmonic"], SEEDED),
     (["cauchy"], SEEDED),
-    (["berezin", "--tuple", "X.json"], SEEDED - {"seed"}),
-    (["cauchy", "--tuple", "Xg.json"], SEEDED - {"seed"}),
+    (["berezin", "--tuple", "X.json"], SEEDED - {"seed"} | {"k"}),
+    (["cauchy", "--tuple", "Xg.json"], SEEDED - {"seed"} | {"k"}),
 ], ids=["model", "toeplitz", "berezin", "pluriharmonic", "cauchy", "berezin-tuple",
         "cauchy-tuple"])
 def test_report_config_keys(tmp_path, monkeypatch, argv, keys):
-    """A written report's config names the command, the spec and N, and the
-    seed only where the mode reads one: the suites, not the tuple modes."""
+    """A written report's config names the command, the spec, N, the number
+    of letters n and the Fock dimension D, the seed only where the mode reads
+    one (the suites, not the tuple modes), and the tuple dimension k in the
+    tuple modes."""
     rng = np.random.default_rng(3)
     spec = builtin_corpus()["mixed_n2_m1"]
     dump_json(tuple_to_json(random_nilpotent_tuple(rng, spec, dim=2)), tmp_path / "X.json")
@@ -231,6 +233,27 @@ def test_report_config_keys(tmp_path, monkeypatch, argv, keys):
     assert set(config) == keys
     assert (config["command"], config["N"]) == (argv[0], 2)
     assert config["spec"] == spec_to_json(spec)
+    assert (config["n"], config["D"]) == (2, 7)
+    assert config.get("k", 2) == 2
+
+
+@pytest.mark.parametrize("mode", ["--symbol", "--op"])
+def test_toeplitz_file_config_keys(tmp_path, monkeypatch, mode):
+    """toeplitz --symbol and --op write a file, not a report; the config of
+    the report they print adds the aux_dim of the file they read."""
+    sym = random_symbol(np.random.default_rng(5), 2, max_len=2, aux_dim=2)
+    table = weights_by_factorization(mixed_spec(1), 3)
+    dump_json(symbol_to_json(sym), tmp_path / "sym.json")
+    dump_json(operator_to_json(symbol_to_operator(sym, table, 1.0, 3)), tmp_path / "op.json")
+    configs = []
+    finish = cli.finish
+    monkeypatch.setattr(cli, "finish", lambda report, out: configs.append(report.config)
+                        or finish(report, out))
+    path = tmp_path / ("sym.json" if mode == "--symbol" else "op.json")
+    assert main(["toeplitz", "--spec", "mixed_n2_m1", "--max-len", "3",
+                 mode, str(path)]) == 0
+    assert configs == [{"command": "toeplitz", "spec": spec_to_json(mixed_spec(1)),
+                        "N": 3, "n": 2, "D": 15, "aux_dim": 2}]
 
 
 @pytest.mark.parametrize("field, value", [("word", 1), ("word", ["1"]), ("n", 2.0),

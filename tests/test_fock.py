@@ -440,21 +440,6 @@ def test_spectral_norm_matches_svd():
 
 
 @pytest.fixture
-def krylov_runs(monkeypatch):
-    """The results of lanczos.top_singular_value, None when it fell back to
-    the dense path, recorded per call."""
-    runs = []
-    helper = lanczos.top_singular_value
-
-    def spy(*args):
-        runs.append(helper(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(lanczos, "top_singular_value", spy)
-    return runs
-
-
-@pytest.fixture
 def krylov_always(monkeypatch, krylov_runs):
     """Every nonzero finite input takes the Krylov path."""
     monkeypatch.setattr(fock, "KRYLOV_MIN_SIDE", 1)

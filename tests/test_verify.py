@@ -65,3 +65,24 @@ def test_nan_case_fails_its_record(monkeypatch, clean_statuses, source, check_id
     assert clean_statuses[check_id][0] == PASS
     assert {k: s for k, (s, _) in got.items()} == {
         k: s for k, (s, _) in clean_statuses.items() if k != check_id}
+
+
+def test_radius_record_carries_smallest_margin(monkeypatch):
+    """cauchy.radius_inequality records the smallest margin
+    ||Phi^k(I)||^(1/2) - ||R_N^k|| over its tuples and powers."""
+    margins = []
+    real = verify.radius_inequality_check
+
+    def spy(*args):
+        out = real(*args)
+        margins.extend(out.margins)
+        return out
+
+    monkeypatch.setattr(verify, "radius_inequality_check", spy)
+    report = VerificationReport({})
+    verify.cauchy_suite(verify.build_table(builtin_corpus()["mixed_n2_m2"], 4), report,
+                        n_tuples=3)
+    rec = next(c for c in report.checks if c.check_id == "cauchy.radius_inequality")
+    assert len(margins) == 12
+    assert rec.status == PASS and rec.detail == {"min_margin": min(margins)}
+    assert min(margins) > 0
