@@ -12,7 +12,7 @@ finitely many terms and holds up to roundoff on a large enough truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -135,22 +135,11 @@ def berezin_transform(spec: DomainSpec, X: OperatorTuple, g: TruncatedOperator,
         K = berezin_kernel(spec, X, table, g.model.N)
     D, k, d = g.model.dimension, X.dim, g.aux_dim
     Kb = K.reshape(D, k, k)
-    out = np.einsum(_TRANSFORM, Kb.conj(), g.matrix.reshape(D, d, D, d), Kb,
-                    optimize=_transform_path(D, k, d))
-    return out.reshape(d * k, d * k)
-
-
-_TRANSFORM = "wpa,wiuj,upb->iajb"
-
-
-@lru_cache(maxsize=64)
-def _transform_path(D: int, k: int, d: int) -> tuple:
-    """The contraction order np.einsum(..., optimize=True) picks for
-    berezin_transform's operands at these sizes, planned once per size; the
-    plan reads the shapes only, so zero-stride operands stand in."""
-    shapes = ((D, k, k), (D, d, D, d), (D, k, k))
-    operands = [np.broadcast_to(np.zeros((), dtype=complex), s) for s in shapes]
-    return tuple(np.einsum_path(_TRANSFORM, *operands, optimize=True)[0])
+    # (p, a, i, gamma, j): sum_omega conj(K_omega[p, a]) g[omega i, gamma j]
+    half = np.tensordot(Kb.conj(), g.matrix.reshape(D, d, D, d), axes=(0, 0))
+    # (a, i, j, b), summed over gamma and p against K_gamma[p, b]
+    out = np.tensordot(half, Kb, axes=((3, 0), (0, 1)))
+    return out.transpose(1, 0, 2, 3).reshape(d * k, d * k)
 
 
 def intertwining_residual(K: np.ndarray, X: OperatorTuple, table: WeightTable,

@@ -14,8 +14,8 @@ never forms R: each step applies R to the k columns through the model's
 shift maps (TruncatedModel.apply), so the work and memory grow with the
 nonzeros of R, about |supp q| D k^2, not with (D k)^2.  Only
 radius_inequality_check assembles R; where R is large and sparse it keeps
-only the nonzeros and takes the norms of the powers R^k by Lanczos over
-k-fold products on them, so no power of R is formed.
+only the nonzeros and takes the norms of the powers R^k from them with
+fock.sparse_norm, so no power of R is formed.
 """
 from __future__ import annotations
 
@@ -25,9 +25,8 @@ from math import sqrt
 import numpy as np
 
 from .berezin import OperatorTuple
-from . import lanczos
 from .fock import (TruncatedOperator, cp_map_terms, cp_orbit_norms, krylov_nonzeros,
-                   nonzero_products, spectral_norm, truncated_model, word_products)
+                   sparse_norm, spectral_norm, truncated_model, word_products)
 from .toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_to_operator
 from .weights import DomainSpec, WeightTable
 from .words import EMPTY, Word, fock_dimension, reverse
@@ -194,9 +193,17 @@ def radius_inequality_check(spec: DomainSpec, X: OperatorTuple, N: int,
 
     R raises word length by at least 1, so ||R^k|| = ||R^k E_k||, E_k keeping
     the columns of the words of length <= N - k.  Where spectral_norm would
-    take its Krylov path on R, only R's nonzeros are kept
-    (_krylov_power_norms); otherwise the products R^k E_k are dense.  Either
-    way R itself is released before the first norm is taken."""
+    take its Krylov path on R, only R's nonzeros are kept and each norm is
+    sparse_norm's ||R^(k-1) (R E_k)||, so no power of R is formed; otherwise
+    the products R^k E_k are dense.  Either way R itself is released before
+    the first norm is taken.
+
+    Ritz values err low and ||R^k|| is the smaller side, so an early Lanczos
+    stop could hide a violation; the stopping rule keeps that error within
+    lanczos.TOL = 1e-14 relative, far below RADIUS_TOL.  On the two-letter
+    corpus specs at N = 7 and 8 the margins matched the dense ones within
+    8e-16; the smallest at gated tuples were 0 (equality, q = Z_1 + Z_2,
+    m = 1) and 3e-4."""
     R = reconstruction_operator(spec, X, N, table).matrix
     phi_norms = cp_orbit_norms(spec, X.matrices, N)
     phi_norms += [0.0] * (N - len(phi_norms))  # Phi^k(I) stays zero after a zero
@@ -209,7 +216,8 @@ def radius_inequality_check(spec: DomainSpec, X: OperatorTuple, N: int,
         # smallest first, each power dropped once its norm is taken
         lhs_norms = [spectral_norm(powers.pop()) for _ in live][::-1]
     else:
-        lhs_norms = _krylov_power_norms(nonzeros, side, live)
+        lhs_norms = [sparse_norm(*nonzeros, (side, cols), repeat)
+                     for repeat, cols in enumerate(live)]
     margins = []
     violations = 0
     for lhs, phi_norm in zip(lhs_norms, phi_norms):
@@ -227,52 +235,3 @@ def _dense_powers(R: np.ndarray, live: list[int]) -> list[np.ndarray]:
     for cols in live:
         powers.append(R @ powers[-1][:, :cols] if powers else R[:, :cols].copy())
     return powers
-
-
-def _krylov_power_norms(nonzeros: tuple[np.ndarray, np.ndarray, np.ndarray],
-                        side: int, live: list[int]) -> list[float]:
-    """||R^k E_k|| for k = 1, 2, ..., E_k keeping the first live[k-1]
-    columns of the side x side R with these nonzeros, by Lanczos over k-fold
-    products on them, scaled by their largest magnitude as in spectral_norm;
-    no power of R is formed.  A zero power gives 0.0
-    (breakdown at the first step); a non-finite nonzero makes every norm
-    non-finite, before any Lanczos run; a run that does not converge within
-    lanczos.MAX_STEPS gives the dense answer, from R rebuilt.
-
-    Ritz values err low and ||R^k|| is the smaller side, so an early stop
-    could hide a violation; the stopping rule keeps that error within
-    lanczos.TOL = 1e-14 relative, far below RADIUS_TOL.  On the two-letter
-    corpus specs at N = 7 and 8 the margins matched the dense ones within
-    8e-16; the smallest at gated tuples were 0 (equality, q = Z_1 + Z_2,
-    m = 1) and 3e-4."""
-    rows, cols, vals = nonzeros
-    scale = float(np.abs(vals).max(initial=0.0))
-    if scale == 0.0 or not np.isfinite(scale):
-        return [scale] * len(live)
-    scaled = vals / scale
-    A, A_adj = nonzero_products(rows, cols, scaled, (side, side))
-    norms = []
-    for k, width in enumerate(live, start=1):
-        # R^k E_k = R^(k-1) (R E_k): R E_k keeps the nonzeros of the first columns
-        first = cols < width
-        B, B_adj = nonzero_products(rows[first], cols[first], scaled[first], (side, width))
-
-        def matvec(x):
-            x = B(x)
-            for _ in range(k - 1):
-                x = A(x)
-            return x
-
-        def rmatvec(y):
-            for _ in range(k - 1):
-                y = A_adj(y)
-            return B_adj(y)
-
-        sigma = lanczos.top_singular_value(matvec, rmatvec, (side, width))
-        if sigma is None:
-            R = np.zeros((side, side), dtype=complex)
-            R[rows, cols] = vals
-            norms.append(spectral_norm(_dense_powers(R, live[:k])[-1]))
-        else:
-            norms.append(scale ** k * sigma)
-    return norms

@@ -36,9 +36,12 @@ the all-zero rows and columns (which carry no singular value).  A large
 sparse input, smaller side >= KRYLOV_MIN_SIDE and nonzeros at most
 KRYLOV_MAX_DENSITY of the entries (a model operator at depth 8 with aux
 dim 2 is about 1% nonzero), takes the Krylov path instead: krylov_nonzeros
-reads the nonzeros of A without a dense |A| copy, and Lanczos on A^* A
-(lanczos.py) takes A only through the nonzero_products x -> A x and
-y -> A^* y, with the dense path as its fallback.
+reads the nonzeros of A without a dense |A| copy, and sparse_norm takes the
+norm from them by Lanczos on A^* A (lanczos.py), which reads A only through
+the nonzero_products x -> A x and y -> A^* y, with the dense path as its
+fallback.  sparse_norm is the package's one Krylov norm: it also takes the
+radius inequality's ||R^k E|| (cauchy.py) over k-fold products on the
+nonzeros of R, so no power of R is formed.
 A Ritz value lower-bounds sigma_max^2, as reported norms of compressions
 P_N T P_N lower-bound the untruncated norms, nondecreasing in N.
 """
@@ -104,18 +107,61 @@ def krylov_nonzeros(M: np.ndarray
 
 
 def nonzero_products(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                     shape: tuple[int, int]):
-    """x -> A x and y -> A^* y, by np.bincount over the nonzeros, for the
-    matrix A of the given shape whose nonzero entries are vals at (rows, cols)."""
+                     shape: tuple[int, int], repeat: int = 0):
+    """x -> A^repeat B x and y -> B^* (A^*)^repeat y, by np.bincount over the
+    nonzeros, where A is the m x m matrix whose nonzero entries are vals at
+    (rows, cols) and B, of the given shape (m, n), is its first n columns.
+    With repeat = 0 A is never applied, so the nonzeros may also be those
+    of an m x n matrix with n > m."""
     m, n = shape
     vals_adj = vals.conj()
+    # B's rows, cols, vals and vals_adj: a copy only when some nonzeros of A
+    # lie beyond its n columns
+    b = rows, cols, vals, vals_adj
+    if cols.max(initial=0) >= n:
+        first = cols < n
+        b = tuple(v[first] for v in b)
 
-    def apply(dst, src, v, x, size):
-        p = v * x[src]
-        return np.bincount(dst, p.real, size) + 1j * np.bincount(dst, p.imag, size)
+    def matvec(x):
+        x = _scatter(b[0], b[1], b[2], x, m)
+        for _ in range(repeat):
+            x = _scatter(rows, cols, vals, x, m)
+        return x
 
-    return (lambda x: apply(rows, cols, vals, x, m),
-            lambda y: apply(cols, rows, vals_adj, y, n))
+    def rmatvec(y):
+        for _ in range(repeat):
+            y = _scatter(cols, rows, vals_adj, y, m)
+        return _scatter(b[1], b[0], b[3], y, n)
+
+    return matvec, rmatvec
+
+
+def _scatter(dst, src, v, x, size):
+    """The vector of the given size with entry i the sum of v x[src] over
+    dst == i: the product of x with a matrix given by its nonzeros."""
+    p = v * x[src]
+    return np.bincount(dst, p.real, size) + 1j * np.bincount(dst, p.imag, size)
+
+
+def sparse_norm(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                shape: tuple[int, int], repeat: int = 0) -> float:
+    """||A^repeat B|| for the matrices of nonzero_products(rows, cols, vals,
+    shape, repeat), no power of A formed.
+
+    The values are scaled by their largest magnitude, as in spectral_norm:
+    all-zero values give 0.0, a NaN value gives NaN and an infinite one (and
+    no NaN) gives inf, before any Lanczos run.  Otherwise the norm comes from
+    lanczos.top_singular_value on the products and errs low; when Lanczos
+    has not converged, it is the dense path's norm of A^repeat B, formed
+    column by column from the same products."""
+    scale = float(np.abs(vals).max(initial=0.0))
+    if scale == 0.0 or not np.isfinite(scale):
+        return scale
+    matvec, rmatvec = nonzero_products(rows, cols, vals / scale, shape, repeat)
+    sigma = lanczos.top_singular_value(matvec, rmatvec, shape)
+    if sigma is None:
+        sigma = _dense_norm(np.column_stack([matvec(e) for e in np.eye(shape[1])]))
+    return scale ** (repeat + 1) * sigma
 
 
 def spectral_norm(M: np.ndarray) -> float:
@@ -126,24 +172,20 @@ def spectral_norm(M: np.ndarray) -> float:
     a matrix with a NaN entry gives NaN, and one with an infinite entry (and
     no NaN) gives inf.
 
-    When krylov_nonzeros selects M, the norm comes from Lanczos over the
-    nonzeros (lanczos.top_singular_value on the nonzero_products), which
-    errs low, like the norms of compressions; that path takes the scale
-    from the nonzero values, so it makes no dense copy of M.  Otherwise, or
-    when Lanczos has not converged, the all-zero rows and columns are
-    dropped, since they carry no singular value, and the norm is the square
-    root of the largest eigenvalue of the smaller Gram matrix.
+    When krylov_nonzeros selects M, the norm is sparse_norm of its nonzeros,
+    which takes the scale from the nonzero values, so it makes no dense copy
+    of M.  Otherwise the all-zero rows and columns are dropped, since they
+    carry no singular value, and the norm is the square root of the largest
+    eigenvalue of the smaller Gram matrix.
     """
     nonzeros = krylov_nonzeros(M)
     if nonzeros is not None:
-        rows, cols, vals = nonzeros
-        scale = float(np.abs(vals).max(initial=0.0))
-        if scale == 0.0 or not np.isfinite(scale):
-            return scale
-        sigma = lanczos.top_singular_value(
-            *nonzero_products(rows, cols, vals / scale, M.shape), M.shape)
-        if sigma is not None:
-            return scale * sigma
+        return sparse_norm(*nonzeros, M.shape)
+    return _dense_norm(M)
+
+
+def _dense_norm(M: np.ndarray) -> float:
+    """The dense path of spectral_norm."""
     mag = np.abs(M)
     scale = float(mag.max(initial=0.0))
     if scale == 0.0 or not np.isfinite(scale):

@@ -2,10 +2,10 @@
 on A^* A.
 
 A is given only by x -> A x and y -> A^* y, so its cost and memory are
-those of the products.  fock.spectral_norm passes products over the
-nonzeros of A (fock.nonzero_products); cauchy.radius_inequality_check passes
-k-fold products over the nonzeros of the reconstruction operator, so no
-power of it is formed.  Symbol operators of the two-letter corpus specs at
+those of the products.  Its one caller is fock.sparse_norm, which passes
+products over the nonzeros of A (fock.nonzero_products), or k-fold products
+over them for the norms of powers, for fock.spectral_norm and the radius
+inequality of cauchy.py.  Symbol operators of the two-letter corpus specs at
 depths 8 and 9 (sides 511-2046) took 22-222 steps.  The stopping rule needs
 the eigenvalues of the growing tridiagonal, a dense eigh whose cost grows as
 k^3, so it is evaluated every CHECK_EVERY steps and not at every step; on

@@ -75,10 +75,12 @@ class VerificationReport:
         """Record the largest of `residuals` (one number or a sequence, one
         entry per case the check covers), and at least 0; it passes when that
         is <= tolerance.  A NaN case makes the residual NaN, so the record
-        fails; an empty sequence gives 0.0."""
+        fails; an empty sequence gives 0.0.  The record's detail adds the
+        margin, tolerance - residual (NaN with the residual)."""
         residual = float(np.max(residuals, initial=0.0))
-        return self._record(check_id, identity, residual <= tolerance,
-                            residual, float(tolerance), detail)
+        tolerance = float(tolerance)
+        return self._record(check_id, identity, residual <= tolerance, residual, tolerance,
+                            {**(detail or {}), "margin": tolerance - residual})
 
     def flag(self, check_id: str, identity: str, ok: bool,
              detail: dict | None = None) -> CheckRecord:

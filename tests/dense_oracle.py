@@ -37,6 +37,19 @@ def dense_word(mats, alpha):
     return out
 
 
+def dense_berezin_transform(K, G, d):
+    """K^*(G (x) I_k)K blockwise over G's aux space, a (d k) x (d k) matrix
+    with aux-major rows, for the (D k) x k kernel K and the (D d) x (D d)
+    operator G, both word-major: G is reordered to aux-major, so that
+    kron(G, I_k) acts on the rows of kron(I_d, K), whose columns are the
+    output's."""
+    k = K.shape[1]
+    D = K.shape[0] // k
+    G_aux = G.reshape(D, d, D, d).transpose(1, 0, 3, 2).reshape(d * D, d * D)
+    KK = np.kron(np.eye(d), K)
+    return KK.conj().T @ np.kron(G_aux, np.eye(k)) @ KK
+
+
 def factorizations(alpha, j):
     """All ordered splittings alpha = gamma_1 ... gamma_j with |gamma_i| >= 1.
 

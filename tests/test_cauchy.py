@@ -300,7 +300,7 @@ def test_radius_inequality_krylov_matches_dense_products(depth7_cases, krylov_ru
 
 def test_radius_inequality_krylov_fallback(monkeypatch, depth7_cases, krylov_runs):
     """Lanczos cut at two steps: the powers it leaves unconverged take the
-    dense answer, rebuilt from R's nonzeros."""
+    dense answer, formed from the products over R's nonzeros."""
     case, dense = depth7_cases[2]
     monkeypatch.setattr(lanczos, "MAX_STEPS", 2)
     _assert_margins_match(radius_inequality_check(*case).margins, dense.margins)

@@ -1,7 +1,7 @@
 """Source guards: imports happen at module level in the library, no file
 imports a name it never uses, no library file folds residuals with
-`x = max(x, ...)`, only serialization.py reads or writes files, and files
-are written by the C JSON encoder."""
+`x = max(x, ...)`, only serialization.py reads or writes files, only fock.py
+imports lanczos, and files are written by the C JSON encoder."""
 import ast
 import json
 import json.encoder
@@ -182,6 +182,36 @@ def test_only_serialization_touches_files():
     src = ROOT / "src" / "ncdomains"
     found = {p.name: _file_access(p.read_text()) for p in sorted(src.glob("*.py"))}
     assert found.pop("serialization.py")
+    assert not any(found.values()), {k: v for k, v in found.items() if v}
+
+
+def _lanczos_imports(source: str) -> list[int]:
+    """Lines that import the lanczos module, or a name from it, in any form."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "lanczos" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_fock_imports_lanczos():
+    """Krylov norms are taken in fock.py alone, by sparse_norm."""
+    assert _lanczos_imports(
+        "from . import lanczos\n"
+        "from .lanczos import top_singular_value\n"
+        "import ncdomains.lanczos as lz\n"
+        "from ncdomains import fock, lanczos\n"
+        "from .fock import sparse_norm\n"
+        "import lanczos_tools\n") == [1, 2, 3, 4]
+    src = ROOT / "src" / "ncdomains"
+    found = {p.name: _lanczos_imports(p.read_text()) for p in sorted(src.glob("*.py"))}
+    assert found.pop("fock.py")
     assert not any(found.values()), {k: v for k, v in found.items() if v}
 
 

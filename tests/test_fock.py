@@ -14,8 +14,8 @@ from ncdomains.berezin import (OperatorTuple, berezin_kernel, berezin_transform,
                                intertwining_residual)
 from ncdomains.cauchy import cauchy_kernel, cauchy_transform, reconstruction_operator
 from ncdomains.fock import (MODEL_TOL, cp_map_apply, cp_map_orbit,
-                            cp_orbit_norms, creation_tuple, defect_operator, spectral_norm,
-                            truncated_model, verify_model_identities,
+                            cp_orbit_norms, creation_tuple, defect_operator, sparse_norm,
+                            spectral_norm, truncated_model, verify_model_identities,
                             weighted_space_conjugation, word_operator, word_products)
 from ncdomains.cli import main
 from ncdomains.corpus import (builtin_corpus, random_gated_tuple, random_nilpotent_tuple,
@@ -591,6 +591,64 @@ def test_krylov_sparse_stopping_checks(monkeypatch, krylov_runs):
             every = spectral_norm(M)
         assert abs(sparse - every) <= 1e-15 * every, name
     assert len(krylov_runs) == 10 and None not in krylov_runs
+
+
+def _nonzeros(M):
+    rows, cols = np.nonzero(M)
+    return rows, cols, M[rows, cols]
+
+
+def _sparse_norm_cases(rng):
+    """(nonzeros, shape, repeat, the dense A^repeat B): a random sparse A of
+    side 300 with B its first n columns, n = 300, 120 and 7, repeat = 0..3;
+    and rectangular m x n matrices, n > m and n < m, with repeat = 0.  Every
+    side is below KRYLOV_MIN_SIDE, so spectral_norm of the products is dense."""
+    A = _sparse(rng, (300, 300), 0.02)
+    for n in (300, 120, 7):
+        for repeat in range(4):
+            yield _nonzeros(A), (300, n), repeat, np.linalg.matrix_power(A, repeat) @ A[:, :n]
+    for shape in ((150, 400), (400, 150)):
+        M = _sparse(rng, shape, 0.03)
+        yield _nonzeros(M), shape, 0, M
+
+
+def test_sparse_norm_matches_dense_products(krylov_runs):
+    """Lanczos over the products gives the dense norm of the formed product."""
+    cases = list(_sparse_norm_cases(np.random.default_rng(61)))
+    for nonzeros, shape, repeat, P in cases:
+        want = spectral_norm(P)
+        assert want > 0
+        got = sparse_norm(*nonzeros, shape, repeat)
+        assert abs(got - want) <= 1e-13 * want, (shape, repeat)
+    assert len(krylov_runs) == len(cases) and None not in krylov_runs
+
+
+def test_sparse_norm_falls_back_to_dense(monkeypatch, krylov_runs):
+    """Lanczos cut at two steps: the norm of the product formed from the
+    nonzeros, for repeat = 0 and 2 on a square A and for a rectangular
+    matrix with more columns than rows."""
+    picked = {((300, 120), 0), ((300, 120), 2), ((150, 400), 0)}
+    cases = [c for c in _sparse_norm_cases(np.random.default_rng(67)) if c[1:3] in picked]
+    assert len(cases) == 3
+    monkeypatch.setattr(lanczos, "MAX_STEPS", 2)
+    for nonzeros, shape, repeat, P in cases:
+        want = spectral_norm(P)
+        got = sparse_norm(*nonzeros, shape, repeat)
+        assert abs(got - want) <= 1e-13 * want, (shape, repeat)
+    assert krylov_runs == [None] * 3
+
+
+def test_sparse_norm_special_values(krylov_runs):
+    """All-zero values (negative zeros included) give 0.0, a NaN value NaN
+    and an inf value inf, at every repeat, before any Lanczos run."""
+    rows, cols = np.array([0, 3, 5]), np.array([1, 0, 4])
+    for repeat in (0, 2):
+        for vals, want in (([0.0, -0.0, complex(0.0, -0.0)], 0.0),
+                           ([1.0, np.inf, 2j], np.inf),
+                           ([1.0, np.inf, complex(0.0, np.nan)], np.nan)):
+            got = sparse_norm(rows, cols, np.array(vals, dtype=complex), (6, 3), repeat)
+            assert got == want or (np.isnan(want) and np.isnan(got)), (vals, repeat)
+    assert krylov_runs == []
 
 
 def test_spectral_norm_selection(monkeypatch):

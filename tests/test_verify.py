@@ -1,13 +1,15 @@
 """A check's residual is one fold over its cases: the largest, at least 0,
-and NaN when any case is NaN, so that a NaN case fails the record."""
+and NaN when any case is NaN, so that a NaN case fails the record; its
+margin is tolerance - residual."""
 import math
 
 import numpy as np
 import pytest
 
 from ncdomains import verify
-from ncdomains.corpus import builtin_corpus
+from ncdomains.corpus import builtin_corpus, random_spec
 from ncdomains.report import FAIL, PASS, VerificationReport
+from ncdomains.weights import hyperball_spec
 
 
 @pytest.mark.parametrize("residuals, status, residual", [
@@ -18,10 +20,12 @@ from ncdomains.report import FAIL, PASS, VerificationReport
     (2e-10, FAIL, 2e-10),
 ])
 def test_check_folds_residuals(residuals, status, residual):
-    rec = VerificationReport({}).check("suite.case", "identity", residuals, 1e-10)
+    rec = VerificationReport({}).check("suite.case", "identity", residuals, 1e-10,
+                                       {"seed": 3})
     assert rec.status == status
     assert type(rec.residual) is float
     np.testing.assert_equal(rec.residual, residual)
+    np.testing.assert_equal(rec.detail, {"seed": 3, "margin": 1e-10 - residual})
 
 
 def _statuses(source=None, monkeypatch=None) -> dict[str, tuple[str, float]]:
@@ -86,3 +90,17 @@ def test_radius_record_carries_smallest_margin(monkeypatch):
     assert len(margins) == 12
     assert rec.status == PASS and rec.detail == {"min_margin": min(margins)}
     assert min(margins) > 0
+
+
+@pytest.mark.parametrize("spec", [
+    hyperball_spec(3, 2),
+    hyperball_spec(4, 1),
+    random_spec(np.random.default_rng(83), 2, 2),
+    random_spec(np.random.default_rng(89), 3, 2),
+], ids=["hyperball_n3_m2", "hyperball_n4_m1", "random_n2_m2", "random_n3_m2"])
+def test_full_suite_off_corpus(spec):
+    """Every suite passes at N = 3 on specs outside the builtin corpus, whose
+    specs have at most two letters and unit linear coefficients."""
+    report = VerificationReport({})
+    verify.full_suite(spec, 3, report)
+    assert report.checks and report.passed, [c.check_id for c in report.failures]
