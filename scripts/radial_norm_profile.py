@@ -20,6 +20,8 @@ def main():
     ap.add_argument("--max-len", type=int, default=4)
     ap.add_argument("--symbols", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--aux-dim", type=int, default=1,
+                    help="coefficient dimension of the symbols (default 1)")
     args = ap.parse_args()
 
     spec = resolve_spec(args.spec)
@@ -28,7 +30,8 @@ def main():
     radii = [k / 10 for k in range(1, 11)]
     print("r:      " + "  ".join(f"{r:6.2f}" for r in radii))
     for s in range(args.symbols):
-        sym = random_symbol(rng, spec.n, max_len=min(2, args.max_len - 1))
+        sym = random_symbol(rng, spec.n, max_len=min(2, args.max_len - 1),
+                            aux_dim=args.aux_dim)
         norms, violations = norm_profile(sym, table, radii, args.max_len)
         line = "  ".join(f"{v:6.3f}" for v in norms)
         flag = "  MONOTONICITY VIOLATION" if violations else ""

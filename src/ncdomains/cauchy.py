@@ -13,9 +13,10 @@ word_index * k + p), the layout of the Berezin kernel.  Its Neumann sum
 never forms R: each step applies R to the k columns through the model's
 shift maps (TruncatedModel.apply), so the work and memory grow with the
 nonzeros of R, about |supp q| D k^2, not with (D k)^2.  Only
-radius_inequality_check assembles R; where R is large and sparse it keeps
-only the nonzeros and takes the norms of the powers R^k from them with
-fock.sparse_norm, so no power of R is formed.
+radius_inequality_check reads R as a whole.  Where R is large and sparse it
+takes R's nonzeros from its terms (TruncatedModel.krylov_nonzeros) and the
+norms of the powers R^k from them with fock.sparse_norm, so neither R nor
+a power of R is formed; only below that cut-over does it assemble R.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ from math import sqrt
 import numpy as np
 
 from .berezin import OperatorTuple
-from .fock import (TruncatedOperator, cp_map_terms, cp_orbit_norms, krylov_nonzeros,
-                   sparse_norm, spectral_norm, truncated_model, word_products)
+from .fock import (TruncatedOperator, cp_map_terms, cp_orbit_norms, sparse_norm,
+                   spectral_norm, truncated_model, word_products)
 from .toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_to_operator
 from .weights import DomainSpec, WeightTable
 from .words import EMPTY, Word, fock_dimension, reverse
@@ -193,10 +194,12 @@ def radius_inequality_check(spec: DomainSpec, X: OperatorTuple, N: int,
 
     R raises word length by at least 1, so ||R^k|| = ||R^k E_k||, E_k keeping
     the columns of the words of length <= N - k.  Where spectral_norm would
-    take its Krylov path on R, only R's nonzeros are kept and each norm is
-    sparse_norm's ||R^(k-1) (R E_k)||, so no power of R is formed; otherwise
-    the products R^k E_k are dense.  Either way R itself is released before
-    the first norm is taken.
+    take its Krylov path on R, R's nonzeros come from its terms (the ones
+    fock.krylov_nonzeros would read from the assembled R, bit for bit) and
+    each norm is sparse_norm's ||R^(k-1) (R E_k)||, so neither R nor a
+    power of R is formed.  Otherwise reconstruction_operator assembles R,
+    the products R^k E_k are dense, and R is released before the first norm
+    is taken.
 
     Ritz values err low and ||R^k|| is the smaller side, so an early Lanczos
     stop could hide a violation; the stopping rule keeps that error within
@@ -204,18 +207,19 @@ def radius_inequality_check(spec: DomainSpec, X: OperatorTuple, N: int,
     corpus specs at N = 7 and 8 the margins matched the dense ones within
     8e-16; the smallest at gated tuples were 0 (equality, q = Z_1 + Z_2,
     m = 1) and 3e-4."""
-    R = reconstruction_operator(spec, X, N, table).matrix
+    model = truncated_model(table, N)
     phi_norms = cp_orbit_norms(spec, X.matrices, N)
     phi_norms += [0.0] * (N - len(phi_norms))  # Phi^k(I) stays zero after a zero
     live = [fock_dimension(spec.n, N - k) * X.dim for k in range(1, N + 1)]
-    side = R.shape[0]
-    nonzeros = krylov_nonzeros(R)
-    powers = _dense_powers(R, live) if nonzeros is None else None
-    del R
+    nonzeros = model.krylov_nonzeros(_reconstruction_terms(spec, X), X.dim, left=False)
     if nonzeros is None:
+        R = reconstruction_operator(spec, X, N, table).matrix
+        powers = _dense_powers(R, live)
+        del R
         # smallest first, each power dropped once its norm is taken
         lhs_norms = [spectral_norm(powers.pop()) for _ in live][::-1]
     else:
+        side = model.dimension * X.dim
         lhs_norms = [sparse_norm(*nonzeros, (side, cols), repeat)
                      for repeat, cols in enumerate(live)]
     margins = []

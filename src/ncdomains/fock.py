@@ -33,13 +33,17 @@ Operator norms are computed by spectral_norm, on one of two paths, after
 scaling by the largest entry.  The dense path takes the square root of the
 largest eigenvalue of the Gram matrix of the nonzero block, after dropping
 the all-zero rows and columns (which carry no singular value).  A large
-sparse input, smaller side >= KRYLOV_MIN_SIDE and nonzeros at most
+sparse input takes the Krylov path instead, by the one rule
+takes_krylov_path: smaller side >= KRYLOV_MIN_SIDE and nonzeros at most
 KRYLOV_MAX_DENSITY of the entries (a model operator at depth 8 with aux
-dim 2 is about 1% nonzero), takes the Krylov path instead: krylov_nonzeros
-reads the nonzeros of A without a dense |A| copy, and sparse_norm takes the
-norm from them by Lanczos on A^* A (lanczos.py), which reads A only through
-the nonzero_products x -> A x and y -> A^* y, with the dense path as its
-fallback.  sparse_norm is the package's one Krylov norm: it also takes the
+dim 2 is about 1% nonzero).  krylov_nonzeros reads the nonzeros of a matrix
+A without a dense |A| copy, and sparse_norm takes the norm from them by
+Lanczos on A^* A (lanczos.py), which reads A only through the
+nonzero_products x -> A x and y -> A^* y, with the dense path as its
+fallback.  A model operator's norm, TruncatedModel.norm, needs no matrix
+on that path: TruncatedModel.nonzeros scatters the same nonzeros from the
+shift maps, so the norm is bitwise spectral_norm's of the assembled
+operator.  sparse_norm is the package's one Krylov norm: it also takes the
 radius inequality's ||R^k E|| (cauchy.py) over k-fold products on the
 nonzeros of R, so no power of R is formed.
 A Ritz value lower-bounds sigma_max^2, as reported norms of compressions
@@ -93,14 +97,22 @@ KRYLOV_MIN_SIDE = 512
 KRYLOV_MAX_DENSITY = 0.05
 
 
+def takes_krylov_path(shape: tuple[int, int], nonzeros: int = 0) -> bool:
+    """The Krylov rule of spectral_norm, for a matrix of the given shape with
+    that many nonzero entries: its smaller side is >= KRYLOV_MIN_SIDE and at
+    most KRYLOV_MAX_DENSITY of its entries are nonzero.  With the default
+    count of 0 it reads the side alone, so that a caller need not count the
+    nonzeros of a matrix the rule rejects by its side."""
+    return (min(shape) >= KRYLOV_MIN_SIDE
+            and nonzeros <= KRYLOV_MAX_DENSITY * (shape[0] * shape[1]))
+
+
 def krylov_nonzeros(M: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(rows, cols, vals), the nonzero entries of M, when M takes the Krylov
-    path of spectral_norm: its smaller side is >= KRYLOV_MIN_SIDE and at
-    most KRYLOV_MAX_DENSITY of its entries are nonzero.  None otherwise.
-    M is read only through np.count_nonzero and np.nonzero, never copied."""
-    if (min(M.shape) >= KRYLOV_MIN_SIDE
-            and np.count_nonzero(M) <= KRYLOV_MAX_DENSITY * M.size):
+    path of spectral_norm (takes_krylov_path); None otherwise.  M is read
+    only through np.count_nonzero and np.nonzero, never copied."""
+    if takes_krylov_path(M.shape) and takes_krylov_path(M.shape, np.count_nonzero(M)):
         rows, cols = np.nonzero(M)
         return rows, cols, M[rows, cols]
     return None
@@ -278,6 +290,57 @@ class TruncatedModel:
             M[dst_a[:g], :, dst_b[:g], :] += ((c * w_a[:g] * w_b[:g])[:, None, None]
                                               * _block(B, d))
         return TruncatedOperator(self, M.reshape(D * d, D * d), d)
+
+    def nonzeros(self, terms, d: int = 1, left: bool = True
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals), the nonzero entries of operator(terms, d, left)
+        exactly as np.nonzero reads them from its matrix, which is never
+        formed: in row-major order, exact zeros dropped and NaN kept.  Each
+        term's blocks come from operator's expression, and the terms that
+        meet on one entry are summed in term order from 0, as by its +=."""
+        side = self.dimension * d
+        aux = np.arange(d)
+        # the empty heads keep an empty term list valid and the values complex
+        flat, vals = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=complex)]
+        for alpha, beta, c, B in terms:
+            dst_a, src_a, w_a = self.shift(alpha, left)
+            dst_b, src_b, w_b = self.shift(beta, left)
+            g = min(len(src_a), len(src_b))
+            blocks = (c * w_a[:g] * w_b[:g])[:, None, None] * _block(B, d)
+            # entry (p, i, j) of the blocks is entry (dst_a[p] d + i, dst_b[p] d + j)
+            flat.append(((dst_a[:g, None, None] * d + aux[:, None]) * side
+                         + dst_b[:g, None, None] * d + aux).ravel())
+            vals.append(blocks.ravel())
+        entries, entry = np.unique(np.concatenate(flat), return_inverse=True)
+        summed = np.zeros(len(entries), dtype=complex)
+        # unbuffered, one value at a time in term order, from 0
+        np.add.at(summed, entry, np.concatenate(vals))
+        keep = summed != 0
+        rows, cols = np.divmod(entries[keep], side)
+        return rows, cols, summed[keep]
+
+    def krylov_nonzeros(self, terms, d: int = 1, left: bool = True
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """nonzeros(terms, d, left) when the operator takes the Krylov path of
+        spectral_norm (takes_krylov_path on its side and nonzero count), None
+        otherwise; the nonzeros are built only for a side the rule admits."""
+        shape = (self.dimension * d,) * 2
+        if takes_krylov_path(shape):
+            nonzeros = self.nonzeros(terms, d, left)
+            if takes_krylov_path(shape, len(nonzeros[2])):
+                return nonzeros
+        return None
+
+    def norm(self, terms, d: int = 1, left: bool = True) -> float:
+        """spectral_norm(operator(terms, d, left).matrix), bitwise: on the
+        Krylov path sparse_norm of nonzeros(terms, d, left), the nonzeros
+        krylov_nonzeros would read from the matrix, which is then never
+        formed; otherwise the norm of the assembled matrix."""
+        nonzeros = self.krylov_nonzeros(terms, d, left)
+        if nonzeros is None:
+            return spectral_norm(self.operator(terms, d, left).matrix)
+        side = self.dimension * d
+        return sparse_norm(*nonzeros, (side, side))
 
     def apply(self, terms, V: np.ndarray, d: int = 1, left: bool = True) -> np.ndarray:
         """operator(terms, d, left).matrix @ V without forming the matrix: one

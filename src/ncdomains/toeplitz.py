@@ -203,10 +203,14 @@ def symbol_to_operator(sym: MultiToeplitzSymbol, table: WeightTable,
                        r: float, N: int) -> TruncatedOperator:
     """Assemble phi(rW) on the truncation; at r = 1 this is the compression
     of phi(W) (finite support makes it meaningful)."""
+    _check_support(sym, N)
+    return truncated_model(table, N).operator(sym.terms(r), sym.aux_dim)
+
+
+def _check_support(sym: MultiToeplitzSymbol, N: int) -> None:
     if sym.max_order > N:
         raise TruncationExceededError(
             f"symbol support {sym.max_order} exceeds truncation {N}")
-    return truncated_model(table, N).operator(sym.terms(r), sym.aux_dim)
 
 
 def evaluate_symbol(sym: MultiToeplitzSymbol, X: Sequence[np.ndarray],
@@ -219,10 +223,13 @@ def evaluate_symbol(sym: MultiToeplitzSymbol, X: Sequence[np.ndarray],
 def norm_profile(sym: MultiToeplitzSymbol, table: WeightTable, radii, N: int):
     """||phi(r W_N)|| per radius.  Each value is a lower bound of the
     untruncated norm, nondecreasing in N; the profile must be nondecreasing
-    in r up to MONOTONE_TOL; a NaN norm counts as a violation."""
-    norms = []
-    for r in radii:
-        norms.append(symbol_to_operator(sym, table, float(r), N).norm())
+    in r up to MONOTONE_TOL; a NaN norm counts as a violation.  Each norm is
+    TruncatedModel.norm of phi(rW_N)'s terms, equal to that of
+    symbol_to_operator(sym, table, r, N), which it forms only below the
+    Krylov cut-over."""
+    _check_support(sym, N)
+    model = truncated_model(table, N)
+    norms = [model.norm(sym.terms(float(r)), sym.aux_dim) for r in radii]
     violations = [(float(radii[i]), float(radii[i + 1]))
                   for i in range(len(norms) - 1)
                   if not norms[i] <= norms[i + 1] + MONOTONE_TOL]

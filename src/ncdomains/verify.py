@@ -14,7 +14,7 @@ from math import sqrt
 import numpy as np
 
 from .berezin import (OperatorTuple, berezin_kernel, berezin_transform,
-                      hereditary_eval, hereditary_model_operator,
+                      hereditary_eval, hereditary_model_operator, hereditary_terms,
                       intertwining_residual, mean_value_check)
 from .cauchy import (analytic_functional_calculus, cauchy_kernel,
                      cauchy_kernel_fourier_residual, cauchy_transform,
@@ -146,7 +146,7 @@ def berezin_suite(table: WeightTable, report: VerificationReport, seed: int = 0,
         inter.append(intertwining_residual(K, X, table, N))
         poly = random_hereditary(rng, spec.n, max_deg=2)
         lhs = spectral_norm(hereditary_eval(X, poly))
-        rhs = hereditary_model_operator(poly, table, N).norm()
+        rhs = truncated_model(table, N).norm(hereditary_terms(poly))
         vn.append(lhs - rhs)
 
         sym = random_symbol(rng, spec.n, max_len=2)

@@ -61,11 +61,11 @@ print(json.dumps({"codes": codes, "calls": calls}))
 """
 
 
-# cauchy --tuple at the depth of the cli_files_n7 workload, where the radius
-# inequality takes its Krylov path; prints the exit code, the traced cauchy
-# calls and the number of Lanczos runs
-TRACED_CAUCHY_TUPLE = """
+# one cauchy command, its arguments given as argv[1:]; prints the exit code,
+# the traced cauchy calls and the number of Lanczos runs
+TRACED_CAUCHY = """
 import json
+import sys
 import spans
 import ncdomains.cli
 from ncdomains import lanczos
@@ -74,8 +74,7 @@ helper = lanczos.top_singular_value
 lanczos.top_singular_value = lambda *args: runs.append(1) or helper(*args)
 tracer = spans.Tracer()
 spans.install(tracer)
-code = ncdomains.cli.main(["cauchy", "--spec", "mixed_n2_m2", "--max-len", "7",
-                           "--tuple", "Xg.json"])
+code = ncdomains.cli.main(["cauchy", "--spec", "mixed_n2_m2", *sys.argv[1:]])
 calls = {name: f["calls"] for name, f in tracer.summary()["functions"].items()
          if name.startswith("cauchy.")}
 print(json.dumps({"code": code, "calls": calls, "lanczos_runs": len(runs)}))
@@ -129,16 +128,31 @@ def test_traced_suite_commands_call_their_suite():
 
 
 def test_traced_cauchy_tuple_calls_the_listed_functions(tmp_path):
-    """cauchy --tuple at N = 7 with tuple dim 3 takes the radius inequality's
-    Krylov path and still assembles R once through the listed
-    reconstruction_operator, the one caller the spans list relies on."""
+    """cauchy --tuple at N = 7 with tuple dim 3 (side 765) takes the radius
+    inequality's Krylov path, one Lanczos run per power, on R's nonzeros
+    from its terms: the dense R of reconstruction_operator is not formed."""
     spec = builtin_corpus()["mixed_n2_m2"]
     X = random_gated_tuple(np.random.default_rng(0), spec, dim=3, target_radius=0.6)
     dump_json(tuple_to_json(X), tmp_path / "Xg.json")
-    proc = traced(TRACED_CAUCHY_TUPLE, cwd=tmp_path)
+    proc = traced(TRACED_CAUCHY, "--max-len", "7", "--tuple", "Xg.json", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["code"] == 0
-    assert got["calls"]["cauchy.reconstruction_operator"] == 1
+    assert got["calls"]["cauchy.reconstruction_operator"] == 0
     assert got["calls"]["cauchy.radius_inequality_check"] == 1
     assert got["lanczos_runs"] == 7
+
+
+def test_traced_cauchy_suite_calls_reconstruction_operator():
+    """The cauchy suite at depth 5, as in the corpus_n5 workload, keeps the
+    radius inequality below the Krylov cut-over (side 189): each check
+    assembles R through the listed reconstruction_operator, so the spans
+    list's function is still called."""
+    proc = traced(TRACED_CAUCHY, "--max-len", "5")
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["code"] == 0
+    checks = got["calls"]["cauchy.radius_inequality_check"]
+    assert checks > 0
+    assert got["calls"]["cauchy.reconstruction_operator"] == checks
+    assert got["lanczos_runs"] == 0

@@ -25,7 +25,7 @@ from ncdomains.serialization import dump_json, tuple_to_json
 from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from ncdomains.verify import full_suite
 from ncdomains.weights import weights_by_factorization
-from ncdomains.words import EMPTY, enumerate_words, reverse
+from ncdomains.words import EMPTY, enumerate_words, fock_dimension, reverse
 
 
 def test_creation_matrix_entries(ball2_table):
@@ -355,6 +355,114 @@ def test_apply_matches_operator():
             assert np.max(np.abs(got - R @ V)) <= 1e-13, (name, N)
     with pytest.raises(ValueError, match="rows"):
         model.apply([((1,), EMPTY, 1, 1)], np.zeros((D + 1, 2)))
+
+
+def _assert_nonzeros_bitwise(model, terms, d, left):
+    """model.nonzeros against np.nonzero of the assembled matrix: the same
+    rows and cols in the same order, the same value bits."""
+    M = model.operator(terms, d, left).matrix
+    rows, cols = np.nonzero(M)
+    got_rows, got_cols, got_vals = model.nonzeros(terms, d, left)
+    assert got_rows.dtype == rows.dtype and got_cols.dtype == cols.dtype
+    assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
+    assert got_vals.dtype == complex and got_vals.tobytes() == M[rows, cols].tobytes()
+    return got_vals
+
+
+@pytest.mark.parametrize("name", sorted(builtin_corpus()))
+def test_nonzeros_match_np_nonzero(name):
+    """TruncatedModel.nonzeros is np.nonzero of the assembled operator, bit
+    for bit, at N <= 6, aux dim 1-3, on W and Lambda: symbol terms; the
+    terms of R, whose nilpotent X_beta^* hold exact zeros (all of them at
+    dim 1); and the hereditary pair W_1 W_n^*, W_11 W_n1^*, which meet on
+    the entries (1 1 gamma, n 1 gamma) and are summed there."""
+    spec = builtin_corpus()[name]
+    table = weights_by_factorization(spec, 6)
+    rng = np.random.default_rng(sorted(builtin_corpus()).index(name) + 100)
+    n = spec.n
+    pair = [((1,), (n,), 1, 1), ((1, 1), (n, 1), 1, 1)]
+    for N in (0, 1, 3, 6):
+        model = truncated_model(table, N)
+        for d in (1, 2, 3):
+            sym = random_symbol(rng, n, max_len=min(N, 3), aux_dim=d).terms(0.7)
+            R = cauchy._reconstruction_terms(spec, random_nilpotent_tuple(rng, spec, dim=d))
+            for left in (True, False):
+                for terms in (sym, R, pair):
+                    _assert_nonzeros_bitwise(model, terms, d, left)
+    # the first term alone has an entry per |gamma| <= 5, and the second
+    # meets it on each of its own
+    summed = _assert_nonzeros_bitwise(truncated_model(table, 6), pair, 1, True)
+    assert len(summed) == fock_dimension(n, 5)
+
+
+def test_nonzeros_special_values(mixed_table):
+    """Blocks holding -0.0 (alone or beside a nonzero part), NaN and inf,
+    terms that cancel exactly, a -0.0 coefficient and no terms at all: zeros
+    are dropped whatever their sign, NaN is kept (inf - inf included), and
+    sums start from 0, as the assembled matrix's do."""
+    model = truncated_model(mixed_table, 4)
+    B = np.array([[-0.0, np.nan, complex(-0.0, 2.0)],
+                  [complex(0.0, -0.0), 1.5, np.inf],
+                  [complex(-0.0, -0.0), complex(3.0, -0.0), -np.inf]])
+    cases = [
+        [((1,), EMPTY, 1.0, B), (EMPTY, (2,), 0.5, B.T)],
+        [((1,), EMPTY, 1.0, B), ((1,), EMPTY, -1.0, B)],
+        [((2, 1), (1,), 2.0, 1), ((2, 1), (1,), -2.0, 1),
+         (EMPTY, EMPTY, -0.0, np.where(np.isfinite(B), B, 1.0))],
+        [((1,), (2,), 1j, np.eye(3)), ((1, 1), (2, 1), -1j, np.eye(3))],
+        [],
+    ]
+    with np.errstate(invalid="ignore"):  # inf - inf, in both assemblies
+        for terms in cases:
+            for left in (True, False):
+                _assert_nonzeros_bitwise(model, terms, 3, left)
+        vals = model.nonzeros(cases[1], 3)[2]
+    assert len(vals) and np.isnan(vals).all()  # +-inf - +-inf and NaN - NaN
+    assert len(model.nonzeros(cases[2], 3)[2]) == 0
+
+
+# (spec, N, aux dim) on the Krylov path: sides 1022 and 1023
+MODEL_NORM_CASES = (("mixed_n2_m2", 8, 2), ("hyperball_n2_m1", 9, 1))
+
+
+def test_model_norm_matches_spectral_norm(krylov_runs):
+    """TruncatedModel.norm from the nonzeros equals spectral_norm of the
+    assembled operator bit for bit, on W and Lambda, with symbol terms."""
+    rng = np.random.default_rng(67)
+    for name, N, d in MODEL_NORM_CASES:
+        model = truncated_model(weights_by_factorization(builtin_corpus()[name], N), N)
+        for left in (True, False):
+            terms = random_symbol(rng, 2, 2, aux_dim=d).terms(0.9)
+            got = model.norm(terms, d, left)
+            want = spectral_norm(model.operator(terms, d, left).matrix)
+            assert got == want and got > 0, (N, d, left)
+    assert len(krylov_runs) == 8 and None not in krylov_runs
+    assert krylov_runs[0::2] == krylov_runs[1::2]
+
+
+def test_model_norm_falls_back_to_dense(monkeypatch, krylov_runs):
+    """Where the density rule rejects the nonzeros, the norm is the dense
+    path's, as for spectral_norm of the assembled matrix."""
+    name, N, d = MODEL_NORM_CASES[0]
+    model = truncated_model(weights_by_factorization(builtin_corpus()[name], N), N)
+    terms = random_symbol(np.random.default_rng(73), 2, 2, aux_dim=d).terms(0.9)
+    monkeypatch.setattr(fock, "KRYLOV_MAX_DENSITY", 1e-4)
+    assert model.krylov_nonzeros(terms, d) is None
+    assert model.norm(terms, d) == spectral_norm(model.operator(terms, d).matrix)
+    assert krylov_runs == []
+
+
+def test_model_norm_memory(traced_peak, krylov_runs):
+    """The norm of an aux-2 symbol operator at N = 9 (side 2046) from its
+    nonzeros: 4.4 MB traced, the nonzeros and the Lanczos basis, where the
+    dense matrix alone is 67 MB (72.5 MB traced through it)."""
+    spec = builtin_corpus()["mixed_n2_m2"]
+    model = truncated_model(weights_by_factorization(spec, 9), 9)
+    terms = random_symbol(np.random.default_rng(5), 2, 2, aux_dim=2).terms(0.9)
+    peak, got = traced_peak(model.norm, terms, 2)
+    assert peak < 12e6, peak
+    assert len(krylov_runs) == 1 and krylov_runs[0] is not None
+    assert got > 0
 
 
 def test_scalar_term_block_is_identity(mixed_table):

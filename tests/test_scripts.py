@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # small arguments per script, so each run takes about a second
 SCRIPTS = {
     "gelfand_convergence.py": ["--dim", "2", "--tuples", "1", "--k-max", "5"],
-    "radial_norm_profile.py": ["--max-len", "2", "--symbols", "1"],
+    "radial_norm_profile.py": ["--max-len", "2", "--symbols", "1", "--aux-dim", "2"],
     "weight_growth.py": ["--max-len", "2"],
 }
 

@@ -109,11 +109,28 @@ def test_norm_profile_monotone(ball2_table):
     assert violations == [(0.5, 1.0)]
 
 
+def test_norm_profile_on_krylov_path_assembles_nothing(deep_table, monkeypatch):
+    """At depth 8 with aux dim 2 (side 1022) the profile's norms come from
+    the nonzeros alone and equal the assembled operators' norms bitwise."""
+    sym = random_symbol(np.random.default_rng(13), 2, max_len=2, aux_dim=2)
+    radii = [0.5, 0.9, 1.0]
+    want = [symbol_to_operator(sym, deep_table, r, 8).norm() for r in radii]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("model operator assembled")
+
+    monkeypatch.setattr(type(truncated_model(deep_table, 8)), "operator", forbidden)
+    norms, violations = norm_profile(sym, deep_table, radii, 8)
+    assert norms == want and violations == []
+
+
 def test_symbol_support_exceeds_truncation(ball2_table):
     from ncdomains.weights import TruncationExceededError
     sym = MultiToeplitzSymbol.scalar(A={(1,) * 5: 1.0})
     with pytest.raises(TruncationExceededError):
         symbol_to_operator(sym, ball2_table, 1.0, 3)
+    with pytest.raises(TruncationExceededError):
+        norm_profile(sym, ball2_table, [1.0], 3)
 
 
 @pytest.mark.parametrize("n", [1, 2])
