@@ -397,7 +397,8 @@ def test_nonzeros_match_np_nonzero(name):
 
 def test_nonzeros_special_values(mixed_table):
     """Blocks holding -0.0 (alone or beside a nonzero part), NaN and inf,
-    terms that cancel exactly, a -0.0 coefficient and no terms at all: zeros
+    terms that cancel exactly, a -0.0 coefficient, three terms on one block
+    and no terms at all: zeros
     are dropped whatever their sign, NaN is kept (inf - inf included), and
     sums start from 0, as the assembled matrix's do."""
     model = truncated_model(mixed_table, 4)
@@ -410,6 +411,8 @@ def test_nonzeros_special_values(mixed_table):
         [((2, 1), (1,), 2.0, 1), ((2, 1), (1,), -2.0, 1),
          (EMPTY, EMPTY, -0.0, np.where(np.isfinite(B), B, 1.0))],
         [((1,), (2,), 1j, np.eye(3)), ((1, 1), (2, 1), -1j, np.eye(3))],
+        [((1,), EMPTY, 0.1, 1), (EMPTY, (2,), 0.3, 1), ((1,), EMPTY, 0.7, 1),
+         ((1,), EMPTY, 0.2, 1)],  # three terms on one block, summed in order
         [],
     ]
     with np.errstate(invalid="ignore"):  # inf - inf, in both assemblies
