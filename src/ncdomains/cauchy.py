@@ -195,7 +195,7 @@ def radius_inequality_check(spec: DomainSpec, X: OperatorTuple, N: int,
     R raises word length by at least 1, so ||R^k|| = ||R^k E_k||, E_k keeping
     the columns of the words of length <= N - k.  Where spectral_norm would
     take its Krylov path on R, R's nonzeros come from its terms (the ones
-    fock.krylov_nonzeros would read from the assembled R, bit for bit) and
+    spectral_norm would read from the assembled R, bit for bit) and
     each norm is sparse_norm's ||R^(k-1) (R E_k)||, so neither R nor a
     power of R is formed.  Otherwise reconstruction_operator assembles R,
     the products R^k E_k are dense, and R is released before the first norm

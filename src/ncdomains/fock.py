@@ -36,7 +36,7 @@ the all-zero rows and columns (which carry no singular value).  A large
 sparse input takes the Krylov path instead, by the one rule
 takes_krylov_path: smaller side >= KRYLOV_MIN_SIDE and nonzeros at most
 KRYLOV_MAX_DENSITY of the entries (a model operator at depth 8 with aux
-dim 2 is about 1% nonzero).  krylov_nonzeros reads the nonzeros of a matrix
+dim 2 is about 1% nonzero).  spectral_norm reads the nonzeros of a matrix
 A without a dense |A| copy, and sparse_norm takes the norm from them by
 Lanczos on A^* A (lanczos.py), which reads A only through the
 nonzero_products x -> A x and y -> A^* y, with the dense path as its
@@ -107,17 +107,6 @@ def takes_krylov_path(shape: tuple[int, int], nonzeros: int = 0) -> bool:
             and nonzeros <= KRYLOV_MAX_DENSITY * (shape[0] * shape[1]))
 
 
-def krylov_nonzeros(M: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(rows, cols, vals), the nonzero entries of M, when M takes the Krylov
-    path of spectral_norm (takes_krylov_path); None otherwise.  M is read
-    only through np.count_nonzero and np.nonzero, never copied."""
-    if takes_krylov_path(M.shape) and takes_krylov_path(M.shape, np.count_nonzero(M)):
-        rows, cols = np.nonzero(M)
-        return rows, cols, M[rows, cols]
-    return None
-
-
 def nonzero_products(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                      shape: tuple[int, int], repeat: int = 0):
     """x -> A^repeat B x and y -> B^* (A^*)^repeat y, by np.bincount over the
@@ -184,15 +173,16 @@ def spectral_norm(M: np.ndarray) -> float:
     a matrix with a NaN entry gives NaN, and one with an infinite entry (and
     no NaN) gives inf.
 
-    When krylov_nonzeros selects M, the norm is sparse_norm of its nonzeros,
+    When takes_krylov_path selects M, by its shape and then by its count of
+    nonzeros, the norm is sparse_norm of the nonzeros np.nonzero reads,
     which takes the scale from the nonzero values, so it makes no dense copy
     of M.  Otherwise the all-zero rows and columns are dropped, since they
     carry no singular value, and the norm is the square root of the largest
     eigenvalue of the smaller Gram matrix.
     """
-    nonzeros = krylov_nonzeros(M)
-    if nonzeros is not None:
-        return sparse_norm(*nonzeros, M.shape)
+    if takes_krylov_path(M.shape) and takes_krylov_path(M.shape, np.count_nonzero(M)):
+        rows, cols = np.nonzero(M)
+        return sparse_norm(rows, cols, M[rows, cols], M.shape)
     return _dense_norm(M)
 
 
@@ -281,15 +271,21 @@ class TruncatedModel:
         D = self.dimension
         # (row word, row aux, column word, column aux): the word-major layout
         M = np.zeros((D, d, D, d), dtype=complex)
+        for row_words, col_words, weight, B in self._walk(terms, left):
+            M[row_words, :, col_words, :] += weight[:, None, None] * _block(B, d)
+        return TruncatedOperator(self, M.reshape(D * d, D * d), d)
+
+    def _walk(self, terms, left: bool):
+        """Per term (alpha, beta, c, B): the row words alpha gamma, the column
+        words beta gamma and the weights c w_alpha(gamma) w_beta(gamma) of
+        W_alpha W_beta^* (Lambda when left is False), and B."""
         for alpha, beta, c, B in terms:
             dst_a, src_a, w_a = self.shift(alpha, left)
             dst_b, src_b, w_b = self.shift(beta, left)
             # both sources lead the graded basis, so the common gammas are the
             # shorter of the two
             g = min(len(src_a), len(src_b))
-            M[dst_a[:g], :, dst_b[:g], :] += ((c * w_a[:g] * w_b[:g])[:, None, None]
-                                              * _block(B, d))
-        return TruncatedOperator(self, M.reshape(D * d, D * d), d)
+            yield dst_a[:g], dst_b[:g], c * w_a[:g] * w_b[:g], B
 
     def nonzeros(self, terms, d: int = 1, left: bool = True
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -307,12 +303,8 @@ class TruncatedModel:
         about 0.4 MB of code pages to the peak RSS of `cauchy --tuple`."""
         D = self.dimension
         blocks = []
-        for alpha, beta, c, B in terms:
-            dst_a, src_a, w_a = self.shift(alpha, left)
-            dst_b, src_b, w_b = self.shift(beta, left)
-            g = min(len(src_a), len(src_b))
-            blocks.append((dst_a[:g], dst_b[:g],
-                           (c * w_a[:g] * w_b[:g])[:, None, None] * _block(B, d)))
+        for row_words, col_words, weight, B in self._walk(terms, left):
+            blocks.append((row_words, col_words, weight[:, None, None] * _block(B, d)))
         # col[w, t]: the column word of term t's block in block row w, D if none
         col = np.full((D, len(blocks)), D, dtype=np.intp)
         for t, (row_words, col_words, _) in enumerate(blocks):
@@ -356,7 +348,7 @@ class TruncatedModel:
     def norm(self, terms, d: int = 1, left: bool = True) -> float:
         """spectral_norm(operator(terms, d, left).matrix), bitwise: on the
         Krylov path sparse_norm of nonzeros(terms, d, left), the nonzeros
-        krylov_nonzeros would read from the matrix, which is then never
+        spectral_norm would read from the matrix, which is then never
         formed; otherwise the norm of the assembled matrix."""
         nonzeros = self.krylov_nonzeros(terms, d, left)
         if nonzeros is None:
@@ -373,15 +365,11 @@ class TruncatedModel:
             raise ValueError(f"V has {V.shape[0]} rows, expected {D} x aux_dim {d}")
         V3 = V.reshape(D, d, -1)
         out = np.zeros(V3.shape, dtype=complex)
-        for alpha, beta, c, B in terms:
-            dst_a, src_a, w_a = self.shift(alpha, left)
-            dst_b, src_b, w_b = self.shift(beta, left)
-            g = min(len(src_a), len(src_b))
-            scale = c * w_a[:g] * w_b[:g]
+        for row_words, col_words, weight, B in self._walk(terms, left):
             if np.ndim(B) == 0:
-                out[dst_a[:g]] += (scale * B)[:, None, None] * V3[dst_b[:g]]
+                out[row_words] += (weight * B)[:, None, None] * V3[col_words]
             else:
-                out[dst_a[:g]] += scale[:, None, None] * (B @ V3[dst_b[:g]])
+                out[row_words] += weight[:, None, None] * (B @ V3[col_words])
         return out.reshape(V.shape)
 
 

@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .berezin import mean_value_check
-from .fock import TruncatedOperator, spectral_norm, truncated_model
-from .toeplitz import (MultiToeplitzSymbol, evaluate_symbol, max_block_difference,
-                       norm_profile, symbol_to_operator)
+from .fock import TruncatedOperator, truncated_model
+from .toeplitz import (MultiToeplitzSymbol, check_support, evaluate_symbol,
+                       max_block_difference, norm_profile)
 from .weights import WeightTable
 from .words import EMPTY, Word
 
@@ -76,8 +76,6 @@ def gamma_kernel(F: PluriharmonicFunction, table: WeightTable, r: float,
     when omega = alpha gamma (A_(()) + A_(())^* on the diagonal), its adjoint
     when gamma = alpha omega, and zero when the words are incomparable.
     """
-    if order > table.N:
-        raise ValueError(f"order {order} exceeds table depth {table.N}")
     d = F.aux_dim
     A = F.symbol.A
     model = truncated_model(table, order)
@@ -202,9 +200,10 @@ def bounded_roundtrip(F: PluriharmonicFunction, table: WeightTable, N: int,
     F(X) = extended-Berezin_X[psi_N] at a pure X: the mean value check at
     r = 1."""
     residual = mean_value_check(F.symbol, X.spec, X, 1.0, table, N)
-    psi = symbol_to_operator(F.symbol, table, 1.0, N)
-    gaps = []
-    for r in radii:
-        op_r = symbol_to_operator(F.symbol, table, float(r), N)
-        gaps.append(spectral_norm(op_r.matrix - psi.matrix))
+    check_support(F.symbol, N)
+    # no two terms of one symbol share an entry, so each entry of the gap
+    # operator is a + (-b), bitwise the difference of F(rW_N) and psi_N
+    psi = [(alpha, beta, -c, B) for alpha, beta, c, B in F.symbol.terms(1.0)]
+    model = truncated_model(table, N)
+    gaps = [model.norm(F.symbol.terms(float(r)) + psi, F.aux_dim) for r in radii]
     return BoundedRoundtripReport(gaps, residual, ROUNDTRIP_TOL)

@@ -203,11 +203,11 @@ def symbol_to_operator(sym: MultiToeplitzSymbol, table: WeightTable,
                        r: float, N: int) -> TruncatedOperator:
     """Assemble phi(rW) on the truncation; at r = 1 this is the compression
     of phi(W) (finite support makes it meaningful)."""
-    _check_support(sym, N)
+    check_support(sym, N)
     return truncated_model(table, N).operator(sym.terms(r), sym.aux_dim)
 
 
-def _check_support(sym: MultiToeplitzSymbol, N: int) -> None:
+def check_support(sym: MultiToeplitzSymbol, N: int) -> None:
     if sym.max_order > N:
         raise TruncationExceededError(
             f"symbol support {sym.max_order} exceeds truncation {N}")
@@ -227,7 +227,7 @@ def norm_profile(sym: MultiToeplitzSymbol, table: WeightTable, radii, N: int):
     TruncatedModel.norm of phi(rW_N)'s terms, equal to that of
     symbol_to_operator(sym, table, r, N), which it forms only below the
     Krylov cut-over."""
-    _check_support(sym, N)
+    check_support(sym, N)
     model = truncated_model(table, N)
     norms = [model.norm(sym.terms(float(r)), sym.aux_dim) for r in radii]
     violations = [(float(radii[i]), float(radii[i + 1]))

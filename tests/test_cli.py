@@ -348,7 +348,8 @@ MALFORMED_FILES["dense operator"] = (_dense_operator_file, MALFORMED_FILES["oper
     pytest.param("symbol", "A", [{"word": [1], "block": [[[1.0, 0.0]]]},
                                  {"word": [1], "block": [[[3.0, 0.0]]]}],
                  id="symbol-duplicate-word"),
-    ("tuple", "dim", 7), ("tuple", "n", 5),
+    ("tuple", "dim", 7), ("tuple", "n", 5), ("tuple", "spec", "not a spec"),
+    pytest.param("tuple", "spec", spec_to_json(mixed_spec(2)), id="tuple-spec-mismatch"),
 ])
 def test_malformed_file_exit_code(tmp_path, capsys, kind, field, value):
     """A malformed tuple, symbol or operator file: exit 2, one error line.

@@ -4,14 +4,14 @@ import pytest
 from ncdomains.berezin import OperatorTuple
 from ncdomains.corpus import (builtin_corpus, random_gated_tuple, random_nilpotent_tuple,
                               random_symbol)
-from ncdomains.fock import truncated_model
+from ncdomains.fock import spectral_norm, truncated_model
 from ncdomains.pluriharmonic import (PluriharmonicFunction, bounded_roundtrip,
                                      conjugate, distance, gamma_kernel,
                                      evaluate_symbol, holomorphic_completion,
                                      rho_radii,
                                      scalar_holomorphic, schur_positivity_test,
                                      weierstrass_limit)
-from ncdomains.toeplitz import MultiToeplitzSymbol
+from ncdomains.toeplitz import MultiToeplitzSymbol, symbol_to_operator
 from ncdomains.weights import weights_by_factorization
 from ncdomains.words import EMPTY
 
@@ -205,6 +205,22 @@ def test_bounded_roundtrip(ball2_table):
     report = bounded_roundtrip(F, ball2_table, 5, [0.5, 0.9, 0.99], X)
     assert report.passed
     assert report.radial_gap == sorted(report.radial_gap, reverse=True)
+
+
+@pytest.mark.parametrize("N, d", [(4, 1), (5, 2), (8, 2)])
+def test_bounded_roundtrip_gaps_are_operator_differences(deep_table, krylov_runs, N, d):
+    """Each gap is bitwise the norm of F(rW_N) - psi_N formed from the two
+    assembled operators.  At N = 8, aux 2 (side 1022) every gap is taken on
+    the Krylov path, where neither operator is formed."""
+    rng = np.random.default_rng(N + d)
+    X = random_nilpotent_tuple(rng, deep_table.spec, dim=2)
+    F = PluriharmonicFunction(random_symbol(rng, 2, max_len=2, aux_dim=d))
+    radii = [0.5, 0.9, 0.99]
+    gaps = bounded_roundtrip(F, deep_table, N, radii, X).radial_gap
+    assert len(krylov_runs) == (len(radii) if N == 8 else 0)
+    psi = symbol_to_operator(F.symbol, deep_table, 1.0, N).matrix
+    assert gaps == [spectral_norm(symbol_to_operator(F.symbol, deep_table, r, N).matrix - psi)
+                    for r in radii]
 
 
 def test_bounded_roundtrip_constant(ball2_table):

@@ -19,11 +19,16 @@ def test_every_script_has_arguments():
     assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(SCRIPTS)
 
 
-def launch(script: str, args: list[str]) -> subprocess.CompletedProcess:
+def python(argv: list[str]) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the package from src/."""
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+    return subprocess.run([sys.executable, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def launch(script: str, args: list[str]) -> subprocess.CompletedProcess:
+    return python([str(ROOT / "scripts" / script), *args])
 
 
 def run_script(script: str) -> str:
@@ -50,3 +55,16 @@ def test_gelfand_rejects_nonpositive_sizes(bad):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "must be >= 1" in proc.stderr
+
+
+def test_readme_quick_start_runs():
+    """The README "Quick start" block, run exactly as written: the Fock
+    dimension and a positive norm, then True."""
+    section = (ROOT / "README.md").read_text().split("\n## Quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    first, second = proc.stdout.splitlines()
+    dimension, norm = first.split()
+    assert dimension == "63" and float(norm) > 0
+    assert second == "True"

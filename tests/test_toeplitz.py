@@ -86,6 +86,34 @@ def test_structure_perturbation_detected(ball2_table):
     assert report.worst_structure_residual >= 0.05
 
 
+@pytest.mark.parametrize("name", sorted(builtin_corpus()))
+@pytest.mark.parametrize("N", [2, 3])
+def test_single_entry_bumps_accepted_only_as_coefficients(name, N):
+    """The converse at truncation.  Bumping one entry of a symbol operator
+    by 0.1 keeps it multi-Toeplitz exactly at the 2 n^N entries (empty, alpha)
+    and (alpha, empty) with |alpha| = N: there the bump is a new coefficient
+    B_(alpha) or A_(alpha), which no interior relation reaches.  Every
+    accepted operator is the operator of its Fourier coefficients."""
+    spec = builtin_corpus()[name]
+    table = weights_by_factorization(spec, N)
+    T = symbol_to_operator(random_symbol(np.random.default_rng(N), spec.n, max_len=N),
+                           table, 0.8, N)
+    index = T.model.index
+    edge = [index[alpha] for alpha in T.model.words if len(alpha) == N]
+    empty = index[EMPTY]
+    accepted = set()
+    for i, j in np.ndindex(T.matrix.shape):
+        M = T.matrix.copy()
+        M[i, j] += 0.1
+        op = TruncatedOperator(T.model, M)
+        if is_multi_toeplitz(op, table, 1e-10).is_toeplitz:
+            accepted.add((i, j))
+            back = symbol_to_operator(fourier_coefficients(op, table, N), table, 1.0, N)
+            assert np.max(np.abs(back.matrix - M)) <= 1e-12
+    assert accepted == {(empty, a) for a in edge} | {(a, empty) for a in edge}
+    assert len(accepted) == 2 * spec.n ** N
+
+
 def test_adjoint_swaps_parts():
     sym = MultiToeplitzSymbol.scalar(A={EMPTY: 1j, (1,): 2.0}, B={(2,): 3.0})
     adj = sym.adjoint()
