@@ -11,23 +11,16 @@ import numpy as np
 
 from ncdomains.berezin import OperatorTuple
 from ncdomains.cauchy import joint_spectral_radius
-from ncdomains.cli import resolve_spec
-
-
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+from ncdomains.cli import nonnegative_int, positive_int, resolve_spec
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--spec", default="hyperball_n2_m2")
     ap.add_argument("--dim", type=positive_int, default=4)
-    ap.add_argument("--tuples", type=int, default=3)
+    ap.add_argument("--tuples", type=positive_int, default=3)
     ap.add_argument("--k-max", type=positive_int, default=40)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=nonnegative_int, default=0)
     args = ap.parse_args()
 
     spec = resolve_spec(args.spec)

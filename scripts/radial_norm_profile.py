@@ -8,7 +8,7 @@ import argparse
 
 import numpy as np
 
-from ncdomains.cli import resolve_spec
+from ncdomains.cli import nonnegative_int, positive_int, resolve_spec
 from ncdomains.corpus import random_symbol
 from ncdomains.toeplitz import norm_profile
 from ncdomains.weights import weights_by_factorization
@@ -17,10 +17,10 @@ from ncdomains.weights import weights_by_factorization
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--spec", default="hyperball_n2_m2")
-    ap.add_argument("--max-len", type=int, default=4)
-    ap.add_argument("--symbols", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--aux-dim", type=int, default=1,
+    ap.add_argument("--max-len", type=positive_int, default=4)
+    ap.add_argument("--symbols", type=positive_int, default=5)
+    ap.add_argument("--seed", type=nonnegative_int, default=0)
+    ap.add_argument("--aux-dim", type=positive_int, default=1,
                     help="coefficient dimension of the symbols (default 1)")
     args = ap.parse_args()
 

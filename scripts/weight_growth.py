@@ -9,7 +9,7 @@ import argparse
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ncdomains.cli import resolve_spec
+from ncdomains.cli import nonnegative_int, resolve_spec
 from ncdomains.weights import WeightTable, weights_by_factorization
 from ncdomains.words import enumerate_words
 
@@ -56,7 +56,7 @@ def compactness_ratio_test(table: WeightTable) -> CompactnessRatioReport:
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--spec", default="hyperball_n2_m2")
-    ap.add_argument("--max-len", type=int, default=6)
+    ap.add_argument("--max-len", type=nonnegative_int, default=6)
     args = ap.parse_args()
 
     spec = resolve_spec(args.spec)

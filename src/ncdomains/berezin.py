@@ -16,9 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import (TruncatedOperator, cp_map_apply, cp_orbit_norms, defect_operator,
-                   spectral_norm, substitute, truncated_model, word_operator,
-                   word_products)
+from .fock import (TruncatedOperator, cp_orbit_norms, defects, spectral_norm,
+                   substitute, truncated_model, word_operator, word_products)
 from .toeplitz import MultiToeplitzSymbol, evaluate_symbol, symbol_to_operator
 from .weights import DomainSpec, WeightTable
 from .words import EMPTY, Word
@@ -41,6 +40,8 @@ class OperatorTuple:
         for M in mats:
             if M.shape != (k, k):
                 raise ValueError("matrices must share a common square dimension")
+        if k < 1:
+            raise ValueError("matrices must be at least 1 x 1")
         self.matrices = mats
 
     @property
@@ -62,7 +63,7 @@ DEFECT_TOL = 1e-10  # defect eigenvalues in [-DEFECT_TOL, 0) are roundoff
 class MembershipReport:
     in_domain: bool
     min_eigenvalues: list[float]       # smallest eigenvalue of (id-Phi)^j(I), j=1..m
-    two_condition_agrees: bool         # Phi(I) <= I and order-m defect >= 0
+    two_condition_agrees: bool         # (Phi(I) <= I and order-m defect >= 0) == in_domain
     spec: DomainSpec = field(repr=False, compare=False)
     matrices: list[np.ndarray] = field(repr=False, compare=False)
 
@@ -79,29 +80,20 @@ class MembershipReport:
 def domain_membership(spec: DomainSpec, X: OperatorTuple, tol: float = 1e-10
                       ) -> MembershipReport:
     """Smallest eigenvalues of the defects (id-Phi)^j(I), j = 1..m, plus the
-    equivalent two-condition form as a cross-check.  Purity is certified when
-    the decay ||Phi^p(I)|| hits an exact structural zero (joint nilpotence)
-    or falls below 1e-12 at p = PURITY_STEPS."""
-    mats = X.matrices
-    Y = np.eye(X.dim, dtype=complex)
-    mins, phis = [], []
-    for _ in range(spec.m):
-        phis.append(cp_map_apply(spec, mats, Y))
-        Y = Y - phis[-1]
-        Y = (Y + Y.conj().T) / 2
-        mins.append(float(np.min(np.linalg.eigvalsh(Y))))
+    equivalent two-condition form as a cross-check: Phi(I) <= I, which is
+    the first defect's positivity, and the order-m defect's.  Purity is
+    certified when the decay ||Phi^p(I)|| hits an exact structural zero
+    (joint nilpotence) or falls below 1e-12 at p = PURITY_STEPS."""
+    mins = [float(np.min(np.linalg.eigvalsh(Y))) for Y in defects(spec, X.matrices, spec.m)]
     in_domain = all(v >= -tol for v in mins)
-
-    first_ok = float(np.max(np.linalg.eigvalsh((phis[0] + phis[0].conj().T) / 2))) <= 1 + tol
-    two_cond = first_ok and mins[-1] >= -tol
-    agrees = two_cond == in_domain
-    return MembershipReport(in_domain, mins, agrees, spec, mats)
+    two_cond = mins[0] >= -tol and mins[-1] >= -tol
+    return MembershipReport(in_domain, mins, two_cond == in_domain, spec, X.matrices)
 
 
 def defect_sqrt(spec: DomainSpec, X: OperatorTuple) -> np.ndarray:
     """Principal square root of (id-Phi)^m(I); eigenvalues in
     [-DEFECT_TOL, 0) clip to 0."""
-    vals, vecs = np.linalg.eigh(defect_operator(spec, X.matrices, spec.m))
+    vals, vecs = np.linalg.eigh(defects(spec, X.matrices, spec.m)[-1])
     if np.min(vals) < -DEFECT_TOL:
         raise DomainMembershipError(
             f"defect operator has eigenvalue {np.min(vals):.3e} < -{DEFECT_TOL}")

@@ -7,7 +7,10 @@ through `cmd_suite`.  Every check runs at its stated tolerance.
 
 Exit code is 0 iff every executed check passed, and 2 on malformed input.
 All randomized inputs come from a seeded generator whose seed is echoed in
-the report.
+the report.  Each record prints one line, and a failed record its detail on
+the next line (toeplitz's file modes write no report that would show it).  The
+argument types finite_float, positive_int and nonnegative_int, which the
+scripts share, turn an out-of-range value into a usage error (exit 2).
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from . import verify
 from .berezin import domain_membership
 from .cauchy import joint_spectral_radius, radius_inequality_check
 from .corpus import builtin_corpus
-from .report import VerificationReport
+from .report import FAIL, VerificationReport
 from .serialization import (dump_json, load_json, operator_from_json,
                             operator_to_json, spec_from_json, spec_to_json,
                             symbol_from_json, symbol_to_json, table_to_csv,
@@ -55,6 +58,17 @@ def finite_float(text: str) -> float:
     return value
 
 
+def nonnegative_int(text: str, least: int = 0) -> int:
+    value = int(text)
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    return nonnegative_int(text, least=1)
+
+
 def add_options(p: argparse.ArgumentParser, *names: str) -> None:
     for name in names:
         flag, kwargs = OPTIONS[name]
@@ -74,10 +88,13 @@ def start(args, **config) -> tuple[DomainSpec, VerificationReport]:
 
 
 def finish(report: VerificationReport, out: str | None) -> int:
+    """Print one line per record, and a failed record's detail on the next."""
     for c in report.checks:
         res = "" if c.residual is None else f"  residual={c.residual:.3e}"
         tol = "" if c.tolerance is None else f" tol={c.tolerance:.0e}"
         print(f"[{c.status:>6}] {c.check_id}{res}{tol}")
+        if c.status == FAIL:
+            print("         " + ", ".join(f"{k}={v}" for k, v in c.detail.items()))
     n_fail = len(report.failures)
     print(f"{len(report.checks)} checks, {n_fail} failed")
     if out:
@@ -124,10 +141,8 @@ def cmd_toeplitz(args) -> int:
                     rep.is_toeplitz,
                     {"worst_structure_residual": rep.worst_structure_residual,
                      "worst_incomparable_entry": rep.worst_incomparable_entry,
-                     "structure_witness": [list(w) for w in rep.structure_witness[:2]]
-                     + [rep.structure_witness[2]] if rep.structure_witness else None,
-                     "incomparable_witness": [list(w) for w in rep.incomparable_witness]
-                     if rep.incomparable_witness else None})
+                     "structure_witness": rep.structure_witness,
+                     "incomparable_witness": rep.incomparable_witness})
         if rep.is_toeplitz and args.out:
             sym = fourier_coefficients(T, table, T.model.N)
             dump_json(symbol_to_json(sym), args.out)

@@ -27,7 +27,9 @@ of a tuple for a whole basis, in its graded order.
 
 A tuple X has one CP map, Phi_{q,X}(Y) = sum a_alpha X_alpha Y X_alpha^*: its
 terms come from cp_map_terms and its powers from cp_map_orbit (cp_map_apply is
-the first step, cp_orbit_norms the norms ||Phi^k(I)||).
+the first step, cp_orbit_norms the norms ||Phi^k(I)||); defects gives the one
+chain (id - Phi)^j(I), j = 1..m, hermitized step by step, that domain
+membership and the Berezin kernel read.
 
 Operator norms are computed by spectral_norm, on one of two paths, after
 scaling by the largest entry.  The dense path takes the square root of the
@@ -113,26 +115,24 @@ def nonzero_products(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     nonzeros, where A is the m x m matrix whose nonzero entries are vals at
     (rows, cols) and B, of the given shape (m, n), is its first n columns.
     With repeat = 0 A is never applied, so the nonzeros may also be those
-    of an m x n matrix with n > m."""
+    of an m x n matrix with n > m.  B x is A applied to x padded with zeros
+    (+-0 products, which change no np.bincount sum), and B^* y the first n
+    entries of A^* y."""
     m, n = shape
     vals_adj = vals.conj()
-    # B's rows, cols, vals and vals_adj: a copy only when some nonzeros of A
-    # lie beyond its n columns
-    b = rows, cols, vals, vals_adj
-    if cols.max(initial=0) >= n:
-        first = cols < n
-        b = tuple(v[first] for v in b)
+    width = max(m, n)
 
     def matvec(x):
-        x = _scatter(b[0], b[1], b[2], x, m)
-        for _ in range(repeat):
+        if width > n:
+            x = np.concatenate((x, np.zeros(width - n)))
+        for _ in range(repeat + 1):
             x = _scatter(rows, cols, vals, x, m)
         return x
 
     def rmatvec(y):
-        for _ in range(repeat):
-            y = _scatter(cols, rows, vals_adj, y, m)
-        return _scatter(b[1], b[0], b[3], y, n)
+        for _ in range(repeat + 1):
+            y = _scatter(cols, rows, vals_adj, y, width)
+        return y[:n]
 
     return matvec, rmatvec
 
@@ -349,10 +349,10 @@ class TruncatedModel:
         """spectral_norm(operator(terms, d, left).matrix), bitwise: on the
         Krylov path sparse_norm of nonzeros(terms, d, left), the nonzeros
         spectral_norm would read from the matrix, which is then never
-        formed; otherwise the norm of the assembled matrix."""
+        formed; otherwise the dense path's norm of the assembled matrix."""
         nonzeros = self.krylov_nonzeros(terms, d, left)
         if nonzeros is None:
-            return spectral_norm(self.operator(terms, d, left).matrix)
+            return _dense_norm(self.operator(terms, d, left).matrix)
         side = self.dimension * d
         return sparse_norm(*nonzeros, (side, side))
 
@@ -481,14 +481,18 @@ def cp_orbit_norms(spec: DomainSpec, X: Sequence[np.ndarray], k_max: int) -> lis
     return norms
 
 
-def defect_operator(spec: DomainSpec, X: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """(id - Phi_{q,X})^k (I), hermitized against roundoff."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+def defects(spec: DomainSpec, X: Sequence[np.ndarray], m: int) -> list[np.ndarray]:
+    """(id - Phi_{q,X})^j (I) for j = 1..m, each hermitized against roundoff
+    before the next step is taken from it."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     Y = np.eye(X[0].shape[0], dtype=complex)
-    for _ in range(k):
+    out = []
+    for _ in range(m):
         Y = Y - cp_map_apply(spec, X, Y)
-    return (Y + Y.conj().T) / 2
+        Y = (Y + Y.conj().T) / 2
+        out.append(Y)
+    return out
 
 
 MODEL_TOL = 1e-10        # defects, contraction and conjugation of the model

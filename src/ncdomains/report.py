@@ -87,10 +87,18 @@ class VerificationReport:
         return self._record(check_id, identity, ok, None, None, detail)
 
     def to_json(self) -> dict:
+        """The config, the records, and a summary with each suite's elapsed
+        total and, for check ids suite.check.spec (verify.full_suite's
+        labels), each spec's per-suite totals."""
         suite_elapsed: dict[str, float] = {}
+        spec_elapsed: dict[str, dict[str, float]] = {}
         for c in self.checks:
-            suite = c.check_id.split(".", 1)[0]
+            suite, _, rest = c.check_id.partition(".")
             suite_elapsed[suite] = suite_elapsed.get(suite, 0.0) + c.elapsed
+            spec = rest.partition(".")[2]
+            if spec:
+                spans = spec_elapsed.setdefault(spec, {})
+                spans[suite] = spans.get(suite, 0.0) + c.elapsed
         return {
             "config": {**self.config, "environment": environment()},
             "summary": {
@@ -98,6 +106,7 @@ class VerificationReport:
                 "pass": sum(c.status == PASS for c in self.checks),
                 "fail": len(self.failures),
                 "elapsed": suite_elapsed,
+                "elapsed_by_spec": spec_elapsed,
             },
             "checks": [asdict(c) for c in self.checks],
         }

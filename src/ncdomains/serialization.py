@@ -11,8 +11,8 @@ JSON array.  Both list words in the graded order of enumerate_words.
 Matrices are {rows, cols, aux_dim, data} with data a row-major list of
 [re, im] pairs.  Symbols are {aux_dim, A: [{word, block}], B: [{word, block}]}
 with blocks nested [re, im] arrays.  Operator tuples are {n, dim, spec,
-matrices: [...]}, the headers n and dim matching the matrices; a tuple read
-for a given spec must carry that spec.
+matrices: [...]}, the headers n and dim >= 1 matching the matrices; a tuple
+read for a given spec must carry that spec.
 
 Operators are sparse: {n, N, aux_dim, rows, cols, index, data}, where index
 lists in ascending order the flat row-major position of every entry whose
@@ -255,7 +255,7 @@ def tuple_from_json(obj: dict, spec: DomainSpec | None = None) -> OperatorTuple:
     """Parse the tuple_to_json() form; the n and dim headers must match the
     matrices, and the file's spec must equal spec when one is given."""
     obj = _object(obj, "operator tuple")
-    n, dim = _count(obj["n"], "n"), _count(obj["dim"], "dim")
+    n, dim = _count(obj["n"], "n"), _count(obj["dim"], "dim", least=1)
     own = spec_from_json(obj["spec"])
     if spec is None:
         spec = own

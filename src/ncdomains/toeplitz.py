@@ -38,6 +38,8 @@ class MultiToeplitzSymbol:
 
     def __post_init__(self):
         d = self.aux_dim
+        if d < 1:
+            raise ValueError(f"aux_dim must be >= 1, got {d}")
         self.A = {tuple(w): np.asarray(blk, dtype=complex).reshape(d, d)
                   for w, blk in self.A.items()}
         self.B = {tuple(w): np.asarray(blk, dtype=complex).reshape(d, d)

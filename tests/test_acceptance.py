@@ -20,7 +20,7 @@ from ncdomains.cli import main
 from ncdomains.corpus import (builtin_corpus, random_gated_tuple,
                               random_hereditary, random_nilpotent_tuple,
                               random_spec, random_symbol)
-from ncdomains.fock import (TruncatedOperator, creation_tuple, defect_operator,
+from ncdomains.fock import (TruncatedOperator, creation_tuple, defects,
                             truncated_model)
 from ncdomains.pluriharmonic import (PluriharmonicFunction, distance,
                                      scalar_holomorphic,
@@ -67,7 +67,7 @@ def test_03_defect_identity(tables):
     for name, table in tables.items():
         spec = table.spec
         W = [op.matrix for op in creation_tuple(table, 5, left=True)]
-        defect = defect_operator(spec, W, spec.m)
+        defect = defects(spec, W, spec.m)[-1]
         P = np.zeros_like(defect)
         P[0, 0] = 1.0  # the vacuum is the first graded basis vector
         assert np.max(np.abs(defect - P)) <= 1e-10, name

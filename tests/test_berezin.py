@@ -154,12 +154,14 @@ def test_tuple_shape_validation(ball2_table):
         OperatorTuple(spec, [np.zeros((2, 2))])
     with pytest.raises(ValueError):
         OperatorTuple(spec, [np.zeros((2, 2)), np.zeros((3, 3))])
+    with pytest.raises(ValueError, match="at least 1 x 1"):
+        OperatorTuple(spec, [np.zeros((0, 0))] * spec.n)
 
 
 def test_kernel_prefix_products_match_word_operator():
-    """One product per word and the defect root from fock.defect_operator
-    give the kernel that X.word(alpha) and an inline defect loop build, bit
-    for bit, at nilpotent and at dense domain tuples."""
+    """One product per word and the defect root from fock.defects give the
+    kernel that X.word(alpha) and an inline defect loop build, bit for bit,
+    at nilpotent and at dense domain tuples."""
     rng = np.random.default_rng(29)
     for name, spec in builtin_corpus().items():
         table = weights_by_convolution(spec, 4)
@@ -168,11 +170,13 @@ def test_kernel_prefix_products_match_word_operator():
                                          + 1j * rng.standard_normal((k, k))
                                          for _ in range(spec.n)])
             for X in (random_nilpotent_tuple(rng, spec, dim=k), scale_into_domain(dense)):
-                # (id - Phi)^m (I) and its square root, written out
+                # (id - Phi)^m (I), hermitized at each step, and its square
+                # root, written out
                 Y = np.eye(k, dtype=complex)
                 for _ in range(spec.m):
                     Y = Y - cp_map_apply(spec, X.matrices, Y)
-                vals, vecs = np.linalg.eigh((Y + Y.conj().T) / 2)
+                    Y = (Y + Y.conj().T) / 2
+                vals, vecs = np.linalg.eigh(Y)
                 delta = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
                 for N in range(5):
                     model = truncated_model(table, N)

@@ -13,8 +13,8 @@ from ncdomains.cli import build_parser, main
 from ncdomains.corpus import (builtin_corpus, mixed_spec, random_gated_tuple,
                               random_nilpotent_tuple, random_symbol)
 from ncdomains.fock import TruncatedModel
-from ncdomains.serialization import (dump_json, load_json, operator_to_json,
-                                     spec_from_json, spec_to_json,
+from ncdomains.serialization import (dump_json, load_json, matrix_to_json,
+                                     operator_to_json, spec_from_json, spec_to_json,
                                      symbol_from_json, symbol_to_json,
                                      tuple_to_json)
 from ncdomains.toeplitz import (MultiToeplitzSymbol, max_block_difference,
@@ -91,7 +91,7 @@ def test_model_report_json(tmp_path):
     assert all("identity" in c for c in report["checks"])
 
 
-def test_toeplitz_check_rejects_perturbed(tmp_path):
+def test_toeplitz_check_rejects_perturbed(tmp_path, capsys):
     table = weights_by_factorization(mixed_spec(1), 3)
     sym = MultiToeplitzSymbol.scalar(A={(1,): 1.0})
     op = symbol_to_operator(sym, table, 1.0, 3)
@@ -103,6 +103,11 @@ def test_toeplitz_check_rejects_perturbed(tmp_path):
     rc = main(["toeplitz", "--spec", str(spec_path), "--max-len", "3",
                "--op", str(op_path)])
     assert rc == 1
+    # the failed record's detail, with its witness words, on the next line
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[  fail] toeplitz.check"
+    assert "incomparable_witness=((1,), (2,))" in lines[1]
+    assert lines[2:] == ["1 checks, 1 failed"]
 
 
 def test_toeplitz_op_symbol_at_operator_depth(tmp_path, capsys):
@@ -115,7 +120,9 @@ def test_toeplitz_op_symbol_at_operator_depth(tmp_path, capsys):
     rc = main(["toeplitz", "--spec", "mixed_n2_m1", "--op", str(op_path),
                "--out", str(sym_path)])
     assert rc == 0
-    assert "[  pass] toeplitz.check" in capsys.readouterr().out.splitlines()
+    # a passing record prints its one line and no detail
+    assert capsys.readouterr().out.splitlines() == [
+        f"symbol written to {sym_path}", "[  pass] toeplitz.check", "1 checks, 0 failed"]
     assert max_block_difference(symbol_from_json(load_json(sym_path)), sym) < 1e-12
 
 
@@ -349,6 +356,7 @@ MALFORMED_FILES["dense operator"] = (_dense_operator_file, MALFORMED_FILES["oper
                                  {"word": [1], "block": [[[3.0, 0.0]]]}],
                  id="symbol-duplicate-word"),
     ("tuple", "dim", 7), ("tuple", "n", 5), ("tuple", "spec", "not a spec"),
+    ("tuple", "dim", 0),
     pytest.param("tuple", "spec", spec_to_json(mixed_spec(2)), id="tuple-spec-mismatch"),
 ])
 def test_malformed_file_exit_code(tmp_path, capsys, kind, field, value):
@@ -439,6 +447,17 @@ def _check_malformed_tuple_data(tmp_path, capsys, data):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed matrix") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["berezin", "cauchy"])
+def test_tuple_of_dimension_zero_names_dim(tmp_path, capsys, command):
+    """A tuple file of 0 x 0 matrices is rejected by its dim header, not by
+    a reduction over an empty array."""
+    path = tmp_path / "tuple.json"
+    dump_json({**_tuple_file("dim", 0),
+               "matrices": [matrix_to_json(np.zeros((0, 0)))] * 2}, path)
+    assert main([command, "--spec", "mixed_n2_m1", "--tuple", str(path)]) == 2
+    assert capsys.readouterr().err == "error: dim must be >= 1, got 0\n"
 
 
 def test_malformed_tuple_exit_code(tmp_path, capsys):

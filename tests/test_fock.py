@@ -14,7 +14,7 @@ from ncdomains.berezin import (OperatorTuple, berezin_kernel, berezin_transform,
                                intertwining_residual)
 from ncdomains.cauchy import cauchy_kernel, cauchy_transform, reconstruction_operator
 from ncdomains.fock import (MODEL_TOL, cp_map_apply, cp_map_orbit,
-                            cp_orbit_norms, creation_tuple, defect_operator, sparse_norm,
+                            cp_orbit_norms, creation_tuple, defects, sparse_norm,
                             spectral_norm, truncated_model, verify_model_identities,
                             weighted_space_conjugation, word_operator, word_products)
 from ncdomains.cli import main
@@ -107,7 +107,7 @@ def test_defect_identity_on_corpus():
     for name, spec in builtin_corpus().items():
         table = weights_by_factorization(spec, 3)
         W = [op.matrix for op in creation_tuple(table, 3, left=True)]
-        defect = defect_operator(spec, W, spec.m)
+        defect = defects(spec, W, spec.m)[-1]
         P = np.zeros_like(defect)
         P[0, 0] = 1.0  # the vacuum is the first graded basis vector
         assert np.max(np.abs(defect - P)) < 1e-10, name
@@ -280,7 +280,7 @@ def test_block_columns_match_dense_references():
                      report.defect_residual_left, report.phi_norm_left),
                     (dense_creation(table, N, False), spec.reversed(),
                      report.defect_residual_right, report.phi_norm_right)):
-                want = np.max(np.abs(defect_operator(s, ops, spec.m) - vacuum))
+                want = np.max(np.abs(defects(s, ops, spec.m)[-1] - vacuum))
                 assert abs(res - want) <= 1e-13, (name, N)
                 phi = cp_map_apply(s, ops, np.eye(D, dtype=complex))
                 want = np.max(np.linalg.eigvalsh((phi + phi.conj().T) / 2))

@@ -49,12 +49,32 @@ def test_gelfand_prints_each_k_once():
     assert lines == ["k=  1", "k=  2", "k=  5"]
 
 
-@pytest.mark.parametrize("bad", [["--k-max", "0"], ["--k-max", "-2"], ["--dim", "0"]])
-def test_gelfand_rejects_nonpositive_sizes(bad):
-    proc = launch("gelfand_convergence.py", ["--tuples", "1", *bad])
+BAD_INTEGERS = [
+    ("gelfand_convergence.py", ["--k-max", "0"], 1),
+    ("gelfand_convergence.py", ["--k-max", "-2"], 1),
+    ("gelfand_convergence.py", ["--dim", "0"], 1),
+    ("gelfand_convergence.py", ["--tuples", "-1"], 1),
+    ("gelfand_convergence.py", ["--seed", "-1"], 0),
+    ("radial_norm_profile.py", ["--max-len", "0"], 1),
+    ("radial_norm_profile.py", ["--symbols", "0"], 1),
+    ("radial_norm_profile.py", ["--aux-dim", "0"], 1),
+    ("radial_norm_profile.py", ["--seed", "-1"], 0),
+    ("weight_growth.py", ["--max-len", "-1"], 0),
+]
+
+
+@pytest.mark.parametrize("script, bad, least", BAD_INTEGERS,
+                         ids=[f"{script}{flag}={value}" for script, (flag, value), _
+                              in BAD_INTEGERS])
+def test_scripts_reject_out_of_range_integers(script, bad, least):
+    """An integer argument below its bound: exit 2 with the usage and one
+    error line, no traceback."""
+    proc = launch(script, [*SCRIPTS[script], *bad])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "must be >= 1" in proc.stderr
+    assert proc.stderr.count("usage:") == 1
+    assert proc.stderr.splitlines()[-1].endswith(
+        f"error: argument {bad[0]}: must be >= {least}, got {int(bad[1])}")
 
 
 def test_readme_quick_start_runs():

@@ -114,6 +114,12 @@ def test_single_entry_bumps_accepted_only_as_coefficients(name, N):
     assert len(accepted) == 2 * spec.n ** N
 
 
+@pytest.mark.parametrize("aux_dim, A", [(0, {(): np.zeros((0, 0))}), (-1, {})])
+def test_symbol_aux_dim_at_least_one(aux_dim, A):
+    with pytest.raises(ValueError, match="aux_dim must be >= 1"):
+        MultiToeplitzSymbol(aux_dim, A)
+
+
 def test_adjoint_swaps_parts():
     sym = MultiToeplitzSymbol.scalar(A={EMPTY: 1j, (1,): 2.0}, B={(2,): 3.0})
     adj = sym.adjoint()

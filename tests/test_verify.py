@@ -104,3 +104,23 @@ def test_full_suite_off_corpus(spec):
     report = VerificationReport({})
     verify.full_suite(spec, 3, report)
     assert report.checks and report.passed, [c.check_id for c in report.failures]
+
+
+def test_elapsed_by_spec_splits_each_suite():
+    """summary.elapsed_by_spec gives each labelled spec's elapsed total per
+    suite, and per suite the specs' totals sum to summary.elapsed."""
+    report = VerificationReport({})
+    corpus = builtin_corpus()
+    for name in ("hyperball_n1_m1", "mixed_n2_m1"):
+        verify.full_suite(corpus[name], 2, report, label=f".{name}")
+    summary = report.to_json()["summary"]
+    by_spec = summary["elapsed_by_spec"]
+    assert list(by_spec) == ["hyperball_n1_m1", "mixed_n2_m1"]
+    for name, spans in by_spec.items():
+        assert list(spans) == list(summary["elapsed"])
+        assert spans == {suite: pytest.approx(sum(
+            c.elapsed for c in report.checks if c.check_id.startswith(f"{suite}.")
+            and c.check_id.endswith(f".{name}")), rel=1e-12) for suite in spans}
+    for suite, total in summary["elapsed"].items():
+        assert sum(spans[suite] for spans in by_spec.values()) == pytest.approx(total,
+                                                                              rel=1e-12)
