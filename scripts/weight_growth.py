@@ -20,10 +20,11 @@ class CompactnessRatioReport:
 
     Bounded ratios are the hypothesis under which no nonzero compact weighted
     right multi-Toeplitz operator exists; a finite table can only exhibit
-    evidence, so the last two level maxima are reported as a trend.
+    evidence, so the last two level maxima are reported as a trend.  A
+    table of depth 0 has no level, and its max_ratio is None per letter.
     """
 
-    max_ratio: dict[int, Fraction]
+    max_ratio: dict[int, Fraction | None]
     level_max: dict[int, list[Fraction]]  # per letter, max ratio at each |alpha|
 
     def trend(self, letter: int) -> tuple[Fraction, Fraction] | None:
@@ -35,7 +36,7 @@ class CompactnessRatioReport:
 
 def compactness_ratio_test(table: WeightTable) -> CompactnessRatioReport:
     n = table.spec.n
-    max_ratio: dict[int, Fraction] = {}
+    max_ratio: dict[int, Fraction | None] = {}
     level_max: dict[int, list[Fraction]] = {}
     for i in range(1, n + 1):
         levels: list[Fraction] = []
@@ -49,7 +50,7 @@ def compactness_ratio_test(table: WeightTable) -> CompactnessRatioReport:
                     best = ratio
             levels.append(best)
         level_max[i] = levels
-        max_ratio[i] = max(levels) if levels else Fraction(0)
+        max_ratio[i] = max(levels) if levels else None
     return CompactnessRatioReport(max_ratio, level_max)
 
 
@@ -65,8 +66,9 @@ def main():
     print(f"spec: {args.spec}  (n={spec.n}, m={spec.m}), depth {args.max_len}")
     for i in range(1, spec.n + 1):
         levels = ", ".join(f"{float(v):.4f}" for v in report.level_max[i])
-        print(f"letter {i}: max ratio {float(report.max_ratio[i]):.4f}; "
-              f"per-level maxima [{levels}]")
+        top = report.max_ratio[i]
+        top = "n/a" if top is None else f"{float(top):.4f}"
+        print(f"letter {i}: max ratio {top}; per-level maxima [{levels}]")
 
 
 if __name__ == "__main__":

@@ -63,7 +63,6 @@ DEFECT_TOL = 1e-10  # defect eigenvalues in [-DEFECT_TOL, 0) are roundoff
 class MembershipReport:
     in_domain: bool
     min_eigenvalues: list[float]       # smallest eigenvalue of (id-Phi)^j(I), j=1..m
-    two_condition_agrees: bool         # (Phi(I) <= I and order-m defect >= 0) == in_domain
     spec: DomainSpec = field(repr=False, compare=False)
     matrices: list[np.ndarray] = field(repr=False, compare=False)
 
@@ -79,15 +78,12 @@ class MembershipReport:
 
 def domain_membership(spec: DomainSpec, X: OperatorTuple, tol: float = 1e-10
                       ) -> MembershipReport:
-    """Smallest eigenvalues of the defects (id-Phi)^j(I), j = 1..m, plus the
-    equivalent two-condition form as a cross-check: Phi(I) <= I, which is
-    the first defect's positivity, and the order-m defect's.  Purity is
-    certified when the decay ||Phi^p(I)|| hits an exact structural zero
-    (joint nilpotence) or falls below 1e-12 at p = PURITY_STEPS."""
+    """Smallest eigenvalues of the defects (id-Phi)^j(I), j = 1..m; X is in
+    the domain when none is below -tol.  Purity is certified when the decay
+    ||Phi^p(I)|| hits an exact structural zero (joint nilpotence) or falls
+    below 1e-12 at p = PURITY_STEPS."""
     mins = [float(np.min(np.linalg.eigvalsh(Y))) for Y in defects(spec, X.matrices, spec.m)]
-    in_domain = all(v >= -tol for v in mins)
-    two_cond = mins[0] >= -tol and mins[-1] >= -tol
-    return MembershipReport(in_domain, mins, two_cond == in_domain, spec, X.matrices)
+    return MembershipReport(all(v >= -tol for v in mins), mins, spec, X.matrices)
 
 
 def defect_sqrt(spec: DomainSpec, X: OperatorTuple) -> np.ndarray:

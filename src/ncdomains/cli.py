@@ -5,7 +5,9 @@ Each single-spec command builds its report in `start`; without a file
 option, model, toeplitz, berezin, pluriharmonic and cauchy run their suite
 through `cmd_suite`.  Every check runs at its stated tolerance.
 
-Exit code is 0 iff every executed check passed, and 2 on malformed input.
+Exit code is 0 iff every executed check passed, and 2 on malformed input,
+which includes an option given in a mode that does not read it: --seed with
+a file option, or toeplitz --radius without --symbol.
 All randomized inputs come from a seeded generator whose seed is echoed in
 the report.  Each record prints one line, and a failed record its detail on
 the next line (toeplitz's file modes write no report that would show it).  The
@@ -46,7 +48,9 @@ OPTIONS = {
                         "help": "builtin spec name or path to a spec JSON file"}),
     "max_len": ("--max-len", {"type": int, "default": 4, "metavar": "N",
                               "help": "truncation depth (default 4)"}),
-    "seed": ("--seed", {"type": int, "default": 0}),
+    "seed": ("--seed", {"type": int, "default": None,
+                        "help": "seed of the suites' random inputs (default 0); "
+                                "read in the suite mode only"}),
     "out": ("--out", {"default": None, "help": "report/output path"}),
 }
 
@@ -73,6 +77,18 @@ def add_options(p: argparse.ArgumentParser, *names: str) -> None:
     for name in names:
         flag, kwargs = OPTIONS[name]
         p.add_argument(flag, **kwargs)
+
+
+def suite_seed(args) -> int:
+    """--seed of a suite run, 0 when not given."""
+    return 0 if args.seed is None else args.seed
+
+
+def reject_seed(args, mode: str) -> None:
+    """--seed is read in the suite mode only; given with a file option it is
+    malformed input, not ignored."""
+    if args.seed is not None:
+        raise ValueError(f"--seed is read only in the suite mode, not with {mode}")
 
 
 def start(args, **config) -> tuple[DomainSpec, VerificationReport]:
@@ -107,7 +123,7 @@ def cmd_suite(args) -> int:
     """The suite mode of model, toeplitz, berezin, pluriharmonic and cauchy:
     verify.<command>_suite on the spec's weight table.  The suite is looked
     up when the command runs, so a wrapped suite is the one called."""
-    seed = {"seed": args.seed} if "seed" in vars(args) else {}
+    seed = {"seed": suite_seed(args)} if "seed" in vars(args) else {}
     spec, report = start(args, **seed)
     suite = getattr(verify, f"{args.command}_suite")
     suite(verify.build_table(spec, args.max_len), report, **seed)
@@ -127,8 +143,14 @@ def cmd_weights(args) -> int:
 
 
 def cmd_toeplitz(args) -> int:
+    """--radius is read with --symbol only (1.0 when not given); given in
+    another mode it is malformed input, not ignored."""
+    if args.radius is not None and not args.symbol:
+        raise ValueError("--radius is read only with --symbol, not "
+                         + ("with --op" if args.op else "in the suite mode"))
     if not (args.op or args.symbol):
         return cmd_suite(args)
+    reject_seed(args, "--op" if args.op else "--symbol")
     spec, report = start(args)
     N = args.max_len
     table = verify.build_table(spec, N)
@@ -148,14 +170,15 @@ def cmd_toeplitz(args) -> int:
             dump_json(symbol_to_json(sym), args.out)
             print(f"symbol written to {args.out}")
         return finish(report, None)
+    r = 1.0 if args.radius is None else args.radius
     sym = symbol_from_json(load_json(args.symbol))
     report.config["aux_dim"] = sym.aux_dim
-    T = symbol_to_operator(sym, table, args.radius, N)
+    T = symbol_to_operator(sym, table, r, N)
     rec = fourier_coefficients(T, table, N)
     scaled = MultiToeplitzSymbol(
         sym.aux_dim,
-        {w: blk * args.radius ** len(w) for w, blk in sym.A.items()},
-        {w: blk * args.radius ** len(w) for w, blk in sym.B.items()})
+        {w: blk * r ** len(w) for w, blk in sym.A.items()},
+        {w: blk * r ** len(w) for w, blk in sym.B.items()})
     report.check("toeplitz.roundtrip",
                  "symbol -> operator -> Fourier coefficients round trip",
                  max_block_difference(scaled, rec), 1e-10)
@@ -168,6 +191,7 @@ def cmd_toeplitz(args) -> int:
 def cmd_berezin(args) -> int:
     if not args.tuple:
         return cmd_suite(args)
+    reject_seed(args, "--tuple")
     spec, report = start(args)
     X = tuple_from_json(load_json(args.tuple), spec)
     report.config["k"] = X.dim
@@ -182,6 +206,7 @@ def cmd_berezin(args) -> int:
 def cmd_cauchy(args) -> int:
     if not args.tuple:
         return cmd_suite(args)
+    reject_seed(args, "--tuple")
     spec, report = start(args)
     table = verify.build_table(spec, args.max_len)
     X = tuple_from_json(load_json(args.tuple), spec)
@@ -198,11 +223,10 @@ def cmd_cauchy(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    N = args.max_len
-    report = VerificationReport({"command": "verify-all", "N": N,
-                                 "seed": args.seed})
+    N, seed = args.max_len, suite_seed(args)
+    report = VerificationReport({"command": "verify-all", "N": N, "seed": seed})
     for name, spec in builtin_corpus().items():
-        verify.full_suite(spec, N, report, seed=args.seed, label=f".{name}")
+        verify.full_suite(spec, N, report, seed=seed, label=f".{name}")
     report.config["elapsed_seconds"] = report.elapsed()
     print(f"corpus run took {report.config['elapsed_seconds']:.1f} s")
     return finish(report, args.out)
@@ -230,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--op", default=None, help="operator JSON to check")
     source.add_argument("--symbol", default=None, help="symbol JSON to assemble")
-    p.add_argument("--radius", type=finite_float, default=1.0)
+    p.add_argument("--radius", type=finite_float, default=None,
+                   help="with --symbol only (default 1.0)")
     p.set_defaults(fn=cmd_toeplitz)
 
     p = sub.add_parser("berezin", help="membership, purity, Berezin identities")

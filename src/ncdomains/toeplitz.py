@@ -11,9 +11,14 @@ MultiToeplitzSymbol.terms(r) is the one translation of a symbol into the
 term list (alpha, beta, c, B) of fock.py; symbol_to_operator substitutes it
 into the model (phi(rW)) and evaluate_symbol into a tuple (phi(rX)).
 
-Structure checks compare matrix entries only on index pairs whose letter
-extensions stay inside the truncation; boundary pairs would produce false
-negatives from compression and are skipped.
+is_multi_toeplitz certifies an operator matrix against the main theorem:
+zero entries at every right-incomparable word pair, read from the matrix's
+nonzero entries alone with comparability tested by word-index arithmetic,
+and weighted shift invariance at the comparable pairs.  The structure check
+compares matrix entries only on pairs whose letter extensions stay inside
+the truncation; boundary pairs would produce false negatives from
+compression and are skipped.  fourier_coefficients reads the symbol back
+from the first block row and column.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ from .weights import TruncationExceededError, WeightTable
 from .words import EMPTY, Word, fock_dimension
 
 MONOTONE_TOL = 1e-10  # norm_profile: allowed decrease of ||phi(r W_N)|| in r
-SCAN_ROWS = 32        # is_multi_toeplitz: block rows per pass of the magnitude scan
+SCAN_ROWS = 32        # is_multi_toeplitz: block rows per pass of the nonzero scan
 
 
 @dataclass
@@ -132,39 +137,71 @@ def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
     """Check the weighted shift-invariance relations of the operator matrix.
 
     Residuals are absolute, compared against tol scaled by the largest
-    block magnitude of T.  The block magnitudes are taken SCAN_ROWS block
-    rows at a time, so the largest array made is the D x D table of them,
-    not a copy of |T|.
+    entry magnitude of T.  The incomparable scan reads only the nonzero
+    entries of T, SCAN_ROWS block rows at a time, and tests each one's
+    block words (omega, gamma) for right-comparability by their indices
+    alone: in the graded basis a word's position in its length level is its
+    letters read as base-n digits, the last letter lowest, so gamma is a
+    suffix of omega exactly when the positions agree modulo n^|gamma|.  The
+    structure residual reads the model's comparable pairs.  No D x D array
+    is made, and the memory taken beyond T is that of one chunk's nonzeros
+    and of the comparable pairs.  A witness is the first worst pair in
+    row-major (omega, gamma[, i]) order.
     """
     check_basis(T.model.n, T.model.N, table)
     model = truncated_model(table, T.model.N)
     n, N, D, d, words, sqrt_b = (model.n, model.N, model.dimension, T.aux_dim,
                                  model.words, model.sqrt_b)
+    # each word's position in its length level and n^(its length), as int32
+    # (both are at most D) to halve the per-entry arrays below
+    sizes = n ** np.arange(N + 1)
+    position = np.concatenate([np.arange(size, dtype=np.int32) for size in sizes])
+    level_size = np.repeat(sizes.astype(np.int32), sizes)
+
     M = T.matrix.reshape(D, d, D, d)
-    # the largest entry magnitude of each (omega, gamma) block
-    incomp = np.empty((D, D))
+    peak = worst_incomp = 0.0
+    incomp_pair = None  # the first worst incomparable pair (omega, gamma)
     for i in range(0, D, SCAN_ROWS):
-        incomp[i:i + SCAN_ROWS] = np.abs(M[i:i + SCAN_ROWS]).max(axis=(1, 3))
-    scale = max(float(np.max(incomp)), 1.0)
-
-    long, short, _ = model.comparable_pairs()
-    comparable = np.zeros((D, D), dtype=bool)
-    comparable[long, short] = comparable[short, long] = True
-
-    # witnesses are the first worst pair in row-major (omega, gamma[, i]) order
-    incomp[comparable] = 0.0
-    worst_incomp = float(incomp.max())
+        chunk = M[i:i + SCAN_ROWS]
+        at = np.flatnonzero(chunk != 0)  # a bool test is faster than nonzero on complex
+        mag = np.abs(chunk.ravel()[at])
+        # at = (row d + x) D d + gamma d + y for entry (x, y) of block
+        # (i + row, gamma).  np.divmod in place of //, the tables sliced at i
+        # in place of adding it, and _first in place of ranking keys: those
+        # integer loops are numpy code that nothing else in a verify-all run
+        # loads (64 kB of peak RSS each).
+        row, gamma = np.divmod(at, d * D * d)
+        del at
+        gamma %= D * d
+        gamma = np.divmod(gamma, d)[0]
+        modulus = np.minimum(level_size[i:][row], level_size[gamma])
+        incomparable = position[i:][row] % modulus != position[gamma] % modulus
+        del modulus
+        worst = mag[incomparable].max(initial=0.0)
+        if worst > worst_incomp:
+            hit = incomparable & (mag == worst)
+            first_row, first_gamma = _first(row[hit], gamma[hit])
+            incomp_pair = (i + first_row, first_gamma)
+        # np.maximum keeps a NaN entry, which then fails the check
+        peak = np.maximum(peak, mag.max(initial=0.0))
+        worst_incomp = np.maximum(worst_incomp, worst)
+        # the next chunk's arrays need not coexist with these
+        del row, gamma, mag, incomparable
+    scale = max(float(peak), 1.0)
+    worst_incomp = float(worst_incomp)
     incomp_witness = None
     if worst_incomp > 0:
-        omega, gamma = np.unravel_index(np.argmax(incomp), incomp.shape)
-        incomp_witness = (words[omega], words[gamma])
+        incomp_witness = (words[incomp_pair[0]], words[incomp_pair[1]])
 
-    # pairs (omega, gamma) whose letter extensions stay inside the truncation;
-    # the words of length < N lead the graded basis
-    interior = fock_dimension(n, N - 1)
-    rows, cols = np.nonzero(comparable[:interior, :interior])
-    # comparable words of different lengths: the longer one has the larger index
-    lng, sht = np.maximum(rows, cols), np.minimum(rows, cols)
+    # comparable pairs (omega, gamma) whose letter extensions stay inside the
+    # truncation; the words of length < N lead the graded basis, and the
+    # longer word of a pair has the larger index
+    long, short, _ = model.comparable_pairs()
+    inner = long < fock_dimension(n, N - 1)
+    long, short = long[inner], short[inner]
+    off = long != short
+    lng, sht = np.concatenate((long, long[off])), np.concatenate((short, short[off]))
+    rows, cols = np.concatenate((long, short[off])), np.concatenate((short, long[off]))
     # weight sqrt(b_long / b_short) of each comparable pair
     base = (sqrt_b[lng] / sqrt_b[sht])[:, None, None] * M[rows, :, cols, :]
     residual = np.empty((len(rows), n))
@@ -176,29 +213,53 @@ def is_multi_toeplitz(T: TruncatedOperator, table: WeightTable,
     worst_structure = float(residual.max(initial=0.0))
     structure_witness = None
     if worst_structure > 0:
-        p, i = np.unravel_index(np.argmax(residual), residual.shape)
-        structure_witness = (words[rows[p]], words[cols[p]], int(i) + 1)
+        p, i = np.nonzero(residual == worst_structure)
+        omega, gamma, i = _first(rows[p], cols[p], i)
+        structure_witness = (words[omega], words[gamma], int(i) + 1)
     ok = worst_structure <= tol * scale and worst_incomp <= tol * scale
     return ToeplitzReport(ok, worst_structure, worst_incomp,
                           structure_witness, incomp_witness)
 
 
+def _first(*keys: np.ndarray) -> list:
+    """The first of the tuples (keys[0][j], keys[1][j], ...) in lexicographic
+    order, by successive minima: no sort and no arithmetic on the keys."""
+    rest = np.ones(len(keys[0]), dtype=bool)
+    first = []
+    for key in keys:
+        low = key[rest].min()
+        rest &= key == low
+        first.append(low)
+    return first
+
+
 def fourier_coefficients(T: TruncatedOperator, table: WeightTable,
                          max_order: int) -> MultiToeplitzSymbol:
-    """A_(alpha) = sqrt(b_alpha) C_{alpha, ()},  B_(alpha) = sqrt(b_alpha) C_{(), alpha}."""
+    """A_(alpha) = sqrt(b_alpha) C_{alpha, ()},  B_(alpha) = sqrt(b_alpha) C_{(), alpha},
+    read from the first block column and the first block row of T for the
+    words of length <= max_order.  A block is kept when its largest entry
+    magnitude is > 0, so all-zero blocks and blocks holding a NaN are left
+    out."""
     if max_order > T.model.N:
         raise ValueError(f"max_order {max_order} exceeds truncation {T.model.N}")
     check_basis(T.model.n, T.model.N, table)
     model = truncated_model(table, T.model.N)
-    A: dict[Word, np.ndarray] = {}
-    B: dict[Word, np.ndarray] = {}
-    for alpha, w in zip(model.words, model.sqrt_b):
-        if len(alpha) > max_order:
-            continue
-        A[alpha] = w * T.block(alpha, EMPTY)
-        if alpha != EMPTY:
-            B[alpha] = w * T.block(EMPTY, alpha)
-    return MultiToeplitzSymbol(T.aux_dim, A, B).drop_zero_blocks()
+    D, d = model.dimension, T.aux_dim
+    K = fock_dimension(model.n, max_order)
+    M = T.matrix.reshape(D, d, D, d)
+    w = model.sqrt_b[:K, None, None]
+    parts = []
+    for blocks in (w * M[:K, :, 0, :], w * M[0, :, :K, :].transpose(1, 0, 2)):
+        top = np.abs(blocks).max(axis=(1, 2))
+        # top > 0, tested by equality: ordering comparisons of float arrays
+        # run numpy code that nothing else in a verify-all run loads
+        keep = (top != 0) & ~np.isnan(top)
+        # each kept block is copied out, so that the symbol does not keep
+        # both (K, d, d) products alive
+        parts.append({model.words[j]: blocks[j].copy() for j in np.flatnonzero(keep)})
+    A, B = parts
+    B.pop(EMPTY, None)
+    return MultiToeplitzSymbol(d, A, B)
 
 
 def symbol_to_operator(sym: MultiToeplitzSymbol, table: WeightTable,

@@ -22,7 +22,6 @@ def test_zero_tuple_membership(ball2_table):
     spec = ball2_table.spec
     report = domain_membership(spec, zero_tuple(spec))
     assert report.in_domain
-    assert report.two_condition_agrees
     assert report.pure
     assert report.min_eigenvalues == [1.0] * spec.m
 

@@ -210,6 +210,40 @@ def test_toeplitz_op_and_symbol_exclusive(tmp_path, capsys):
     assert len(errors) == 1 and "not allowed with argument" in errors[0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["toeplitz", "--op", "op.json", "--seed", "0"],
+     "--seed is read only in the suite mode, not with --op"),
+    (["toeplitz", "--symbol", "sym.json", "--seed", "3"],
+     "--seed is read only in the suite mode, not with --symbol"),
+    (["berezin", "--tuple", "X.json", "--seed", "0"],
+     "--seed is read only in the suite mode, not with --tuple"),
+    (["cauchy", "--tuple", "X.json", "--seed", "1"],
+     "--seed is read only in the suite mode, not with --tuple"),
+    (["toeplitz", "--op", "op.json", "--radius", "0.5"],
+     "--radius is read only with --symbol, not with --op"),
+    (["toeplitz", "--radius", "1.0"],
+     "--radius is read only with --symbol, not in the suite mode"),
+], ids=["toeplitz-op-seed", "toeplitz-symbol-seed", "berezin-tuple-seed",
+        "cauchy-tuple-seed", "toeplitz-op-radius", "toeplitz-suite-radius"])
+def test_option_outside_its_mode(tmp_path, monkeypatch, capsys, argv, message):
+    """--seed is read only in the suite mode and --radius only with
+    toeplitz --symbol.  Given in another mode, even at its default value,
+    either one exits 2 with one error line and nothing run, instead of
+    being ignored."""
+    spec = mixed_spec(1)
+    sym = MultiToeplitzSymbol.scalar(A={(): 1.0, (1,): 2.0})
+    table = weights_by_factorization(spec, 2)
+    dump_json(operator_to_json(symbol_to_operator(sym, table, 1.0, 2)), tmp_path / "op.json")
+    dump_json(symbol_to_json(sym), tmp_path / "sym.json")
+    dump_json(tuple_to_json(random_nilpotent_tuple(np.random.default_rng(4), spec, dim=2)),
+              tmp_path / "X.json")
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--spec", "mixed_n2_m1", "--max-len", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+
+
 SEEDED = {"command", "spec", "N", "n", "D", "seed", "environment"}
 
 

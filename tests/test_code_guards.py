@@ -1,7 +1,8 @@
 """Source guards: imports happen at module level in the library, no file
 imports a name it never uses, no library file folds residuals with
 `x = max(x, ...)`, only serialization.py reads or writes files, only fock.py
-imports lanczos, and files are written by the C JSON encoder."""
+imports lanczos, the library calls no numpy sort kernel, and files are
+written by the C JSON encoder."""
 import ast
 import json
 import json.encoder
@@ -212,6 +213,53 @@ def test_only_fock_imports_lanczos():
     src = ROOT / "src" / "ncdomains"
     found = {p.name: _lanczos_imports(p.read_text()) for p in sorted(src.glob("*.py"))}
     assert found.pop("fock.py")
+    assert not any(found.values()), {k: v for k, v in found.items() if v}
+
+
+# numpy's sort kernels and the functions built on them; np.median,
+# np.percentile and np.quantile partition too
+NUMPY_SORTS = {"sort", "argsort", "lexsort", "unique", "searchsorted", "isin",
+               "partition", "argpartition", "median", "percentile", "quantile"}
+# array methods that sort; str.partition is not one of them
+ARRAY_SORTS = {"sort", "argsort", "searchsorted", "argpartition"}
+
+
+def _numpy_sorts(source: str) -> list[int]:
+    """Lines that call one of NUMPY_SORTS on numpy (np.unique(a)), import it
+    from numpy, or call one of ARRAY_SORTS as a method (a.argsort())."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module and node.module.split(".")[0] == "numpy"
+                    and any(a.name in NUMPY_SORTS for a in node.names)):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            on_numpy = isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+            if (on_numpy and func.attr in NUMPY_SORTS) or func.attr in ARRAY_SORTS:
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_no_numpy_sort_kernels_in_library():
+    """The library calls none of numpy's sort kernels.  Their code pages
+    count in the peak RSS of every process that runs them once: a nonzero
+    scan of is_multi_toeplitz that used np.sort, np.searchsorted and
+    np.argsort raised perfbench's corpus_n5 peak_rss_mb by 0.6 MB (41.17 to
+    41.77 MB), against a bound of 0.1 MB, and np.unique in
+    TruncatedModel.nonzeros had added about 0.4 MB to the `cauchy --tuple`
+    peak."""
+    assert _numpy_sorts(
+        "import numpy as np\n"
+        "from numpy import unique, zeros\n"
+        "np.sort(a)\n"
+        "order = a.argsort()\n"
+        "suite, _, rest = check_id.partition('.')\n"
+        "b = sorted(a)\n"
+        "np.median(np.abs(a))\n"
+        "numpy.isin(a, b)\n") == [2, 3, 4, 7, 8]
+    src = ROOT / "src" / "ncdomains"
+    found = {p.name: _numpy_sorts(p.read_text()) for p in sorted(src.glob("*.py"))}
     assert not any(found.values()), {k: v for k, v in found.items() if v}
 
 

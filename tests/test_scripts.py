@@ -49,6 +49,15 @@ def test_gelfand_prints_each_k_once():
     assert lines == ["k=  1", "k=  2", "k=  5"]
 
 
+def test_weight_growth_without_levels_reports_no_ratio():
+    """At depth 0 there is no level, so no ratio is computed: n/a, not 0."""
+    proc = launch("weight_growth.py", ["--spec", "mixed_n2_m1", "--max-len", "0"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == [
+        "letter 1: max ratio n/a; per-level maxima []",
+        "letter 2: max ratio n/a; per-level maxima []"]
+
+
 BAD_INTEGERS = [
     ("gelfand_convergence.py", ["--k-max", "0"], 1),
     ("gelfand_convergence.py", ["--k-max", "-2"], 1),

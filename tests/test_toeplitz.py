@@ -248,12 +248,18 @@ def _all_pairs_gamma_kernel(F, table, r, order):
     return M
 
 
+# also scanned at N = 6 (D = 127), where the nonzero scan of is_multi_toeplitz
+# takes its SCAN_ROWS block rows in four chunks
+DEEP_SCAN_SPEC = "mixed_n2_m2"
+
+
 @pytest.mark.parametrize("name", sorted(builtin_corpus()))
 def test_pair_enumeration_matches_all_pairs_scan(name):
     spec = builtin_corpus()[name]
-    table = weights_by_convolution(spec, 4)
+    depths = [*range(5), *([6] if name == DEEP_SCAN_SPEC else [])]
+    table = weights_by_convolution(spec, depths[-1])
     rng = np.random.default_rng(sorted(builtin_corpus()).index(name))
-    for N in range(5):
+    for N in depths:
         for d in (1, 2):
             T = symbol_to_operator(random_symbol(rng, spec.n, max_len=min(2, N), aux_dim=d),
                                    table, 0.8, N)
@@ -274,11 +280,38 @@ def test_pair_enumeration_matches_all_pairs_scan(name):
 
 
 def test_toeplitz_scan_memory(deep_table, traced_peak):
-    """At N = 8, aux dim 2 (side 1022) |T| alone would be 8.4 MB; the scan
-    keeps the 511 x 511 table of block magnitudes (2.1 MB) and a few block
-    rows of |T| at a time."""
+    """At N = 8, aux dim 2 (side 1022, about 1% nonzero) the scan reads the
+    nonzero entries of SCAN_ROWS block rows at a time and the comparable
+    pairs: a traced peak of 1.03 MB (numpy 2.4), bounded here with a 25%
+    margin, below the 2.1 MB that a 511 x 511 float table alone would take."""
     sym = random_symbol(np.random.default_rng(61), 2, 2, aux_dim=2)
     T = symbol_to_operator(sym, deep_table, 0.9, 8)
     peak, report = traced_peak(is_multi_toeplitz, T, deep_table, 1e-12)
-    assert peak < 5e6, peak
+    assert peak < 1.3e6, peak
+    assert report.is_toeplitz
+
+
+def test_toeplitz_scan_memory_on_a_dense_operator(deep_table, traced_peak):
+    """A dense operator of side 1022 has every entry nonzero, so each chunk
+    holds 64 x 1022 entries: a traced peak of 2.69 MB (numpy 2.4), within
+    the 3.41 MB of the scan that kept a 511 x 511 table of block magnitudes."""
+    model = truncated_model(deep_table, 8)
+    rng = np.random.default_rng(62)
+    M = rng.standard_normal((1022, 1022)) + 1j * rng.standard_normal((1022, 1022))
+    peak, report = traced_peak(is_multi_toeplitz, TruncatedOperator(model, M, 2),
+                               deep_table, 1e-12)
+    assert peak < 3.4e6, peak
+    assert not report.is_toeplitz
+
+
+def test_toeplitz_scan_makes_no_word_pair_table(traced_peak):
+    """At N = 10 on one aux dimension (D = 2047) a D x D table of the
+    smallest dtype, bool, would take 4.2 MB; the scan's traced peak is
+    2.2 MB (numpy 2.4), so it holds no D x D array."""
+    table = weights_by_factorization(hyperball_spec(2, 1), 10)
+    sym = random_symbol(np.random.default_rng(63), 2, 2)
+    T = symbol_to_operator(sym, table, 0.9, 10)
+    D = T.model.dimension
+    peak, report = traced_peak(is_multi_toeplitz, T, table, 1e-12)
+    assert peak < D * D, (peak, D)
     assert report.is_toeplitz
