@@ -15,8 +15,8 @@ shift maps (TruncatedModel.apply), so the work and memory grow with the
 nonzeros of R, about |supp q| D k^2, not with (D k)^2.  Only
 radius_inequality_check reads R as a whole.  Where R is large and sparse it
 takes R's nonzeros from its terms (TruncatedModel.krylov_nonzeros) and the
-norms of the powers R^k from them with fock.sparse_norm, so neither R nor
-a power of R is formed; only below that cut-over does it assemble R.
+norms of the powers R^k from them, within roundoff, with fock.sparse_norm,
+so neither R nor a power of R is formed; below that cut-over it assembles R.
 """
 from __future__ import annotations
 
@@ -194,19 +194,19 @@ def radius_inequality_check(spec: DomainSpec, X: OperatorTuple, N: int,
 
     R raises word length by at least 1, so ||R^k|| = ||R^k E_k||, E_k keeping
     the columns of the words of length <= N - k.  Where spectral_norm would
-    take its Krylov path on R, R's nonzeros come from its terms (the ones
-    spectral_norm would read from the assembled R, bit for bit) and
-    each norm is sparse_norm's ||R^(k-1) (R E_k)||, so neither R nor a
-    power of R is formed.  Otherwise reconstruction_operator assembles R,
+    take its Krylov path on R, R's nonzeros come from its terms, in term
+    order, and each norm is sparse_norm's ||R^(k-1) (R E_k)||, so neither R
+    nor a power of R is formed.  Otherwise reconstruction_operator assembles R,
     the products R^k E_k are dense, and R is released before the first norm
     is taken.
 
     Ritz values err low and ||R^k|| is the smaller side, so an early Lanczos
     stop could hide a violation; the stopping rule keeps that error within
-    lanczos.TOL = 1e-14 relative, far below RADIUS_TOL.  On the two-letter
-    corpus specs at N = 7 and 8 the margins matched the dense ones within
-    8e-16; the smallest at gated tuples were 0 (equality, q = Z_1 + Z_2,
-    m = 1) and 3e-4."""
+    lanczos.TOL = 1e-14 relative.  On the two-letter corpus specs at N = 7
+    and 8 the gated tuples' norms were within 4.8e-16 relative of those
+    from R's entries in row-major order and 1.6e-15 of the dense path's, far
+    below RADIUS_TOL and berezin.von_neumann's 1e-8; the smallest margins
+    were 0 (equality, q = Z_1 + Z_2, m = 1) and 3e-4."""
     model = truncated_model(table, N)
     phi_norms = cp_orbit_norms(spec, X.matrices, N)
     phi_norms += [0.0] * (N - len(phi_norms))  # Phi^k(I) stays zero after a zero

@@ -7,7 +7,8 @@ through `cmd_suite`.  Every check runs at its stated tolerance.
 
 Exit code is 0 iff every executed check passed, and 2 on malformed input,
 which includes an option given in a mode that does not read it: --seed with
-a file option, or toeplitz --radius without --symbol.
+a file option, toeplitz --radius without --symbol, or weights --format
+without --out.
 All randomized inputs come from a seeded generator whose seed is echoed in
 the report.  Each record prints one line, and a failed record its detail on
 the next line (toeplitz's file modes write no report that would show it).  The
@@ -131,13 +132,15 @@ def cmd_suite(args) -> int:
 
 
 def cmd_weights(args) -> int:
+    if args.format is not None and not args.out:
+        raise ValueError("--format is read only with --out")
     spec, report = start(args)
     table = verify.weights_suite(spec, args.max_len, report)
     if args.out:
-        if args.format == "csv":
-            table_to_csv(table, args.out)
-        else:
+        if args.format == "json":
             dump_json(table_to_json(table), args.out)
+        else:
+            table_to_csv(table, args.out)
         print(f"weight table written to {args.out}")
     return finish(report, None)
 
@@ -242,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="weight tables and oracle checks")
     add_options(p, "spec", "max_len", "out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default=None,
+                   help="with --out only (default csv)")
     p.set_defaults(fn=cmd_weights)
 
     p = sub.add_parser("model", help="universal model identities")

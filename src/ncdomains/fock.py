@@ -43,11 +43,11 @@ A without a dense |A| copy, and sparse_norm takes the norm from them by
 Lanczos on A^* A (lanczos.py), which reads A only through the
 nonzero_products x -> A x and y -> A^* y, with the dense path as its
 fallback.  A model operator's norm, TruncatedModel.norm, needs no matrix
-on that path: TruncatedModel.nonzeros scatters the same nonzeros from the
-shift maps, so the norm is bitwise spectral_norm's of the assembled
-operator.  sparse_norm is the package's one Krylov norm: it also takes the
-radius inequality's ||R^k E|| (cauchy.py) over k-fold products on the
-nonzeros of R, so no power of R is formed.
+on that path: TruncatedModel.nonzeros reads each term's entries from the
+shift maps, in term order, so the norm is spectral_norm's of the assembled
+operator within roundoff.  sparse_norm is the package's one Krylov norm:
+it also takes the radius inequality's ||R^k E|| (cauchy.py) over k-fold
+products on the nonzeros of R, so no power of R is formed.
 A Ritz value lower-bounds sigma_max^2, as reported norms of compressions
 P_N T P_N lower-bound the untruncated norms, nondecreasing in N.
 """
@@ -112,8 +112,8 @@ def takes_krylov_path(shape: tuple[int, int], nonzeros: int = 0) -> bool:
 def nonzero_products(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                      shape: tuple[int, int], repeat: int = 0):
     """x -> A^repeat B x and y -> B^* (A^*)^repeat y, by np.bincount over the
-    nonzeros, where A is the m x m matrix whose nonzero entries are vals at
-    (rows, cols) and B, of the given shape (m, n), is its first n columns.
+    nonzeros, where A is the m x m matrix with the vals added up at (rows,
+    cols) and B, of the given shape (m, n), is its first n columns.
     With repeat = 0 A is never applied, so the nonzeros may also be those
     of an m x n matrix with n > m.  B x is A applied to x padded with zeros
     (+-0 products, which change no np.bincount sum), and B^* y the first n
@@ -289,55 +289,28 @@ class TruncatedModel:
 
     def nonzeros(self, terms, d: int = 1, left: bool = True
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, vals), the nonzero entries of operator(terms, d, left)
-        exactly as np.nonzero reads them from its matrix, which is never
-        formed: in row-major order, exact zeros dropped and NaN kept.  Each
-        term's blocks come from operator's expression, and the terms that
-        meet on one entry are summed in term order from 0, as by its +=.
-
-        A term has at most one block in each block row, since its row words
-        are distinct, so the blocks of a block row are put in order by
-        ranking each term's column word against the other terms', O(D T^2)
-        work for T terms.  Nothing is sorted: numpy's sort kernels are code
-        that the Krylov norm runs nowhere else, and np.unique here added
-        about 0.4 MB of code pages to the peak RSS of `cauchy --tuple`."""
-        D = self.dimension
-        blocks = []
+        """(rows, cols, vals): the entries of each term's blocks of
+        operator(terms, d, left), from operator's expression, in term order,
+        its matrix never formed; vals is complex, exact zeros are dropped
+        and NaN is kept.  An entry that several terms share appears once per
+        term; added up in order from 0, the entries give operator's matrix
+        bit for bit, as its += adds them in term order too."""
+        rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        vals = [np.zeros(0, dtype=complex)]  # makes the concatenation complex
         for row_words, col_words, weight, B in self._walk(terms, left):
-            blocks.append((row_words, col_words, weight[:, None, None] * _block(B, d)))
-        # col[w, t]: the column word of term t's block in block row w, D if none
-        col = np.full((D, len(blocks)), D, dtype=np.intp)
-        for t, (row_words, col_words, _) in enumerate(blocks):
-            col[row_words, t] = col_words
-        # first[w, t]: no earlier term has a block in column word col[w, t];
-        # rank[w, t]: the distinct column words of block row w left of it
-        first = np.ones(col.shape, dtype=bool)
-        rank = np.zeros(col.shape, dtype=np.intp)
-        for u in range(len(blocks)):
-            first[:, u + 1:] &= col[:, u + 1:] != col[:, u:u + 1]
-            rank += (col[:, u:u + 1] < col) & first[:, u:u + 1]
-        width = (first & (col < D)).sum(axis=1)  # the blocks of each block row
-        start = np.cumsum(width) - width
-        # entry (i, j) of the block of rank r in block row w is output entry
-        # d^2 start[w] + i d width[w] + r d + j
-        aux = np.arange(d)
-        size = d * d * int(width.sum())
-        rows, cols = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
-        vals = np.zeros(size, dtype=complex)
-        for t, (row_words, col_words, blk) in enumerate(blocks):
-            at = ((d * d * start[row_words] + d * rank[row_words, t])[:, None, None]
-                  + (d * width[row_words])[:, None, None] * aux[:, None] + aux)
-            rows[at] = row_words[:, None, None] * d + aux[:, None]
-            cols[at] = col_words[:, None, None] * d + aux
-            vals[at] += blk
-        keep = vals != 0
-        return rows[keep], cols[keep], vals[keep]
+            blk = weight[:, None, None] * _block(B, d)
+            t, i, j = np.nonzero(blk)
+            rows.append(row_words[t] * d + i)
+            cols.append(col_words[t] * d + j)
+            vals.append(blk[t, i, j])
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
     def krylov_nonzeros(self, terms, d: int = 1, left: bool = True
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """nonzeros(terms, d, left) when the operator takes the Krylov path of
-        spectral_norm (takes_krylov_path on its side and nonzero count), None
-        otherwise; the nonzeros are built only for a side the rule admits."""
+        spectral_norm, by takes_krylov_path on its side and then on the entry
+        count, an upper bound on its nonzeros; None otherwise.  The entries
+        are built only for a side the rule admits."""
         shape = (self.dimension * d,) * 2
         if takes_krylov_path(shape):
             nonzeros = self.nonzeros(terms, d, left)
@@ -346,10 +319,10 @@ class TruncatedModel:
         return None
 
     def norm(self, terms, d: int = 1, left: bool = True) -> float:
-        """spectral_norm(operator(terms, d, left).matrix), bitwise: on the
-        Krylov path sparse_norm of nonzeros(terms, d, left), the nonzeros
-        spectral_norm would read from the matrix, which is then never
-        formed; otherwise the dense path's norm of the assembled matrix."""
+        """spectral_norm(operator(terms, d, left).matrix): within roundoff on
+        the Krylov path, sparse_norm of nonzeros(terms, d, left) with the
+        matrix never formed; otherwise, bitwise, the dense path's norm of the
+        assembled matrix."""
         nonzeros = self.krylov_nonzeros(terms, d, left)
         if nonzeros is None:
             return _dense_norm(self.operator(terms, d, left).matrix)

@@ -202,7 +202,8 @@ def bounded_roundtrip(F: PluriharmonicFunction, table: WeightTable, N: int,
     residual = mean_value_check(F.symbol, X.spec, X, 1.0, table, N)
     check_support(F.symbol, N)
     # no two terms of one symbol share an entry, so each entry of the gap
-    # operator is a + (-b), bitwise the difference of F(rW_N) and psi_N
+    # operator is a + (-b), bitwise the difference of F(rW_N) and psi_N (on
+    # the Krylov path a and -b stay apart: the gap at r = 1 is roundoff, not 0)
     psi = [(alpha, beta, -c, B) for alpha, beta, c, B in F.symbol.terms(1.0)]
     model = truncated_model(table, N)
     gaps = [model.norm(F.symbol.terms(float(r)) + psi, F.aux_dim) for r in radii]

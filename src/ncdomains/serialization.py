@@ -8,8 +8,8 @@ its {numerator, denominator} pair.  A domain spec is {n, m, coefficients:
 columns word, length, numerator, denominator, float_value, its word the
 JSON array.  Both list words in the graded order of enumerate_words.
 
-Matrices are {rows, cols, aux_dim, data} with data a row-major list of
-[re, im] pairs.  Symbols are {aux_dim, A: [{word, block}], B: [{word, block}]}
+Matrices are {rows, cols, data} with data a row-major list of [re, im]
+pairs.  Symbols are {aux_dim, A: [{word, block}], B: [{word, block}]}
 with blocks nested [re, im] arrays.  Operator tuples are {n, dim, spec,
 matrices: [...]}, the headers n and dim >= 1 matching the matrices; a tuple
 read for a given spec must carry that spec.
@@ -19,8 +19,7 @@ lists in ascending order the flat row-major position of every entry whose
 bits are not all zero, and data holds their [re, im] pairs.  A weighted
 multi-Toeplitz operator has entries only at comparable word pairs, so the
 file grows with its nonzeros, not with D^2; -0.0, the infinities and NaN are
-kept.  Operator files in the dense matrix form, with n and N added, still
-load.  An operator file is read against the weight table of its spec, onto
+kept.  An operator file is read against the weight table of its spec, onto
 its model, and holds at most MAX_OPERATOR_ROWS rows; the header is checked
 before the matrix is allocated.  Tuple matrices are k x k and stay dense:
 their reader allocates no more than the file itself holds.
@@ -103,17 +102,16 @@ def _complex(data, shape: tuple, what: str) -> np.ndarray:
     return arr.view(complex).reshape(shape)
 
 
-def matrix_to_json(M: np.ndarray, aux_dim: int = 1) -> dict:
+def matrix_to_json(M: np.ndarray) -> dict:
     rows, cols = M.shape
-    return {"rows": rows, "cols": cols, "aux_dim": aux_dim, "data": _pairs(M.reshape(-1))}
+    return {"rows": rows, "cols": cols, "data": _pairs(M.reshape(-1))}
 
 
-def matrix_from_json(obj: dict) -> tuple[np.ndarray, int]:
+def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the matrix_to_json() form; malformed data raise ValueError."""
     obj = _object(obj, "matrix")
     rows, cols = _count(obj["rows"], "rows"), _count(obj["cols"], "cols")
-    aux = _count(obj.get("aux_dim", 1), "aux_dim", least=1)
-    return _complex(obj["data"], (rows * cols,), "matrix").reshape(rows, cols), aux
+    return _complex(obj["data"], (rows * cols,), "matrix").reshape(rows, cols)
 
 
 def operator_to_json(T: TruncatedOperator) -> dict:
@@ -143,7 +141,7 @@ def _positions(value, size: int) -> np.ndarray:
 
 
 def operator_from_json(obj: dict, table: WeightTable) -> TruncatedOperator:
-    """Parse either operator form onto the model truncated_model(table, N).
+    """Parse the sparse form onto the model truncated_model(table, N).
     The header is checked, against the basis dimension, MAX_OPERATOR_ROWS
     and the weight table, before the matrix is allocated or the model built:
     a small sparse file can declare a huge shape."""
@@ -161,15 +159,13 @@ def operator_from_json(obj: dict, table: WeightTable) -> TruncatedOperator:
     if rows > MAX_OPERATOR_ROWS:
         raise ValueError(f"operator has {rows} rows, more than the "
                          f"{MAX_OPERATOR_ROWS} an operator file may hold")
-    if "index" in obj:
-        index = _positions(obj["index"], rows * cols)
-        values = _complex(obj["data"], index.shape, "operator data")
-        M = np.zeros(rows * cols, dtype=complex)
-        M[index] = values
-        M = M.reshape(rows, cols)
-    else:
-        M, _ = matrix_from_json(obj)
-    return TruncatedOperator(truncated_model(table, N), M, aux)
+    if "index" not in obj:
+        raise ValueError("operator file has no index; only the sparse form is read")
+    index = _positions(obj["index"], rows * cols)
+    values = _complex(obj["data"], index.shape, "operator data")
+    M = np.zeros(rows * cols, dtype=complex)
+    M[index] = values
+    return TruncatedOperator(truncated_model(table, N), M.reshape(rows, cols), aux)
 
 
 def symbol_to_json(sym: MultiToeplitzSymbol) -> dict:
@@ -261,7 +257,7 @@ def tuple_from_json(obj: dict, spec: DomainSpec | None = None) -> OperatorTuple:
         spec = own
     elif own != spec:
         raise ValueError("the tuple file's spec differs from the given spec")
-    mats = [matrix_from_json(m)[0] for m in _list(obj["matrices"], "matrices")]
+    mats = [matrix_from_json(m) for m in _list(obj["matrices"], "matrices")]
     if len(mats) != n:
         raise ValueError(f"tuple declares n = {n} but holds {len(mats)} matrices")
     for M in mats:

@@ -287,9 +287,9 @@ def norm_profile(sym: MultiToeplitzSymbol, table: WeightTable, radii, N: int):
     """||phi(r W_N)|| per radius.  Each value is a lower bound of the
     untruncated norm, nondecreasing in N; the profile must be nondecreasing
     in r up to MONOTONE_TOL; a NaN norm counts as a violation.  Each norm is
-    TruncatedModel.norm of phi(rW_N)'s terms, equal to that of
-    symbol_to_operator(sym, table, r, N), which it forms only below the
-    Krylov cut-over."""
+    TruncatedModel.norm of phi(rW_N)'s terms, that of symbol_to_operator(sym,
+    table, r, N): bitwise below the Krylov cut-over, where it forms that
+    operator, and within roundoff above it, where it does not."""
     check_support(sym, N)
     model = truncated_model(table, N)
     norms = [model.norm(sym.terms(float(r)), sym.aux_dim) for r in radii]

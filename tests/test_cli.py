@@ -223,13 +223,15 @@ def test_toeplitz_op_and_symbol_exclusive(tmp_path, capsys):
      "--radius is read only with --symbol, not with --op"),
     (["toeplitz", "--radius", "1.0"],
      "--radius is read only with --symbol, not in the suite mode"),
+    (["weights", "--format", "csv"], "--format is read only with --out"),
 ], ids=["toeplitz-op-seed", "toeplitz-symbol-seed", "berezin-tuple-seed",
-        "cauchy-tuple-seed", "toeplitz-op-radius", "toeplitz-suite-radius"])
+        "cauchy-tuple-seed", "toeplitz-op-radius", "toeplitz-suite-radius",
+        "weights-format"])
 def test_option_outside_its_mode(tmp_path, monkeypatch, capsys, argv, message):
-    """--seed is read only in the suite mode and --radius only with
-    toeplitz --symbol.  Given in another mode, even at its default value,
-    either one exits 2 with one error line and nothing run, instead of
-    being ignored."""
+    """--seed is read only in the suite mode, --radius only with
+    toeplitz --symbol and --format only with weights --out.  Given in
+    another mode, even at its default value, each one exits 2 with one
+    error line and nothing run, instead of being ignored."""
     spec = mixed_spec(1)
     sym = MultiToeplitzSymbol.scalar(A={(): 1.0, (1,): 2.0})
     table = weights_by_factorization(spec, 2)
@@ -360,7 +362,8 @@ def _operator_file(field, value):
 
 
 def _dense_operator_file(field, value):
-    """An operator file in the dense form written before the sparse one."""
+    """An operator file in the dense form written before the sparse one,
+    which has no index and is not read."""
     obj = _operator_file(field, value)
     del obj["index"]
     return obj
@@ -385,7 +388,7 @@ MALFORMED_FILES["dense operator"] = (_dense_operator_file, MALFORMED_FILES["oper
     ("operator", "index", [-1, 8, 15]), ("operator", "index", [0, 8, 49]),
     ("operator", "index", [0, 8, 8]), ("operator", "index", [8, 0, 15]),
     ("operator", "index", [0, 8]), ("operator", "index", [True, 8, 15]),
-    ("dense operator", "data", [1, 0, 2]),
+    ("dense operator", "data", [[1.0, 0.0]] * 49),
     pytest.param("symbol", "A", [{"word": [1], "block": [[[1.0, 0.0]]]},
                                  {"word": [1], "block": [[[3.0, 0.0]]]}],
                  id="symbol-duplicate-word"),
@@ -396,7 +399,9 @@ MALFORMED_FILES["dense operator"] = (_dense_operator_file, MALFORMED_FILES["oper
 def test_malformed_file_exit_code(tmp_path, capsys, kind, field, value):
     """A malformed tuple, symbol or operator file: exit 2, one error line.
     The operator's 7 x 7 matrix has 3 nonzero entries, so an index must be
-    3 ascending integer positions in 0..48."""
+    3 ascending integer positions in 0..48.  An operator file in the dense
+    form of earlier versions, its 49 entries well formed, has no index and
+    is malformed too."""
     make, argv = MALFORMED_FILES[kind]
     path = tmp_path / f"{kind}.json"
     dump_json(make(field, value), path)
@@ -404,6 +409,16 @@ def test_malformed_file_exit_code(tmp_path, capsys, kind, field, value):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_operator_file_without_index_names_it(tmp_path, capsys):
+    """An operator file without index, as the dense form of earlier versions
+    is, exits 2 with one error line that names the missing index."""
+    path = tmp_path / "op.json"
+    dump_json(_dense_operator_file("data", [[1.0, 0.0]] * 49), path)
+    assert main([*MALFORMED_FILES["operator"][1], str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: operator file has no index; only the sparse form is read\n")
 
 
 def test_operator_file_depth_checked_before_basis(tmp_path, capsys, monkeypatch):

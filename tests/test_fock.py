@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_oracle import dense_creation, dense_word
 from ncdomains import cauchy, fock, lanczos
@@ -357,25 +359,32 @@ def test_apply_matches_operator():
         model.apply([((1,), EMPTY, 1, 1)], np.zeros((D + 1, 2)))
 
 
-def _assert_nonzeros_bitwise(model, terms, d, left):
-    """model.nonzeros against np.nonzero of the assembled matrix: the same
-    rows and cols in the same order, the same value bits."""
+def _assert_nonzeros_scatter(model, terms, d, left):
+    """model.nonzeros added up in order by np.add.at is the assembled matrix
+    bit for bit, NaN positions compared and not NaN payloads; the entries
+    are complex, with no exact zero among them."""
     M = model.operator(terms, d, left).matrix
-    rows, cols = np.nonzero(M)
-    got_rows, got_cols, got_vals = model.nonzeros(terms, d, left)
-    assert got_rows.dtype == rows.dtype and got_cols.dtype == cols.dtype
-    assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
-    assert got_vals.dtype == complex and got_vals.tobytes() == M[rows, cols].tobytes()
-    return got_vals
+    rows, cols, vals = model.nonzeros(terms, d, left)
+    assert rows.dtype == cols.dtype == np.intp and vals.dtype == complex
+    assert len(rows) == len(cols) == len(vals) and not np.any(vals == 0)
+    S = np.zeros_like(M)
+    np.add.at(S, (rows, cols), vals)
+    got, want = S.view(float), M.view(float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    return M, rows * M.shape[1] + cols
 
 
 @pytest.mark.parametrize("name", sorted(builtin_corpus()))
 def test_nonzeros_match_np_nonzero(name):
-    """TruncatedModel.nonzeros is np.nonzero of the assembled operator, bit
-    for bit, at N <= 6, aux dim 1-3, on W and Lambda: symbol terms; the
+    """TruncatedModel.nonzeros, added up in order, is the assembled operator
+    bit for bit, at N <= 6, aux dim 1-3, on W and Lambda: symbol terms; the
     terms of R, whose nilpotent X_beta^* hold exact zeros (all of them at
     dim 1); and the hereditary pair W_1 W_n^*, W_11 W_n1^*, which meet on
-    the entries (1 1 gamma, n 1 gamma) and are summed there."""
+    the entries (1 1 gamma, n 1 gamma).  No two terms of a symbol or of R
+    share an entry, so theirs are the entries np.nonzero reads, in another
+    order; the pair's shared entries appear once per term."""
     spec = builtin_corpus()[name]
     table = weights_by_factorization(spec, 6)
     rng = np.random.default_rng(sorted(builtin_corpus()).index(name) + 100)
@@ -387,20 +396,23 @@ def test_nonzeros_match_np_nonzero(name):
             sym = random_symbol(rng, n, max_len=min(N, 3), aux_dim=d).terms(0.7)
             R = cauchy._reconstruction_terms(spec, random_nilpotent_tuple(rng, spec, dim=d))
             for left in (True, False):
-                for terms in (sym, R, pair):
-                    _assert_nonzeros_bitwise(model, terms, d, left)
+                for terms in (sym, R):
+                    M, flat = _assert_nonzeros_scatter(model, terms, d, left)
+                    assert np.array_equal(np.sort(flat), np.flatnonzero(M))
+                _assert_nonzeros_scatter(model, pair, d, left)
     # the first term alone has an entry per |gamma| <= 5, and the second
-    # meets it on each of its own
-    summed = _assert_nonzeros_bitwise(truncated_model(table, 6), pair, 1, True)
-    assert len(summed) == fock_dimension(n, 5)
+    # meets it on each of its own, one per |gamma| <= 4
+    M, flat = _assert_nonzeros_scatter(truncated_model(table, 6), pair, 1, True)
+    assert np.count_nonzero(M) == fock_dimension(n, 5)
+    assert len(flat) == fock_dimension(n, 5) + fock_dimension(n, 4)
 
 
 def test_nonzeros_special_values(mixed_table):
     """Blocks holding -0.0 (alone or beside a nonzero part), NaN and inf,
-    terms that cancel exactly, a -0.0 coefficient, three terms on one block
-    and no terms at all: zeros
-    are dropped whatever their sign, NaN is kept (inf - inf included), and
-    sums start from 0, as the assembled matrix's do."""
+    terms that cancel exactly, a -0.0 coefficient, three terms on one block,
+    real scalar terms and no terms at all: zeros are dropped whatever their
+    sign, NaN is kept (inf - inf included), each term's entries are kept
+    where terms cancel, and the entries are complex."""
     model = truncated_model(mixed_table, 4)
     B = np.array([[-0.0, np.nan, complex(-0.0, 2.0)],
                   [complex(0.0, -0.0), 1.5, np.inf],
@@ -418,10 +430,41 @@ def test_nonzeros_special_values(mixed_table):
     with np.errstate(invalid="ignore"):  # inf - inf, in both assemblies
         for terms in cases:
             for left in (True, False):
-                _assert_nonzeros_bitwise(model, terms, 3, left)
-        vals = model.nonzeros(cases[1], 3)[2]
-    assert len(vals) and np.isnan(vals).all()  # +-inf - +-inf and NaN - NaN
-    assert len(model.nonzeros(cases[2], 3)[2]) == 0
+                _assert_nonzeros_scatter(model, terms, 3, left)
+        M = model.operator(cases[1], 3).matrix
+        one = len(model.nonzeros(cases[1][:1], 3)[2])
+        assert len(model.nonzeros(cases[1], 3)[2]) == 2 * one
+    assert one == 6 * fock_dimension(2, 3)  # the six nonzero entries of B
+    assert np.count_nonzero(M) and np.isnan(M[M != 0]).all()  # +-inf - +-inf, NaN - NaN
+    assert not model.operator(cases[2], 3).matrix.any()
+    assert len(model.nonzeros(cases[2][2:], 3)[2]) == 0  # -0.0 B holds only zeros
+
+
+@st.composite
+def _term_lists(draw):
+    """(model, terms, d, left): a corpus model at N <= 4 and up to five
+    terms on words of length <= N + 1, with coefficients and blocks drawn
+    from values that include +-0.0, NaN and +-inf."""
+    name = draw(st.sampled_from(sorted(builtin_corpus())))
+    N, d, left = draw(st.integers(0, 4)), draw(st.integers(1, 3)), draw(st.booleans())
+    n = builtin_corpus()[name].n
+    word = st.lists(st.integers(1, n), max_size=N + 1).map(tuple)
+    part = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.3, np.nan, np.inf, -np.inf])
+    number = st.builds(complex, part, part)
+    block = st.one_of(number, st.lists(number, min_size=d * d, max_size=d * d)
+                      .map(lambda v: np.array(v).reshape(d, d)))
+    terms = draw(st.lists(st.tuples(word, word, number, block), max_size=5))
+    table = weights_by_factorization(builtin_corpus()[name], N)
+    return truncated_model(table, N), terms, d, left
+
+
+@settings(deadline=None, max_examples=60)
+@given(_term_lists())
+def test_nonzeros_scatter_to_operator(case):
+    """Over random term lists, special values included, the entries of
+    TruncatedModel.nonzeros add up in order to the assembled operator."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        _assert_nonzeros_scatter(*case)
 
 
 # (spec, N, aux dim) on the Krylov path: sides 1022 and 1023
@@ -430,7 +473,8 @@ MODEL_NORM_CASES = (("mixed_n2_m2", 8, 2), ("hyperball_n2_m1", 9, 1))
 
 def test_model_norm_matches_spectral_norm(krylov_runs):
     """TruncatedModel.norm from the nonzeros equals spectral_norm of the
-    assembled operator bit for bit, on W and Lambda, with symbol terms."""
+    assembled operator within 1e-13 relative, on W and Lambda, with symbol
+    terms; both take Lanczos, on the same entries in another order."""
     rng = np.random.default_rng(67)
     for name, N, d in MODEL_NORM_CASES:
         model = truncated_model(weights_by_factorization(builtin_corpus()[name], N), N)
@@ -438,9 +482,26 @@ def test_model_norm_matches_spectral_norm(krylov_runs):
             terms = random_symbol(rng, 2, 2, aux_dim=d).terms(0.9)
             got = model.norm(terms, d, left)
             want = spectral_norm(model.operator(terms, d, left).matrix)
-            assert got == want and got > 0, (N, d, left)
+            assert abs(got - want) <= 1e-13 * want and got > 0, (N, d, left)
     assert len(krylov_runs) == 8 and None not in krylov_runs
-    assert krylov_runs[0::2] == krylov_runs[1::2]
+    np.testing.assert_allclose(krylov_runs[0::2], krylov_runs[1::2], rtol=1e-13, atol=0)
+
+
+def test_model_norm_with_shared_entries(krylov_runs):
+    """On the Krylov path (hyperball_n2_m1 at N = 9, side 1023), terms that
+    share entries, the hereditary pair W_1 W_2^*, W_11 W_21^* beside symbol
+    terms, give the norm of the assembled operator within 1e-13 relative,
+    on W and Lambda."""
+    model = truncated_model(weights_by_factorization(builtin_corpus()["hyperball_n2_m1"], 9), 9)
+    pair = [((1,), (2,), 1, 1), ((1, 1), (2, 1), 1, 1)]
+    terms = pair + random_symbol(np.random.default_rng(71), 2, 2).terms(0.9)
+    for left in (True, False):
+        rows, cols, _ = model.nonzeros(terms, left=left)
+        assert len(set(zip(rows, cols))) < len(rows)  # some entries are shared
+        got = model.norm(terms, left=left)
+        want = np.linalg.norm(model.operator(terms, left=left).matrix, 2)
+        assert abs(got - want) <= 1e-13 * want, left
+    assert len(krylov_runs) == 2 and None not in krylov_runs
 
 
 def test_model_norm_falls_back_to_dense(monkeypatch, krylov_runs):

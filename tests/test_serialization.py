@@ -22,15 +22,18 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 def test_matrix_roundtrip():
+    """A matrix is {rows, cols, data}; an aux_dim key, which older tuple
+    files carry, is not read."""
     M = np.array([[1 + 2j, 0], [3.5, -1j]])
-    back, aux = matrix_from_json(matrix_to_json(M, aux_dim=2))
-    assert aux == 2
-    assert np.array_equal(M, back)
+    obj = matrix_to_json(M)
+    assert sorted(obj) == ["cols", "data", "rows"]
+    assert np.array_equal(matrix_from_json(obj), M)
+    assert np.array_equal(matrix_from_json({**obj, "aux_dim": 2}), M)
 
 
 def test_empty_matrix_roundtrip():
     """An empty matrix is written as data [] and reads back with its shape."""
-    back, _ = matrix_from_json(matrix_to_json(np.zeros((0, 3), dtype=complex)))
+    back = matrix_from_json(matrix_to_json(np.zeros((0, 3), dtype=complex)))
     assert back.shape == (0, 3)
 
 
@@ -69,14 +72,19 @@ def test_repeated_word_rejected():
 
 
 def test_tuple_roundtrip(tmp_path):
+    """A tuple reads back, and a file whose matrices carry the aux_dim key of
+    older files loads unchanged."""
     spec = mixed_spec(2)
     X = OperatorTuple(spec, [np.eye(2) * 0.1, np.ones((2, 2)) * 0.05j])
     path = tmp_path / "tuple.json"
-    dump_json(tuple_to_json(X), path)
-    back = tuple_from_json(load_json(path))
-    assert back.spec == spec
-    for M, Mb in zip(X.matrices, back.matrices):
-        assert np.array_equal(M, Mb)
+    obj = tuple_to_json(X)
+    older = {**obj, "matrices": [{**m, "aux_dim": 1} for m in obj["matrices"]]}
+    for written in (obj, older):
+        dump_json(written, path)
+        back = tuple_from_json(load_json(path))
+        assert back.spec == spec
+        for M, Mb in zip(X.matrices, back.matrices):
+            assert np.array_equal(M, Mb)
 
 
 @pytest.mark.parametrize("field, value, error", [
@@ -102,7 +110,7 @@ def test_special_values_roundtrip_bitwise(tmp_path):
     assert np.signbit(M.real).sum() == 10 and np.signbit(M.imag).sum() == 10
     path = tmp_path / "m.json"
     dump_json(matrix_to_json(M), path)
-    back, _ = matrix_from_json(load_json(path))
+    back = matrix_from_json(load_json(path))
     assert np.array_equal(_bits(back), _bits(M))
 
     table = weights_by_factorization(hyperball_spec(4, 1), 1)
@@ -138,7 +146,8 @@ def test_large_operator_file_roundtrip(tmp_path):
     """The 510 x 510 operator of an aux-2 symbol at depth 7 is written as one
     line listing only its nonzero entries, under a tenth of the dense form's
     size, and reads back bit for bit; a file in the former indented layout
-    holds the same JSON, and a dense file of the earlier form still loads."""
+    holds the same JSON.  A dense file of the earlier form, which has no
+    index, is refused."""
     table = weights_by_factorization(mixed_spec(2), 7)
     sym = random_symbol(np.random.default_rng(7), 2, max_len=2, aux_dim=2)
     T = symbol_to_operator(sym, table, 0.9, 7)
@@ -159,8 +168,7 @@ def test_large_operator_file_roundtrip(tmp_path):
     old = operator_from_json(load_json(indented), table)
     assert np.array_equal(_bits(old.matrix), _bits(T.matrix))
 
-    dump_json({**matrix_to_json(T.matrix, T.aux_dim), "n": 2, "N": 7}, dense)
+    dump_json({**matrix_to_json(T.matrix), "aux_dim": 2, "n": 2, "N": 7}, dense)
     assert path.stat().st_size < dense.stat().st_size / 10
-    old = operator_from_json(load_json(dense), table)
-    assert (old.model, old.aux_dim) == (truncated_model(table, 7), 2)
-    assert np.array_equal(_bits(old.matrix), _bits(T.matrix))
+    with pytest.raises(ValueError, match="operator file has no index"):
+        operator_from_json(load_json(dense), table)
